@@ -20,6 +20,8 @@ from math import gcd, prod
 import numpy as np
 
 _AUT_ORDER_BOUND = 64
+# Most generator-image tuples the Aut(G) search may try; (Z/2)^5 needs 31^5.
+_AUT_CANDIDATE_BOUND = 10 ** 6
 _BRUTE_FORCE_BOUND = 8
 
 
@@ -368,6 +370,8 @@ def automorphism_group(group, max_order=_AUT_ORDER_BOUND):
     Candidate images of each generator range over elements of the same
     order; each candidate tuple is extended through the spanning order and
     kept when it is bijective and multiplicative against every generator.
+    Groups needing more than _AUT_CANDIDATE_BOUND tuples are refused with
+    ValueError before the search starts.
     """
     if group.order > max_order:
         raise ValueError(f"order {group.order} exceeds bound {max_order}")
@@ -379,6 +383,12 @@ def automorphism_group(group, max_order=_AUT_ORDER_BOUND):
     orders = _element_orders(group)
     gens, span = _greedy_generators(group)
     candidates = [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
+    tuples = prod(len(c) for c in candidates)
+    if tuples > _AUT_CANDIDATE_BOUND:
+        raise ValueError(
+            f"Aut({group.name}) search would try {tuples:,} generator-image tuples, "
+            f"above the bound {_AUT_CANDIDATE_BOUND:,}"
+        )
     found = []
     for tup in itertools.product(*candidates):
         img = [-1] * n

@@ -67,14 +67,16 @@ class Quandle:
         self.table = arr
         self.order = arr.shape[0]
         self.provenance = provenance
-        self._rows = [tuple(int(x) for x in row) for row in arr]
+        self._rows = None
         self._cache = {}
 
     def op(self, a, b):
-        return self._rows[a][b]
+        return self.rows()[a][b]
 
     def rows(self):
-        """Table as tuples, cheap to index in tight loops."""
+        """Table as nested lists, cheap to index in tight loops; built on first use."""
+        if self._rows is None:
+            self._rows = self.table.tolist()
         return self._rows
 
     def column(self, b):

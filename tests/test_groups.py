@@ -123,6 +123,12 @@ def test_automorphism_search_matches_brute_force():
         assert fast == slow, g.name
 
 
+def test_automorphism_search_refuses_hopeless_groups():
+    # 31^5 generator-image tuples: refused before the search starts
+    with pytest.raises(ValueError, match="generator-image tuples"):
+        G.automorphism_group(G.make_abelian([2] * 5))
+
+
 def test_automorphisms_form_a_group():
     g = G.make_quaternion8()
     auts = {phi.images for phi in G.automorphism_group(g)}

@@ -125,6 +125,12 @@ def test_inner_translation():
     assert all(Q.inner_translation(triv, x).is_identity() for x in range(4))
 
 
+def test_rows_match_table():
+    for x in (Q.dihedral(5), Q.conj_quandle(G.make_symmetric(3))):
+        assert x.rows() == x.table.tolist()
+        assert x.op(1, 2) == x.table[1, 2]
+
+
 def test_op_bounds():
     x = Q.dihedral(3)
     with pytest.raises(IndexError):

@@ -9,6 +9,7 @@ class counts 1, 1, 3, 7 for quandle orders 1..4.
 import pytest
 
 import quandles.groups as G
+import quandles.quandle as Q
 from quandles import theorems as T
 
 
@@ -32,6 +33,43 @@ def test_alexander_embedding_check():
         assert rep.instances_tested >= 2
     z7 = G.make_cyclic(7)
     assert T.check_prop_embedding_zg_caut(z7, G.scalar_map(z7, 3)).passed
+
+
+def test_semidirect_embedding_reports_a_non_automorphism():
+    z5 = G.make_cyclic(5)
+    bad = G.GroupMap(z5, z5, (0, 2, 1, 3, 4), validate=False)   # bijective, not additive
+    maps = [G.identity_map(z5), bad]
+    rep = T.TheoremReport("demo")
+    m = T._check_semidirect_embedding(rep, z5, Q.takasaki(z5), G.center(z5), maps, "Z5")
+    assert m == 10
+    preserve = [f for f in rep.failures if "not a quandle automorphism" in f]
+    product = [f for f in rep.failures if "product law" in f]
+    assert preserve == ["Z5: map (0, 2, 1, 3, 4) is not a quandle automorphism"]
+    assert not any("not injective" in f for f in rep.failures)
+
+    # reference: the product law pair by pair, (a, f) acting as b -> f(b) + a
+    elems = [(a, f) for a in range(5) for f in maps]
+    expected = []
+    for a1, f1 in elems:
+        for a2, f2 in elems:
+            lhs = [(f1(f2(b)) + a1 + f1(a2)) % 5 for b in range(5)]
+            rhs = [(f1((f2(b) + a2) % 5) + a1) % 5 for b in range(5)]
+            if lhs != rhs:
+                expected.append(f"Z5: product law fails at ({a1}, {f1.images}) ({a2}, {f2.images})")
+    assert len(expected) > 3
+    assert product == expected[:3]
+
+
+def test_semidirect_embedding_reports_a_collision():
+    z5 = G.make_cyclic(5)
+    ident = G.identity_map(z5)
+    rep = T.TheoremReport("demo")
+    T._check_semidirect_embedding(rep, z5, Q.takasaki(z5), G.center(z5), [ident, ident], "Z5")
+    assert rep.failures
+    assert all("not injective" in f for f in rep.failures)
+    assert rep.failures[0] == (
+        "Z5: not injective, (0, (0, 1, 2, 3, 4)) collides with (0, (0, 1, 2, 3, 4))"
+    )
 
 
 def test_takasaki_check():
@@ -62,6 +100,10 @@ def test_conj_embedding_check():
     rep = T.check_prop_conj_embedding(G.make_quaternion8())
     assert rep.passed
     assert rep.annotations["embedding_onto[Q8]"] is False
+    # 8 * 168 elements: every one of the 1344^2 pairs is checked
+    rep = T.check_prop_conj_embedding(G.make_abelian([2, 2, 2]))
+    assert rep.passed
+    assert rep.instances_tested == 1344
 
 
 def test_commutativity_check():
