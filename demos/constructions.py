@@ -7,6 +7,9 @@ multiplication table.  This script builds one quandle of each kind, prints
 the operation table, and round-trips it through the text file format.
 """
 
+import os
+import tempfile
+
 import quandles as q
 
 # the dihedral quandle on 5 points: a * b = 2b - a mod 5
@@ -37,8 +40,10 @@ print("conj over Z/6 is the trivial quandle:",
       all(q.conj_quandle(z6, 1).op(a, b) == a for a in range(6) for b in range(6)))
 
 # tables written to disk validate on the way back in
-q.save_quandle(a9, "/tmp/a9.qnd")
-back = q.load_quandle("/tmp/a9.qnd")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "a9.qnd")
+    q.save_quandle(a9, path)
+    back = q.load_quandle(path)
 print("\nfile round trip preserved the table:", back.table.tolist() == a9.table.tolist())
 
 # validate_axioms rejects anything that is not a quandle and names the

@@ -6,11 +6,15 @@ every operation on top of them is exact integer work.  Abelian groups built
 from cyclic factors carry their factor list and per-element coordinate
 tuples, which is what scalar and matrix automorphisms act on.
 
-The automorphism group of a group is computed by a generator-image search:
-pick a generating set greedily, try images among elements of equal order,
-extend each candidate tuple through a fixed spanning order of the group, and
-keep the bijective extensions that pass the homomorphism check.  A separate
-brute-force search over all bijections exists as an oracle for tiny orders.
+A group automorphism is exactly a bijection preserving the Cayley table, so
+Aut(G) comes from the same backtracking table search that computes quandle
+automorphism groups (``quandles.perms.table_automorphism_group``): it yields
+a PermGroup with exact order, and the full map list is materialized only when
+that order is small enough.  A separate brute-force search over all
+bijections exists as an oracle for tiny orders.
+
+Tables are read and written in one plain-text format shared with quandles:
+first line the order, then one row per line.
 """
 
 import itertools
@@ -19,10 +23,13 @@ from math import gcd, prod
 
 import numpy as np
 
+from .perms import _tinverse, table_automorphism_group
+
 _AUT_ORDER_BOUND = 64
-# Most generator-image tuples the Aut(G) search may try; (Z/2)^5 needs 31^5.
-_AUT_CANDIDATE_BOUND = 10 ** 6
+# Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
+_AUT_LIST_BOUND = 10 ** 6
 _BRUTE_FORCE_BOUND = 8
+_CHUNK_ENTRIES = 1 << 20
 
 
 class FiniteGroup:
@@ -108,6 +115,14 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+def _row_chunks(rows, width):
+    """Slices cutting range(rows) so that rows of the given width hold
+    about _CHUNK_ENTRIES entries per slice."""
+    step = max(1, _CHUNK_ENTRIES // width)
+    for lo in range(0, rows, step):
+        yield slice(lo, min(lo + step, rows))
+
+
 def _validate_group_table(arr):
     n = arr.shape[0]
     rng = np.arange(n)
@@ -116,14 +131,13 @@ def _validate_group_table(arr):
     if not (np.sort(arr, axis=1) == rng).all() or not (np.sort(arr, axis=0) == rng[:, None]).all():
         raise ValueError("table rows/columns are not permutations (not a Latin square)")
     # associativity in row chunks to bound memory on larger tables
-    step = max(1, 2 ** 22 // (n * n))
-    for lo in range(0, n, step):
-        chunk = arr[lo:lo + step]
+    for s in _row_chunks(n, n * n):
+        chunk = arr[s]
         left = arr[chunk]        # left[a,b,c]  = (a*b)*c  for a in the chunk
         right = chunk[:, arr]    # right[a,b,c] = a*(b*c)
         if not np.array_equal(left, right):
             a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-            raise ValueError(f"associativity fails at ({a + lo}, {b}, {c})")
+            raise ValueError(f"associativity fails at ({a + s.start}, {b}, {c})")
 
 
 def element_order(group, a):
@@ -218,10 +232,7 @@ class GroupMap:
     def inverse(self):
         if not self.is_automorphism:
             raise ValueError("only automorphisms invert")
-        out = [0] * len(self.images)
-        for a, b in enumerate(self.images):
-            out[b] = a
-        return GroupMap(self.domain, self.domain, out, validate=False)
+        return GroupMap(self.domain, self.domain, _tinverse(self.images), validate=False)
 
     def map_order(self):
         """Order of an automorphism under composition."""
@@ -337,87 +348,25 @@ class TwistedMap:
 # -- automorphism groups ----------------------------------------------------
 
 
-def _greedy_generators(group):
-    """Generating set grown by repeatedly adding the smallest outside element.
-
-    Returns (generators, spanning order), where the spanning order lists
-    (element, previous element, generator position) triples such that
-    element = previous * generators[position], reachable in BFS order.
-    """
-    n = group.order
-    rows = group._rows
-    gens = []
-    closure = {0}
-    span = []
-    while len(closure) < n:
-        g = min(x for x in range(n) if x not in closure)
-        gens.append(g)
-        # regrow closure, recording one product recipe per new element
-        queue = sorted(closure)
-        for e in queue:
-            for j, h in enumerate(gens):
-                t = rows[e][h]
-                if t not in closure:
-                    closure.add(t)
-                    span.append((t, e, j))
-                    queue.append(t)
-    return gens, span
-
-
-def automorphism_group(group, max_order=_AUT_ORDER_BOUND):
+def automorphism_group(group):
     """All automorphisms, sorted by image tuple.
 
-    Candidate images of each generator range over elements of the same
-    order; each candidate tuple is extended through the spanning order and
-    kept when it is bijective and multiplicative against every generator.
-    Groups needing more than _AUT_CANDIDATE_BOUND tuples are refused with
-    ValueError before the search starts.
+    The table search yields Aut(G) as a PermGroup first; groups above order
+    _AUT_ORDER_BOUND, or with more than _AUT_LIST_BOUND automorphisms, are
+    refused with ValueError before any map is listed.
     """
-    if group.order > max_order:
-        raise ValueError(f"order {group.order} exceeds bound {max_order}")
+    if group.order > _AUT_ORDER_BOUND:
+        raise ValueError(f"order {group.order} exceeds bound {_AUT_ORDER_BOUND}")
     cache_key = "aut"
     if cache_key in group._aut_cache:
         return group._aut_cache[cache_key]
-    n = group.order
-    rows = group._rows
-    orders = _element_orders(group)
-    gens, span = _greedy_generators(group)
-    candidates = [[x for x in range(n) if orders[x] == orders[g]] for g in gens]
-    tuples = prod(len(c) for c in candidates)
-    if tuples > _AUT_CANDIDATE_BOUND:
+    aut = table_automorphism_group(group._rows)
+    count = aut.order()
+    if count > _AUT_LIST_BOUND:
         raise ValueError(
-            f"Aut({group.name}) search would try {tuples:,} generator-image tuples, "
-            f"above the bound {_AUT_CANDIDATE_BOUND:,}"
+            f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
         )
-    found = []
-    for tup in itertools.product(*candidates):
-        img = [-1] * n
-        img[0] = 0
-        used = [False] * n
-        used[0] = True
-        ok = True
-        for e, prev, j in span:
-            v = rows[img[prev]][tup[j]]
-            if used[v]:
-                ok = False
-                break
-            img[e] = v
-            used[v] = True
-        if not ok:
-            continue
-        for j, g in enumerate(gens):
-            tg = tup[j]
-            col_g = g
-            for a in range(n):
-                if img[rows[a][col_g]] != rows[img[a]][tg]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(tuple(img))
-    found.sort()
-    result = [GroupMap(group, group, t, validate=False) for t in found]
+    result = [GroupMap(group, group, t, validate=False) for t in sorted(aut._element_tuples())]
     group._aut_cache[cache_key] = result
     return result
 
@@ -452,11 +401,11 @@ def is_central_automorphism(phi):
     return all(G.mul(G.inv(a), phi(a)) in Z for a in G.elements())
 
 
-def centralizer_in_aut(group, phi, max_order=_AUT_ORDER_BOUND):
+def centralizer_in_aut(group, phi):
     """Automorphisms commuting with phi, as a sorted sublist of Aut."""
     if not phi.is_automorphism:
         raise ValueError("centralizer is taken around an automorphism")
-    auts = automorphism_group(group, max_order=max_order)
+    auts = automorphism_group(group)
     pim = phi.images
     return [f for f in auts if tuple(pim[x] for x in f.images) == tuple(f.images[x] for x in pim)]
 
@@ -670,28 +619,36 @@ def group_by_name(name):
 # -- file format -------------------------------------------------------------
 
 
-def save_group(group, path):
-    """Write the table: first line the order, then one row per line."""
-    with open(path, "w") as fh:
-        fh.write(f"{group.order}\n")
-        for row in group.table:
-            fh.write(" ".join(map(str, row)) + "\n")
+def _table_text(table):
+    """Serialized table: first line the order, then one row per line."""
+    lines = [str(len(table))] + [" ".join(map(str, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
 
 
-def load_group(path, name=None):
-    """Read and fully validate a Cayley table file."""
+def _read_table(path, kind):
+    """The square table in a table file; kind names the file in errors."""
     with open(path) as fh:
         tokens = fh.read().split()
     if not tokens:
-        raise ValueError(f"{path}: empty group file")
+        raise ValueError(f"{path}: empty {kind} file")
     n = int(tokens[0])
     if n < 1:
         raise ValueError(f"{path}: order must be positive")
     body = tokens[1:]
     if len(body) != n * n:
         raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
-    table = np.array([int(t) for t in body], dtype=np.int64).reshape(n, n)
-    return FiniteGroup(table, name=name or "loaded", validate=True)
+    return np.array([int(t) for t in body], dtype=np.int64).reshape(n, n)
+
+
+def save_group(group, path):
+    """Write the table: first line the order, then one row per line."""
+    with open(path, "w") as fh:
+        fh.write(_table_text(group.table))
+
+
+def load_group(path, name=None):
+    """Read and fully validate a Cayley table file."""
+    return FiniteGroup(_read_table(path, "group"), name=name or "loaded", validate=True)
 
 
 def euler_phi(n):

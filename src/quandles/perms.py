@@ -9,6 +9,11 @@ large even when the degree is small.
 
 The chain works on raw image tuples internally; the ``Permutation`` wrapper
 exists for the public surface.
+
+``table_automorphism_group`` is the one backtracking search of the package:
+it finds the automorphism group of any square binary table, so it decides
+Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
+depth-first step also decides quandle isomorphism.
 """
 
 import itertools
@@ -388,6 +393,114 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
+
+
+# -- automorphisms of a binary table ---------------------------------------------
+
+
+def _assign(tsrc, ttgt, img, rev, assigned, a, b):
+    """Set img[a] = b and chase consequences; False on any contradiction.
+
+    Every pair (a, x) with both points assigned closes two products, whose
+    images are forced; forced assignments are queued and processed the same
+    way, so the final map respects every fully assigned pair.
+    """
+    queue = [(a, b)]
+    while queue:
+        a, b = queue.pop()
+        cur = img[a]
+        if cur != -1:
+            if cur != b:
+                return False
+            continue
+        if rev[b] != -1:
+            return False
+        img[a] = b
+        rev[b] = a
+        assigned.append(a)
+        ta, tb = tsrc[a], ttgt[b]
+        for x in assigned:
+            ix = img[x]
+            queue.append((ta[x], tb[ix]))
+            queue.append((tsrc[x][a], ttgt[ix][b]))
+    return True
+
+
+def _dfs_first(tsrc, ttgt, img, rev, assigned):
+    """First completion of the partial map to a full isomorphism, or None."""
+    n = len(img)
+    a = next((i for i in range(n) if img[i] == -1), -1)
+    if a == -1:
+        return tuple(img)
+    for b in range(n):
+        if rev[b] != -1:
+            continue
+        img2, rev2, as2 = img[:], rev[:], assigned[:]
+        if _assign(tsrc, ttgt, img2, rev2, as2, a, b):
+            res = _dfs_first(tsrc, ttgt, img2, rev2, as2)
+            if res is not None:
+                return res
+    return None
+
+
+def table_automorphism_group(rows):
+    """Bijections f with f(a*b) = f(a)*f(b) for the square table rows[a][b] = a*b.
+
+    Backtracking assigns images of points in increasing order, tries
+    candidate images in increasing order, and propagates every newly closed
+    pair through the table, so a partial map dies as soon as it contradicts
+    the table or injectivity.  Rather than enumerating all automorphisms, the
+    search builds a strong generating set: levels run over the points in
+    decreasing order, level k looking for automorphisms fixing 0..k-1
+    pointwise.  For each image c of point k not already in the orbit of k
+    under the generators found so far, one depth-first search either
+    produces a coset representative or proves the coset empty.  Tables with
+    enormous automorphism groups (all of Sym(n) for a trivial quandle) stay
+    cheap.  Works for group Cayley tables and quandle tables alike.
+    """
+    n = len(rows)
+    # states[k]: partial map with the identity forced on points 0..k-1
+    img = [-1] * n
+    rev = [-1] * n
+    assigned = []
+    states = [(img[:], rev[:], assigned[:])]
+    for k in range(n):
+        if img[k] == -1:
+            if not _assign(rows, rows, img, rev, assigned, k, k):
+                raise RuntimeError("identity map rejected; malformed table")
+        states.append((img[:], rev[:], assigned[:]))
+
+    gens = []
+
+    def close_orbit(orbit):
+        frontier = list(orbit)
+        while frontier:
+            p = frontier.pop()
+            for g in gens:
+                q = g[p]
+                if q not in orbit:
+                    orbit.add(q)
+                    frontier.append(q)
+
+    for k in range(n - 1, -1, -1):
+        img_k, rev_k, as_k = states[k]
+        if img_k[k] != -1:
+            # image of k already forced by the identity prefix
+            continue
+        orbit = {k}
+        close_orbit(orbit)
+        for c in range(n):
+            if c in orbit:
+                continue
+            img2, rev2, as2 = img_k[:], rev_k[:], as_k[:]
+            if not _assign(rows, rows, img2, rev2, as2, k, c):
+                continue
+            found = _dfs_first(rows, rows, img2, rev2, as2)
+            if found is None:
+                continue
+            gens.append(found)
+            close_orbit(orbit)
+    return PermGroup([Permutation(g) for g in gens], degree=n)
 
 
 def group_from_generators(generators, degree=None):

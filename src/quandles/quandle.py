@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation
+from .groups import _read_table, _row_chunks, _table_text, make_cyclic
+from .perms import Permutation, _tinverse
 
 
 class QuandleAxiomError(ValueError):
@@ -105,13 +106,17 @@ def _check_axioms(arr):
                             2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}"
                         )
                     seen.add(int(col[a]))
-    left = arr[arr]                     # (a,b,c) -> (a*b)*c
-    right = arr[arr[:, None, :], arr[None, :, :]]   # (a,b,c) -> (a*c)*(b*c)
-    if not np.array_equal(left, right):
-        a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-        raise QuandleAxiomError(
-            3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})"
-        )
+    # axiom 3 in row chunks of a to bound memory on larger tables
+    for s in _row_chunks(n, n * n):
+        chunk = arr[s]
+        left = arr[chunk]                         # (a,b,c) -> (a*b)*c
+        right = arr[chunk[:, None, :], arr[None, :, :]]   # (a,b,c) -> (a*c)*(b*c)
+        if not np.array_equal(left, right):
+            a, b, c = (int(x) for x in np.argwhere(left != right)[0])
+            a += s.start
+            raise QuandleAxiomError(
+                3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})"
+            )
 
 
 def validate_axioms(table, provenance=None):
@@ -188,8 +193,6 @@ def gen_alexander(group, phi):
 
 def dihedral(n):
     """Dihedral quandle R_n: points mod n with a*b = 2b - a."""
-    from .groups import make_cyclic
-
     q = takasaki(make_cyclic(n))
     prov = Provenance("dihedral", group=q.provenance.group)
     return Quandle(q.table, provenance=prov, validate=False)
@@ -244,19 +247,13 @@ def enumerate_quandle_tables(n):
             cols.append(tuple(col))
         candidates.append(cols)
 
-    def tinv(p):
-        out = [0] * n
-        for i, j in enumerate(p):
-            out[j] = i
-        return tuple(out)
-
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""
         queue = [c]
         while queue:
             c = queue.pop()
             sc = cols[c]
-            sc_inv = tinv(sc)
+            sc_inv = _tinverse(sc)
             for b in range(n):
                 sb = cols[b]
                 if sb is None:
@@ -269,7 +266,7 @@ def enumerate_quandle_tables(n):
                     queue.append(t1)
                 elif cols[t1] != f1:
                     return False
-                sb_inv = tinv(sb)
+                sb_inv = _tinverse(sb)
                 t2 = sb[c]
                 f2 = tuple(sb[sc[sb_inv[y]]] for y in range(n))
                 if cols[t2] is None:
@@ -299,10 +296,7 @@ def enumerate_quandle_tables(n):
 
 def quandle_to_text(quandle):
     """Serialized table: first line the order, then one row per line."""
-    lines = [str(quandle.order)]
-    for row in quandle.table:
-        lines.append(" ".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+    return _table_text(quandle.table)
 
 
 def save_quandle(quandle, path):
@@ -313,15 +307,5 @@ def save_quandle(quandle, path):
 
 def load_quandle(path):
     """Read a table file and refuse it unless all three axioms hold."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty quandle file")
-    n = int(tokens[0])
-    if n < 1:
-        raise ValueError(f"{path}: order must be positive")
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
-    table = np.array([int(t) for t in body], dtype=np.int64).reshape(n, n)
+    table = _read_table(path, "quandle")
     return validate_axioms(table, provenance=Provenance("file", note=str(path)))

@@ -1,15 +1,9 @@
 """Symmetry groups of finite quandles.
 
 The inner group Inn(X) is generated by the right translations S_x; the full
-automorphism group Aut(X) is found by backtracking.  The backtracking search
-assigns images of points in increasing order, tries candidate images in
-increasing order, and propagates every newly closed pair through the table,
-so a partial map dies as soon as it contradicts f(a*b) = f(a)*f(b) or
-injectivity.  Rather than enumerating all automorphisms, the search builds a
-strong generating set: working from the deepest point stabilizer up, it
-finds one automorphism per new orbit point of each level and skips orbit
-points already reachable, which keeps quandles with enormous automorphism
-groups (the trivial quandle has all of Sym(n)) cheap.
+automorphism group Aut(X) comes from the backtracking table search in
+``quandles.perms``, the same search that computes Aut(G) from a Cayley
+table, and isomorphism tests run its depth-first step between two tables.
 
 An independent brute-force search over all bijections exists as an oracle
 for tiny orders.
@@ -18,7 +12,7 @@ for tiny orders.
 import itertools
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroup
+from .perms import Permutation, PermGroup, _dfs_first, _tinverse, table_automorphism_group
 from .quandle import Quandle, inner_translation
 
 _BACKTRACK_BOUND = 81
@@ -34,116 +28,15 @@ def inner_group(quandle):
     return cache["inn"]
 
 
-# -- partial-map propagation ---------------------------------------------------
-
-
-def _assign(tsrc, ttgt, img, rev, assigned, a, b):
-    """Set img[a] = b and chase consequences; False on any contradiction.
-
-    Every pair (a, x) with both points assigned closes two products, whose
-    images are forced; forced assignments are queued and processed the same
-    way, so the final map respects every fully assigned pair.
-    """
-    queue = [(a, b)]
-    while queue:
-        a, b = queue.pop()
-        cur = img[a]
-        if cur != -1:
-            if cur != b:
-                return False
-            continue
-        if rev[b] != -1:
-            return False
-        img[a] = b
-        rev[b] = a
-        assigned.append(a)
-        ta, tb = tsrc[a], ttgt[b]
-        for x in assigned:
-            ix = img[x]
-            queue.append((ta[x], tb[ix]))
-            queue.append((tsrc[x][a], ttgt[ix][b]))
-    return True
-
-
-def _dfs_first(tsrc, ttgt, img, rev, assigned):
-    """First completion of the partial map to a full isomorphism, or None."""
-    n = len(img)
-    a = next((i for i in range(n) if img[i] == -1), -1)
-    if a == -1:
-        return tuple(img)
-    for b in range(n):
-        if rev[b] != -1:
-            continue
-        img2, rev2, as2 = img[:], rev[:], assigned[:]
-        if _assign(tsrc, ttgt, img2, rev2, as2, a, b):
-            res = _dfs_first(tsrc, ttgt, img2, rev2, as2)
-            if res is not None:
-                return res
-    return None
-
-
 def automorphism_group_backtrack(quandle, max_order=_BACKTRACK_BOUND):
-    """Aut(X) as a PermGroup with exact order.
-
-    Levels run over the points in decreasing order; level k looks for
-    automorphisms fixing 0..k-1 pointwise.  For each image c of point k not
-    already in the orbit of k under the generators found so far, one
-    depth-first search either produces a coset representative or proves the
-    coset empty.  Generators accumulate from the deepest level up, giving a
-    strong generating set relative to the natural base.
-    """
+    """Aut(X) as a PermGroup with exact order, by the shared table search."""
     n = quandle.order
     if n > max_order:
         raise ValueError(f"order {n} exceeds automorphism search bound {max_order}")
     cache = quandle._cache
-    if "aut" in cache:
-        return cache["aut"]
-    t = quandle.rows()
-
-    # states[k]: partial map with the identity forced on points 0..k-1
-    img = [-1] * n
-    rev = [-1] * n
-    assigned = []
-    states = [(img[:], rev[:], assigned[:])]
-    for k in range(n):
-        if img[k] == -1:
-            if not _assign(t, t, img, rev, assigned, k, k):
-                raise RuntimeError("identity map rejected; malformed quandle table")
-        states.append((img[:], rev[:], assigned[:]))
-
-    gens = []
-
-    def close_orbit(orbit):
-        frontier = list(orbit)
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = g[p]
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-
-    for k in range(n - 1, -1, -1):
-        img_k, rev_k, as_k = states[k]
-        if img_k[k] != -1:
-            # image of k already forced by the identity prefix
-            continue
-        orbit = {k}
-        close_orbit(orbit)
-        for c in range(n):
-            if c in orbit:
-                continue
-            img2, rev2, as2 = img_k[:], rev_k[:], as_k[:]
-            if not _assign(t, t, img2, rev2, as2, k, c):
-                continue
-            found = _dfs_first(t, t, img2, rev2, as2)
-            if found is None:
-                continue
-            gens.append(found)
-            close_orbit(orbit)
-    group = PermGroup([Permutation(g) for g in gens], degree=n)
-    cache["aut"] = group
-    return group
+    if "aut" not in cache:
+        cache["aut"] = table_automorphism_group(quandle.rows())
+    return cache["aut"]
 
 
 def brute_force_aut(quandle):
@@ -198,8 +91,8 @@ def _column_profile(quandle):
 def quandle_isomorphic(x, y):
     """An isomorphism x -> y as a Permutation, or None.
 
-    Backtracking exactly as in the automorphism search, with source and
-    target tables distinct; a cheap column cycle-type profile screens out
+    The depth-first step of the automorphism search, with source and target
+    tables distinct; a cheap column cycle-type profile screens out
     most non-isomorphic pairs first.
     """
     if x.order != y.order:
@@ -207,7 +100,7 @@ def quandle_isomorphic(x, y):
     if _column_profile(x) != _column_profile(y):
         return None
     n = x.order
-    res = _dfs_first(x.rows(), y.rows(), [-1] * n, [-1] * n, [], )
+    res = _dfs_first(x.rows(), y.rows(), [-1] * n, [-1] * n, [])
     return Permutation(res) if res is not None else None
 
 
@@ -239,12 +132,7 @@ def embed_in_conj_inn(quandle):
     n = quandle.order
     t = quandle.rows()
     cols = [quandle.column(x) for x in range(n)]
-    inv_cols = []
-    for col in cols:
-        inv = [0] * n
-        for i, j in enumerate(col):
-            inv[j] = i
-        inv_cols.append(inv)
+    inv_cols = [_tinverse(col) for col in cols]
     hom_witness = None
     for a in range(n):
         for b in range(n):

@@ -1,13 +1,19 @@
-"""Permutations and the stabilizer-chain group engine.
+"""Permutations, the stabilizer-chain group engine and the table search.
 
 Orders are cross-checked against brute_force_closure, a separate
-word-enumeration oracle that never touches the chain code.
+word-enumeration oracle that never touches the chain code, and the table
+automorphism search against Hillar and Rhea's closed form for |Aut| of a
+finite abelian group.
 """
+
+from collections import defaultdict
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quandles.groups import catalog_groups
 from quandles.perms import (
     PermGroup,
     Permutation,
@@ -15,7 +21,40 @@ from quandles.perms import (
     brute_force_closure,
     compose,
     group_from_generators,
+    table_automorphism_group,
 )
+
+
+def hillar_rhea_aut_order(factors):
+    """|Aut| of the direct sum of cyclic groups of the given prime-power
+    orders (Hillar and Rhea, "Automorphisms of finite abelian groups",
+    Amer. Math. Monthly 114, 2007, Theorem 4.1).
+
+    Per prime p with exponents e_1 <= ... <= e_k, and d_j, c_j the largest
+    and smallest l with e_l = e_j, the p-part has order
+    prod (p^d_j - p^(j-1)) * prod p^(e_j (k - d_j)) * prod p^((e_j - 1)(k - c_j + 1)).
+    """
+    exponents = defaultdict(list)
+    for f in factors:
+        if f == 1:
+            continue
+        p = next(q for q in range(2, f + 1) if f % q == 0)
+        e = 0
+        while f > 1:
+            assert f % p == 0, "factors must be prime powers"
+            f //= p
+            e += 1
+        exponents[p].append(e)
+    total = 1
+    for p, es in exponents.items():
+        es.sort()
+        k = len(es)
+        d = [max(l for l in range(1, k + 1) if es[l - 1] == e) for e in es]
+        c = [min(l for l in range(1, k + 1) if es[l - 1] == e) for e in es]
+        total *= prod(p ** d[j] - p ** j for j in range(k))
+        total *= prod(p ** (es[j] * (k - d[j])) for j in range(k))
+        total *= prod(p ** ((es[j] - 1) * (k - c[j] + 1)) for j in range(k))
+    return total
 
 
 def test_compose_applies_left_factor_first():
@@ -185,3 +224,18 @@ def test_every_element_of_closure_is_contained(images):
     for q in g.elements():
         assert g.contains(q)
     assert g.order() == len(brute_force_closure(list(g.generators), 5))
+
+
+def test_hillar_rhea_formula_known_values():
+    assert hillar_rhea_aut_order([1]) == 1
+    assert hillar_rhea_aut_order([9]) == 6            # units mod 9
+    assert hillar_rhea_aut_order([4, 2]) == 8         # Aut(Z4 x Z2) is dihedral of order 8
+    assert hillar_rhea_aut_order([3, 2]) == 2
+    assert hillar_rhea_aut_order([2] * 5) == 9999360  # |GL(5, 2)|
+
+
+def test_table_search_matches_hillar_rhea_on_abelian_groups():
+    for g in catalog_groups(32, include_nonabelian=False):
+        factors, _ = g.abelian_coordinates
+        found = table_automorphism_group(g.table.tolist()).order()
+        assert found == hillar_rhea_aut_order(factors), g.name

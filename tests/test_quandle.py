@@ -5,6 +5,7 @@ defining formulas, and the labeled enumeration counts 1, 1, 5, 36, 404 for
 orders 1..5 (cross-checked below by validating every emitted table).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +40,22 @@ def test_axiom_distributivity_witness():
     a, b, c = exc.value.witness
     t = NOT_SELF_DISTRIBUTIVE
     assert t[t[a][b]][c] != t[t[a][c]][t[b][c]]
+
+
+def test_axiom_distributivity_witness_past_the_first_row_chunk():
+    # trivial quandle of order 125 whose columns 0 and 1 swap (100 101) and
+    # (101 102): only rows 100..102 break axiom 3, all past the first chunk of
+    # rows, and the first failing triple is (100*0)*1 = 102 != 101 = (100*1)*(0*1)
+    t = np.tile(np.arange(125)[:, None], (1, 125))
+    t[[100, 101], 0] = [101, 100]
+    t[[101, 102], 1] = [102, 101]
+    with pytest.raises(QuandleAxiomError) as exc:
+        Q.validate_axioms(t)
+    assert exc.value.axiom == 3
+    assert exc.value.witness == (100, 0, 1)
+    left = t[t]
+    right = t[t[:, None, :], t[None, :, :]]
+    assert tuple(np.argwhere(left != right)[0]) == (100, 0, 1)
 
 
 def test_trivial_quandle():
