@@ -23,7 +23,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .perms import _tinverse, table_automorphism_group
+from .perms import Permutation, _tinverse, table_automorphism_group
 
 _AUT_ORDER_BOUND = 64
 # Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
@@ -238,13 +238,7 @@ class GroupMap:
         """Order of an automorphism under composition."""
         if not self.is_automorphism:
             raise ValueError("order is defined for automorphisms")
-        ident = tuple(range(self.domain.order))
-        k = 1
-        cur = self.images
-        while cur != ident:
-            cur = tuple(self.images[x] for x in cur)
-            k += 1
-        return k
+        return Permutation(self.images).order()
 
     def __eq__(self, other):
         return (

@@ -8,7 +8,11 @@ between runs.  Exact orders are plain Python ints and may be astronomically
 large even when the degree is small.
 
 The chain works on raw image tuples internally; the ``Permutation`` wrapper
-exists for the public surface.
+exists for the public surface.  There is one point-orbit walk, ``_orbit``,
+which returns the orbit together with its transversal, and one Schreier-Sims
+sift, ``_sift``: orbits, stabilizers, chain levels, membership tests, the
+orbit bookkeeping of the table search and ``symmetry.is_connected`` all go
+through them.
 
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of any square binary table, so it decides
@@ -123,6 +127,42 @@ def compose(p, q):
     return Permutation(_tcompose(p.images, q.images))
 
 
+def _orbit(gens, x, ident):
+    """Orbit of x under gens (image sequences) as its transversal {point: rep}.
+
+    rep maps x to point.  The walk is breadth-first in FIFO order with the
+    generators in their given order, so the first word found wins and the
+    transversal is reproducible.
+    """
+    tr = {x: ident}
+    queue = [x]
+    for pt in queue:
+        upt = tr[pt]
+        for s in gens:
+            q = s[pt]
+            if q not in tr:
+                tr[q] = _tcompose(upt, s)
+                queue.append(q)
+    return tr
+
+
+def _sift(levels, t, start):
+    """Peel transversal reps off t from level start on.
+
+    Returns (residue, level) where the sift stopped, or (None, len(levels))
+    when t is a group element.
+    """
+    for i in range(start, len(levels)):
+        lv = levels[i]
+        rep = lv.transversal.get(t[lv.point])
+        if rep is None:
+            return t, i
+        t = _tcompose(t, _tinverse(rep))
+    if t == tuple(range(len(t))):
+        return None, len(levels)
+    return t, len(levels)
+
+
 class _Level:
     __slots__ = ("point", "transversal")
 
@@ -169,36 +209,9 @@ class PermGroup:
         levels = [_Level(i, ident) for i in range(n - 1)]
         sgens = []
 
-        def sift(t, start):
-            # peel transversal reps; returns (residue, level) or (None, k) on membership
-            for i in range(start, len(levels)):
-                lv = levels[i]
-                rep = lv.transversal.get(t[lv.point])
-                if rep is None:
-                    return t, i
-                t = _tcompose(t, _tinverse(rep))
-            if t == ident:
-                return None, len(levels)
-            return t, len(levels)
-
         def gens_at(i):
             pts = [levels[j].point for j in range(i)]
             return [g for g in sgens if all(g[p] == p for p in pts)]
-
-        def rebuild_orbit(i):
-            lv = levels[i]
-            gens_i = gens_at(i)
-            tr = {lv.point: ident}
-            queue = [lv.point]
-            while queue:
-                pt = queue.pop(0)
-                upt = tr[pt]
-                for s in gens_i:
-                    q = s[pt]
-                    if q not in tr:
-                        tr[q] = _tcompose(upt, s)
-                        queue.append(q)
-            lv.transversal = tr
 
         def insert(residue, lev):
             if lev == len(levels):
@@ -208,8 +221,8 @@ class PermGroup:
 
         def complete_level(i):
             # verify all Schreier generators at level i, assuming deeper levels complete
-            rebuild_orbit(i)
             lv = levels[i]
+            lv.transversal = _orbit(gens_at(i), lv.point, ident)
             while True:
                 gens_i = gens_at(i)
                 tr = lv.transversal
@@ -220,11 +233,11 @@ class PermGroup:
                         uq = tr.get(s[p])
                         if uq is None:
                             # orbit grew behind our back (new strong generator)
-                            rebuild_orbit(i)
+                            lv.transversal = _orbit(gens_i, lv.point, ident)
                             clean = False
                             break
                         schreier = _tcompose(_tcompose(up, s), _tinverse(uq))
-                        residue, lev = sift(schreier, i + 1)
+                        residue, lev = _sift(levels, schreier, i + 1)
                         if residue is not None:
                             insert(residue, lev)
                             for j in range(lev, i, -1):
@@ -242,7 +255,7 @@ class PermGroup:
             if t == ident or t in seen:
                 continue
             seen.add(t)
-            residue, lev = sift(t, 0)
+            residue, lev = _sift(levels, t, 0)
             if residue is None:
                 continue
             insert(residue, lev)
@@ -266,14 +279,7 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         levels, _ = self._ensure_chain()
-        t = p.images
-        ident = tuple(range(self.degree))
-        for lv in levels:
-            rep = lv.transversal.get(t[lv.point])
-            if rep is None:
-                return False
-            t = _tcompose(t, _tinverse(rep))
-        return t == ident
+        return _sift(levels, p.images, 0)[0] is None
 
     # -- orbits and transitivity -----------------------------------------
 
@@ -281,17 +287,8 @@ class PermGroup:
         """Sorted closure of {x} under the generators."""
         if not 0 <= x < self.degree:
             raise ValueError(f"point {x} outside 0..{self.degree - 1}")
-        seen = {x}
-        queue = [x]
         gens = [g.images for g in self.generators]
-        while queue:
-            pt = queue.pop(0)
-            for g in gens:
-                q = g[pt]
-                if q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        return sorted(seen)
+        return sorted(_orbit(gens, x, tuple(range(self.degree))))
 
     def stabilizer(self, x):
         """Subgroup fixing the point x, via Schreier generators."""
@@ -299,16 +296,7 @@ class PermGroup:
             raise ValueError(f"point {x} outside 0..{self.degree - 1}")
         ident = tuple(range(self.degree))
         gens = [g.images for g in self.generators if not g.is_identity()]
-        tr = {x: ident}
-        queue = [x]
-        while queue:
-            pt = queue.pop(0)
-            upt = tr[pt]
-            for s in gens:
-                q = s[pt]
-                if q not in tr:
-                    tr[q] = _tcompose(upt, s)
-                    queue.append(q)
+        tr = _orbit(gens, x, ident)
         schreier = []
         seen = set()
         for p in sorted(tr):
@@ -471,24 +459,13 @@ def table_automorphism_group(rows):
         states.append((img[:], rev[:], assigned[:]))
 
     gens = []
-
-    def close_orbit(orbit):
-        frontier = list(orbit)
-        while frontier:
-            p = frontier.pop()
-            for g in gens:
-                q = g[p]
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
-
+    ident = tuple(range(n))
     for k in range(n - 1, -1, -1):
         img_k, rev_k, as_k = states[k]
         if img_k[k] != -1:
             # image of k already forced by the identity prefix
             continue
-        orbit = {k}
-        close_orbit(orbit)
+        orbit = _orbit(gens, k, ident)
         for c in range(n):
             if c in orbit:
                 continue
@@ -499,7 +476,7 @@ def table_automorphism_group(rows):
             if found is None:
                 continue
             gens.append(found)
-            close_orbit(orbit)
+            orbit = _orbit(gens, k, ident)
     return PermGroup([Permutation(g) for g in gens], degree=n)
 
 
@@ -529,13 +506,6 @@ def brute_force_closure(generators, degree):
                 seen.add(nt)
                 queue.append(nt)
     return seen
-
-
-def random_permutation(degree, rng):
-    """Uniform random permutation from an externally seeded RNG."""
-    images = list(range(degree))
-    rng.shuffle(images)
-    return Permutation(images)
 
 
 def all_permutations(degree):

@@ -4,6 +4,8 @@ The inner group Inn(X) is generated by the right translations S_x; the full
 automorphism group Aut(X) comes from the backtracking table search in
 ``quandles.perms``, the same search that computes Aut(G) from a Cayley
 table, and isomorphism tests run its depth-first step between two tables.
+``is_connected`` does not build Inn(X): it walks the orbit of 0 under the
+columns of the table with the one orbit walk of ``quandles.perms``.
 
 An independent brute-force search over all bijections exists as an oracle
 for tiny orders.
@@ -12,7 +14,7 @@ for tiny orders.
 import itertools
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroup, _dfs_first, _tinverse, table_automorphism_group
+from .perms import Permutation, PermGroup, _dfs_first, _orbit, _tinverse, table_automorphism_group
 from .quandle import Quandle, inner_translation
 
 _BACKTRACK_BOUND = 81
@@ -57,8 +59,9 @@ def brute_force_aut(quandle):
 
 
 def is_connected(quandle):
-    """Inn(X) has a single orbit."""
-    return len(inner_group(quandle).orbit(0)) == quandle.order
+    """Inn(X) has a single orbit: the columns S_x move 0 to every point."""
+    n = quandle.order
+    return len(_orbit(quandle.table.T.tolist(), 0, tuple(range(n)))) == n
 
 
 def is_two_point_homogeneous(quandle):

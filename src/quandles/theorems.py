@@ -130,6 +130,28 @@ def _check_semidirect_embedding(rep, group, quandle, center, maps, tag):
     return m
 
 
+def _check_factorization(rep, group, aut, maps, tag):
+    """Check that aut, an automorphism group of a quandle on the elements of
+    the group, is translations followed by maps (image arrays of group
+    automorphisms): |aut| = |G| |maps|, and every f in aut is t_{f(0)} ; h
+    with h = f - f(0) one of maps.  The first f that does not factor is the witness.  Returns |aut|.
+    """
+    n = group.order
+    m = aut.order()
+    if m != n * len(maps):
+        rep.fail(f"{tag}: |Aut| = {m} != {n} * {len(maps)}")
+    elems = np.empty((m, n), dtype=np.int32)
+    for i, t in enumerate(aut._element_tuples()):
+        elems[i] = t
+    inv = group.inverse_array()
+    shifted = group.table[elems, inv[elems[:, 0]][:, None]]      # h = f - f(0)
+    keys = {row.tobytes() for row in np.asarray(maps, dtype=shifted.dtype)}
+    bad = next((i for i, row in enumerate(shifted) if row.tobytes() not in keys), None)
+    if bad is not None:
+        rep.fail(f"{tag}: automorphism {tuple(int(v) for v in elems[bad])} does not factor")
+    return m
+
+
 def _phi_name(phi):
     return "phi=" + ",".join(map(str, phi.images))
 
@@ -181,25 +203,12 @@ def check_thm_takasaki_aut(group):
     auts_g = G.automorphism_group(group)
     tag = group.name
 
-    if aut.order() != n * len(auts_g):
-        rep.fail(f"{tag}: |Aut(T(G))| = {aut.order()} != {n} * {len(auts_g)}")
-
     # constructive direction: every t_c and every group automorphism preserves T(G)
     auts_arr = np.array([h.images for h in auts_g], dtype=np.int64)
     _check_preserved(rep, x, group, range(n), auts_arr, tag)
 
     # factorization: f = t_{f(0)} ; h with h in the group-side Aut(G) list
-    m = aut.order()
-    elems = np.empty((m, n), dtype=np.int32)
-    for i, t in enumerate(aut._element_tuples()):
-        elems[i] = t
-    tbl = group.table
-    inv = group.inverse_array()
-    shifted = tbl[elems, inv[elems[:, 0]][:, None]]      # h = f - f(0)
-    keys = {row.tobytes() for row in auts_arr}
-    bad = next((i for i, row in enumerate(shifted) if row.tobytes() not in keys), None)
-    if bad is not None:
-        rep.fail(f"{tag}: automorphism {tuple(int(v) for v in elems[bad])} does not factor")
+    m = _check_factorization(rep, group, aut, auts_arr, tag)
 
     inn = sym.inner_group(x)
     expected_inn = 1 if n == 1 else 2 * len(G.doubling_image(group))
@@ -266,12 +275,11 @@ def check_prop_conj_embedding(group):
 # -- commutativity and central automorphisms ----------------------------------
 
 
-def _commutativity_one(group, phis=None):
-    """The commutativity clauses on a single group, over the given maps."""
+def _commutativity_one(group):
+    """The commutativity clauses on a single group, over all its automorphisms."""
     t0 = time.perf_counter()
     rep = TheoremReport("commutativity")
-    if phis is None:
-        phis = G.automorphism_group(group)
+    phis = G.automorphism_group(group)
     abelian = group.is_abelian()
     tbl = group.table
     rng = np.arange(group.order)
@@ -303,12 +311,11 @@ def check_commutativity_criterion(catalog_bound=16):
     return TheoremReport.merge("commutativity", reports)
 
 
-def _central_one(group, phis=None):
+def _central_one(group):
     """The central-automorphism clauses on a single group."""
     t0 = time.perf_counter()
     rep = TheoremReport("central-lemma")
-    if phis is None:
-        phis = G.automorphism_group(group)
+    phis = G.automorphism_group(group)
     central = [phi for phi in phis if G.is_central_automorphism(phi)]
     zc = set(G.center(group))
     tag = group.name
@@ -341,14 +348,13 @@ def check_lemma_central(catalog_bound=16):
     return TheoremReport.merge("central-lemma", reports)
 
 
-def _connected_abelian_one(group, phis=None):
+def _connected_abelian_one(group):
     """The connectivity obstruction on a single non-abelian group."""
     t0 = time.perf_counter()
     rep = TheoremReport("connected-abelian")
     if group.is_abelian():
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
-    if phis is None:
-        phis = G.automorphism_group(group)
+    phis = G.automorphism_group(group)
     ident = tuple(range(group.order))
     count = 0
     for phi in phis:
@@ -374,14 +380,13 @@ def check_thm_connected_abelian(catalog_bound=16):
     )
 
 
-def _bae_choe_one(group, phis=None):
+def _bae_choe_one(group):
     """The three-way equivalence on a single abelian group."""
     t0 = time.perf_counter()
     rep = TheoremReport("bae-choe")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    if phis is None:
-        phis = G.automorphism_group(group)
+    phis = G.automorphism_group(group)
     for phi in phis:
         x = Q.alexander(group, phi)
         connected = sym.is_connected(x)
@@ -434,22 +439,12 @@ def check_thm_fpf_structure(group, phi):
                 rep.fail(f"{tag}: stabilizer element {e.images} outside the centralizer")
                 break
 
-    if aut.order() != n * len(cent):
-        rep.fail(f"{tag}: |Aut| = {aut.order()} != {n} * {len(cent)}")
-
-    tbl = group.table
-    inv = group.inverse_array()
-    for f in aut._element_tuples():
-        shift = int(inv[f[0]])
-        h = tuple(int(tbl[v, shift]) for v in f)
-        if h not in cent_set:
-            rep.fail(f"{tag}: automorphism {f} is not translation ; centralizer-element")
-            break
+    m = _check_factorization(rep, group, aut, [f.images for f in cent], tag)
 
     inn = sym.inner_group(x)
     if inn.order() != n * phi.map_order():
         rep.fail(f"{tag}: |Inn| = {inn.order()} != {n} * ord(phi) = {n * phi.map_order()}")
-    rep.instances_tested = aut.order() + 2
+    rep.instances_tested = m + 2
     return _timed(rep, t0)
 
 
@@ -460,15 +455,7 @@ def _aut_transitive_one(group):
     if group.order == 1:
         raise ValueError("transitivity on non-identity elements needs a nontrivial group")
     auts = G.automorphism_group(group)
-    reach = {phi.images[1] for phi in auts}
-    frontier = list(reach)
-    while frontier:
-        e = frontier.pop()
-        for phi in auts:
-            v = phi.images[e]
-            if v not in reach:
-                reach.add(v)
-                frontier.append(v)
+    reach = {phi.images[1] for phi in auts}      # auts is all of Aut(G), so already closed
     transitive = reach == set(range(1, group.order))
     elem = G.is_elementary_abelian(group)
     if transitive != elem:

@@ -146,6 +146,21 @@ def test_orbit_stabilizer_balance():
             assert len(g.orbit(x)) * g.stabilizer(x).order() == g.order()
 
 
+@settings(max_examples=40)
+@given(st.lists(st.permutations(list(range(6))), max_size=3))
+def test_orbits_stabilizers_and_transversals_match_closure_oracle(gen_images):
+    g = PermGroup(gen_images, degree=6)
+    closure = brute_force_closure(gen_images, 6)
+    for x in range(6):
+        assert g.orbit(x) == sorted({t[x] for t in closure})
+        assert {p.images for p in g.stabilizer(x).elements()} == {t for t in closure if t[x] == x}
+    levels, _ = g._ensure_chain()
+    for lv in levels:
+        for pt, rep in lv.transversal.items():
+            assert rep[lv.point] == pt
+            assert rep in closure
+
+
 def test_k_transitivity():
     s4 = PermGroup(_symmetric_gens(4))
     assert s4.is_k_transitive(1)

@@ -13,7 +13,7 @@ import pytest
 import quandles.groups as G
 import quandles.quandle as Q
 import quandles.symmetry as sym
-from quandles.perms import Permutation
+from quandles.perms import Permutation, brute_force_closure
 
 DIHEDRAL_ORDERS = {3: (6, 6), 5: (20, 10), 7: (42, 14), 9: (54, 18), 11: (110, 22)}
 
@@ -98,6 +98,17 @@ def test_connectivity():
     assert sym.is_connected(Q.trivial_quandle(1))
     g9 = G.make_abelian([3, 3])
     assert sym.is_connected(Q.alexander(g9, G.scalar_map(g9, 2)))
+
+
+def test_connectivity_matches_closure_oracle_on_every_small_table():
+    # one Inn orbit iff the brute-force closure of the columns moves 0 everywhere
+    tables = 0
+    for n in range(1, 6):
+        for x in Q.enumerate_quandle_tables(n):
+            tables += 1
+            reach = {g[0] for g in brute_force_closure([x.column(b) for b in range(n)], n)}
+            assert sym.is_connected(x) == (len(reach) == n)
+    assert tables == 447
 
 
 def test_two_point_homogeneity():

@@ -6,10 +6,14 @@ in the acceptance tests.  Known counts appearing below: |Autcent(Q8)| = 4,
 class counts 1, 1, 3, 7 for quandle orders 1..4.
 """
 
+import ast
+import re
+
 import pytest
 
 import quandles.groups as G
 import quandles.quandle as Q
+import quandles.symmetry as sym
 from quandles import theorems as T
 
 
@@ -70,6 +74,21 @@ def test_semidirect_embedding_reports_a_collision():
     assert rep.failures[0] == (
         "Z5: not injective, (0, (0, 1, 2, 3, 4)) collides with (0, (0, 1, 2, 3, 4))"
     )
+
+
+def test_factorization_reports_a_missing_map():
+    z7 = G.make_cyclic(7)
+    aut = sym.automorphism_group_backtrack(Q.takasaki(z7))
+    maps = [h.images for h in G.automorphism_group(z7)]
+    rep = T.TheoremReport("demo")
+    assert T._check_factorization(rep, z7, aut, maps, "Z7") == 42
+    assert rep.passed
+    removed = maps.pop(3)
+    T._check_factorization(rep, z7, aut, maps, "Z7")
+    assert rep.failures[0] == "Z7: |Aut| = 42 != 7 * 5"
+    assert len(rep.failures) == 2 and "does not factor" in rep.failures[1]
+    witness = ast.literal_eval(re.search(r"automorphism (\(.*\)) does not", rep.failures[1]).group(1))
+    assert tuple((v - witness[0]) % 7 for v in witness) == removed
 
 
 def test_takasaki_check():
