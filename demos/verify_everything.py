@@ -24,9 +24,9 @@ total = sum(r.instances_tested for r in reports)
 print(f"\n{total} instances across {len(reports)} statements,",
       "all passed" if all(r.passed for r in reports) else "FAILURES above")
 
-# single checks are plain functions; the bound-taking ones sweep the
-# group catalog internally
-rep = q.check_thm_bae_choe(12)
+# each suite is a plain function that sweeps its family; run_suite adds
+# the timing
+rep = q.suite_bae_choe(12)
 print("\nbae-choe alone at bound 12:", rep.instances_tested, "maps checked")
 
 # and the instance-level checks take the group itself

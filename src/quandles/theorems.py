@@ -1,20 +1,26 @@
 """Machine checks for the structure theory of quandles built from groups.
 
-Each check verifies one statement about these families on concrete
-instances: it recomputes both sides of the claim (group-side Aut(G) vs
+Each check verifies one statement about these families on one concrete
+instance: it recomputes both sides of the claim (group-side Aut(G) vs
 quandle-side Aut(X), direct tuple BFS vs stabilizer criteria) and returns a
-TheoremReport listing every failing instance with a witness.  An empty
-failure list on an exhaustive family is the verification.
+TheoremReport listing every failing instance with a witness.
 
 Aut(G) and Aut(X) come from one backtracking table search, so agreement
 between the two sides does not check that search; its independent gates are
 the brute-force oracles (``groups.brute_force_group_automorphisms``,
 ``symmetry.brute_force_aut``) and the closed-form orders in the tests.
 
-The suite registry at the bottom binds each check to its default instance
-family; the command line and the acceptance tests run through it.
+Each statement has one suite: a public ``suite_*`` function that builds the
+statement's instance family from the bounds named by its keyword parameters
+(``max_order``, ``ns``, or none) and merges the per-instance reports.  An
+empty failure list on an exhaustive family is the verification.
+``THEOREM_SUITES`` maps each theorem id to its suite and a one-line
+description; ``run_suite`` passes each selected suite only the bounds it
+takes and times the call.  The command line and the acceptance tests run
+through it.
 """
 
+import inspect
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -29,7 +35,9 @@ from .perms import PermGroup, Permutation
 
 @dataclass
 class TheoremReport:
-    """Outcome of one verification run."""
+    """Outcome of one verification run.  ``elapsed`` is the suite's wall
+    time in seconds, set by ``run_suite``; it stays 0 when a check or a suite
+    is called directly."""
 
     theorem_id: str
     instances_tested: int = 0
@@ -60,15 +68,8 @@ class TheoremReport:
         for rep in reports:
             out.instances_tested += rep.instances_tested
             out.failures.extend(rep.failures)
-            out.elapsed += rep.elapsed
-            for key, val in rep.annotations.items():
-                out.annotations[key] = val
+            out.annotations.update(rep.annotations)
         return out
-
-
-def _timed(report, t0):
-    report.elapsed = time.perf_counter() - t0
-    return report
 
 
 def _check_preserved(rep, quandle, group, translations, maps, tag):
@@ -168,7 +169,6 @@ def check_prop_embedding_zg_caut(group, phi):
     from the semidirect product (a1,f1)(a2,f2) = (a1 f1(a2), f1 f2), checked
     on every pair of its elements.
     """
-    t0 = time.perf_counter()
     rep = TheoremReport("alexander-embedding")
     if not phi.is_automorphism:
         raise ValueError("phi must be an automorphism")
@@ -176,7 +176,7 @@ def check_prop_embedding_zg_caut(group, phi):
     cent = G.centralizer_in_aut(group, phi)
     tag = f"{group.name}, {_phi_name(phi)}"
     rep.instances_tested = _check_semidirect_embedding(rep, group, x, G.center(group), cent, tag)
-    return _timed(rep, t0)
+    return rep
 
 
 # -- Takasaki quandles: Aut = G x| Aut(G), Inn = 2G x| Z2 ---------------------
@@ -191,7 +191,6 @@ def check_thm_takasaki_aut(group):
     group come from the same table search run on different tables; this
     check confronts them.
     """
-    t0 = time.perf_counter()
     rep = TheoremReport("takasaki-aut")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
@@ -216,13 +215,12 @@ def check_thm_takasaki_aut(group):
         rep.fail(f"{tag}: |Inn(T(G))| = {inn.order()} != {expected_inn}")
     rep.instances_tested = m + 2
     rep.annotations[f"aut_order[{tag}]"] = aut.order()
-    return _timed(rep, t0)
+    return rep
 
 
 def check_corollary_dihedral(n):
     """Odd dihedral quandle: |Aut(R_n)| = n phi(n), |Inn(R_n)| = 2n (n > 1),
     and Inn is generated by the maps y -> 2a - y, each matching S_a."""
-    t0 = time.perf_counter()
     rep = TheoremReport("dihedral-corollary")
     if n % 2 == 0:
         raise ValueError(f"n must be odd, got {n}")
@@ -245,7 +243,7 @@ def check_corollary_dihedral(n):
         rep.fail(f"R{n}: translation-reflection maps do not generate Inn")
     rep.instances_tested = n + 2
     rep.annotations[f"aut_order[R{n}]"] = aut.order()
-    return _timed(rep, t0)
+    return rep
 
 
 def check_prop_conj_embedding(group):
@@ -254,7 +252,6 @@ def check_prop_conj_embedding(group):
     |Inn(Conj(G))| = |G : Z(G)|.  Whether the embedding is onto is reported
     as an annotation, not asserted.
     """
-    t0 = time.perf_counter()
     rep = TheoremReport("conj-embedding")
     x = Q.conj_quandle(group, 1)
     n = group.order
@@ -269,7 +266,7 @@ def check_prop_conj_embedding(group):
     aut = sym.automorphism_group_backtrack(x, max_order=max(sym._BACKTRACK_BOUND, n))
     rep.annotations[f"aut_conj[{tag}]"] = aut.order()
     rep.annotations[f"embedding_onto[{tag}]"] = aut.order() == rep.instances_tested
-    return _timed(rep, t0)
+    return rep
 
 
 # -- commutativity and central automorphisms ----------------------------------
@@ -277,7 +274,6 @@ def check_prop_conj_embedding(group):
 
 def _commutativity_one(group):
     """The commutativity clauses on a single group, over all its automorphisms."""
-    t0 = time.perf_counter()
     rep = TheoremReport("commutativity")
     phis = G.automorphism_group(group)
     abelian = group.is_abelian()
@@ -299,21 +295,11 @@ def _commutativity_one(group):
         elif squares_back and comm:
             rep.fail(f"{tag}, {_phi_name(phi)}: non-abelian group yet commutative quandle")
     rep.instances_tested = len(phis)
-    return _timed(rep, t0)
-
-
-def check_commutativity_criterion(catalog_bound=16):
-    """A commutative Alex(G, phi) forces phi(a*a) = a; over an abelian group
-    commutativity is exactly 2 phi = id; over a non-abelian group
-    phi(a*a) = a never yields a commutative quandle.  Sweeps every catalog
-    group up to the bound and every automorphism of it."""
-    reports = [_commutativity_one(g) for g in G.catalog_groups(catalog_bound)]
-    return TheoremReport.merge("commutativity", reports)
+    return rep
 
 
 def _central_one(group):
     """The central-automorphism clauses on a single group."""
-    t0 = time.perf_counter()
     rep = TheoremReport("central-lemma")
     phis = G.automorphism_group(group)
     central = [phi for phi in phis if G.is_central_automorphism(phi)]
@@ -335,22 +321,11 @@ def _central_one(group):
         rep.fail(f"{tag}: abelian group but Autcent has {len(central)} of {len(phis)} maps")
     rep.instances_tested = len(central)
     rep.annotations[f"autcent[{tag}]"] = len(central)
-    return _timed(rep, t0)
-
-
-def check_lemma_central(catalog_bound=16):
-    """Central automorphisms: a -> a^-1 phi(a) is a homomorphism into the
-    center, phi -> twisted(phi) is injective on Autcent(G), and a
-    fixed-point-free central automorphism forces G abelian.  Sweeps every
-    catalog group up to the bound; |Autcent| per group sits in the
-    annotations."""
-    reports = [_central_one(g) for g in G.catalog_groups(catalog_bound)]
-    return TheoremReport.merge("central-lemma", reports)
+    return rep
 
 
 def _connected_abelian_one(group):
     """The connectivity obstruction on a single non-abelian group."""
-    t0 = time.perf_counter()
     rep = TheoremReport("connected-abelian")
     if group.is_abelian():
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
@@ -367,22 +342,11 @@ def _connected_abelian_one(group):
         if sym.is_connected(x):
             rep.fail(f"{group.name}, {_phi_name(phi)}: connected despite central involutory phi")
     rep.instances_tested = count
-    return _timed(rep, t0)
-
-
-def check_thm_connected_abelian(catalog_bound=16):
-    """For an involutory central automorphism of a non-abelian group, the
-    generalized Alexander quandle is never connected.  Sweeps the
-    non-abelian catalog groups up to the bound."""
-    groups = G.catalog_groups(catalog_bound, include_abelian=False)
-    return TheoremReport.merge(
-        "connected-abelian", [_connected_abelian_one(g) for g in groups]
-    )
+    return rep
 
 
 def _bae_choe_one(group):
     """The three-way equivalence on a single abelian group."""
-    t0 = time.perf_counter()
     rep = TheoremReport("bae-choe")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
@@ -398,15 +362,7 @@ def _bae_choe_one(group):
                 f"fixed-point-free={fpf}, twisted-bijective={bij}"
             )
     rep.instances_tested = len(phis)
-    return _timed(rep, t0)
-
-
-def check_thm_bae_choe(catalog_bound=16):
-    """On an abelian group the following agree for every automorphism phi:
-    Alex(G, phi) connected, phi fixed-point free, and a -> phi(a) - a
-    bijective.  Sweeps the abelian catalog groups up to the bound."""
-    groups = G.catalog_groups(catalog_bound, include_nonabelian=False)
-    return TheoremReport.merge("bae-choe", [_bae_choe_one(g) for g in groups])
+    return rep
 
 
 # -- fixed-point-free structure and transitivity -------------------------------
@@ -417,7 +373,6 @@ def check_thm_fpf_structure(group, phi):
     Aut(Alex(G, phi)) is exactly the centralizer of phi in Aut(G), every
     automorphism is a translation composed with a centralizer element,
     |Aut| = |G| |C|, and |Inn| = |G| ord(phi)."""
-    t0 = time.perf_counter()
     rep = TheoremReport("fpf-structure")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
@@ -445,12 +400,11 @@ def check_thm_fpf_structure(group, phi):
     if inn.order() != n * phi.map_order():
         rep.fail(f"{tag}: |Inn| = {inn.order()} != {n} * ord(phi) = {n * phi.map_order()}")
     rep.instances_tested = m + 2
-    return _timed(rep, t0)
+    return rep
 
 
 def _aut_transitive_one(group):
     """The transitivity test on a single nontrivial group."""
-    t0 = time.perf_counter()
     rep = TheoremReport("aut-transitive")
     if group.order == 1:
         raise ValueError("transitivity on non-identity elements needs a nontrivial group")
@@ -464,22 +418,13 @@ def _aut_transitive_one(group):
             f"elementary abelian = {elem}"
         )
     rep.instances_tested = 1
-    return _timed(rep, t0)
-
-
-def check_lemma_transitive_aut(catalog_bound=16):
-    """Aut(G) is transitive on the non-identity elements exactly when G is
-    elementary abelian.  Sweeps the nontrivial catalog groups up to the
-    bound."""
-    groups = [g for g in G.catalog_groups(catalog_bound) if g.order > 1]
-    return TheoremReport.merge("aut-transitive", [_aut_transitive_one(g) for g in groups])
+    return rep
 
 
 def check_thm_fnt(p, n, u):
     """Alex((Z/p)^n, scalar u) with u a unit other than 1: Aut is doubly
     transitive (checked twice: stabilizer criterion and direct pair BFS);
     for n >= 2 the inner group is not transitive on pairs."""
-    t0 = time.perf_counter()
     rep = TheoremReport("doubly-transitive")
     if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
         raise ValueError(f"p must be prime, got {p}")
@@ -502,7 +447,7 @@ def check_thm_fnt(p, n, u):
         rep.fail(f"{tag}: inner group transitive on pairs despite n >= 2")
     rep.instances_tested = 1
     rep.annotations[f"aut_order[{tag}]"] = aut.order()
-    return _timed(rep, t0)
+    return rep
 
 
 # -- the census bound on higher transitivity -----------------------------------
@@ -529,7 +474,6 @@ def check_mccarron_bound(min_order=1, max_order=6):
     """Census over all quandles of each order: no quandle with 4 or more
     elements is 3-transitive, and at order 3 the dihedral quandle R_3 is the
     unique 3-transitive one."""
-    t0 = time.perf_counter()
     rep = TheoremReport("mccarron")
     if not 1 <= min_order <= max_order <= 6:
         raise ValueError("census bound must sit inside 1..6")
@@ -548,7 +492,7 @@ def check_mccarron_bound(min_order=1, max_order=6):
                 rep.fail("order 3: the 3-transitive quandle is not R_3")
         elif three_transitive:
             rep.fail(f"order {order}: found {len(three_transitive)} 3-transitive quandles")
-    return _timed(rep, t0)
+    return rep
 
 
 # -- embedding a quandle into the conjugation quandle of its inner group --------
@@ -558,7 +502,6 @@ def check_prop_embed_conj_inn(group):
     """For the negation automorphism on an abelian group of odd order,
     a -> S_a is an injective homomorphism into Conj(Inn); the homomorphism
     identity is S_{a*b} = S_b^-1 ; S_a ; S_b."""
-    t0 = time.perf_counter()
     rep = TheoremReport("conj-inn-embedding")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
@@ -571,7 +514,7 @@ def check_prop_embed_conj_inn(group):
     if not report.is_injective:
         rep.fail(f"{group.name}: S map is not injective at {report.injectivity_witness}")
     rep.instances_tested = 1
-    return _timed(rep, t0)
+    return rep
 
 
 def _negation_failure_witness():
@@ -593,33 +536,24 @@ def _negation_failure_witness():
 # -- suites ---------------------------------------------------------------------
 
 
-def _abelian_catalog(max_order, parity=None):
-    out = []
-    for g in G.catalog_groups(max_order, include_nonabelian=False):
-        if parity == "odd" and g.order % 2 == 0:
-            continue
-        out.append(g)
-    return out
+def _odd_abelian(max_order):
+    return [g for g in G.catalog_groups(max_order, include_nonabelian=False) if g.order % 2]
 
 
 def suite_conj_inn_embedding(max_order=15):
-    reports = [check_prop_embed_conj_inn(g) for g in _abelian_catalog(max_order, parity="odd")]
+    reports = [check_prop_embed_conj_inn(g) for g in _odd_abelian(max_order)]
     reports.append(_negation_failure_witness())
     return TheoremReport.merge("conj-inn-embedding", reports)
 
 
 def suite_alexander_embedding(max_order=12):
-    reports = []
-    for g in G.catalog_groups(max_order):
-        for phi in G.automorphism_group(g):
-            reports.append(check_prop_embedding_zg_caut(g, phi))
+    reports = [check_prop_embedding_zg_caut(g, phi)
+               for g in G.catalog_groups(max_order) for phi in G.automorphism_group(g)]
     return TheoremReport.merge("alexander-embedding", reports)
 
 
 def suite_takasaki(max_order=27):
-    reports = []
-    for g in _abelian_catalog(max_order, parity="odd"):
-        reports.append(check_thm_takasaki_aut(g))
+    reports = [check_thm_takasaki_aut(g) for g in _odd_abelian(max_order)]
     return TheoremReport.merge("takasaki-aut", reports)
 
 
@@ -630,39 +564,58 @@ def suite_dihedral(ns=(3, 5, 7, 9, 11)):
 def suite_conj_embedding(max_order=12):
     groups = G.catalog_groups(max_order)
     names = {g.name for g in groups}
-    for extra in (G.make_symmetric(3), G.make_symmetric(4)):
-        if extra.name not in names:
-            groups.append(extra)
+    groups += [x for x in (G.make_symmetric(3), G.make_symmetric(4)) if x.name not in names]
     return TheoremReport.merge("conj-embedding", [check_prop_conj_embedding(g) for g in groups])
 
 
 def suite_commutativity(max_order=16):
-    return check_commutativity_criterion(max_order)
+    """A commutative Alex(G, phi) forces phi(a*a) = a; over an abelian group
+    commutativity is exactly 2 phi = id; over a non-abelian group
+    phi(a*a) = a never yields a commutative quandle.  Sweeps every catalog
+    group up to max_order and every automorphism of it."""
+    reports = [_commutativity_one(g) for g in G.catalog_groups(max_order)]
+    return TheoremReport.merge("commutativity", reports)
 
 
 def suite_central(max_order=16):
-    return check_lemma_central(max_order)
+    """Central automorphisms: a -> a^-1 phi(a) is a homomorphism into the
+    center, phi -> twisted(phi) is injective on Autcent(G), and a
+    fixed-point-free central automorphism forces G abelian.  Sweeps every
+    catalog group up to max_order; |Autcent| per group sits in the
+    annotations."""
+    reports = [_central_one(g) for g in G.catalog_groups(max_order)]
+    return TheoremReport.merge("central-lemma", reports)
 
 
 def suite_connected_abelian(max_order=16):
-    return check_thm_connected_abelian(max_order)
+    """For an involutory central automorphism of a non-abelian group, the
+    generalized Alexander quandle is never connected.  Sweeps the
+    non-abelian catalog groups up to max_order."""
+    groups = G.catalog_groups(max_order, include_abelian=False)
+    return TheoremReport.merge("connected-abelian", [_connected_abelian_one(g) for g in groups])
 
 
 def suite_bae_choe(max_order=16):
-    return check_thm_bae_choe(max_order)
+    """On an abelian group the following agree for every automorphism phi:
+    Alex(G, phi) connected, phi fixed-point free, and a -> phi(a) - a
+    bijective.  Sweeps the abelian catalog groups up to max_order."""
+    groups = G.catalog_groups(max_order, include_nonabelian=False)
+    return TheoremReport.merge("bae-choe", [_bae_choe_one(g) for g in groups])
 
 
 def suite_fpf_structure(max_order=12):
-    reports = []
-    for g in _abelian_catalog(max_order):
-        for phi in G.automorphism_group(g):
-            if G.is_fixed_point_free(phi):
-                reports.append(check_thm_fpf_structure(g, phi))
+    reports = [check_thm_fpf_structure(g, phi)
+               for g in G.catalog_groups(max_order, include_nonabelian=False)
+               for phi in G.automorphism_group(g) if G.is_fixed_point_free(phi)]
     return TheoremReport.merge("fpf-structure", reports)
 
 
 def suite_aut_transitive(max_order=16):
-    return check_lemma_transitive_aut(max_order)
+    """Aut(G) is transitive on the non-identity elements exactly when G is
+    elementary abelian.  Sweeps the nontrivial catalog groups up to
+    max_order."""
+    groups = [g for g in G.catalog_groups(max_order) if g.order > 1]
+    return TheoremReport.merge("aut-transitive", [_aut_transitive_one(g) for g in groups])
 
 
 def suite_doubly_transitive(cases=((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2))):
@@ -732,25 +685,31 @@ THEOREM_SUITES = {
 
 
 def run_suite(theorem_ids=None, max_order=None, ns=None):
-    """Run the named suites (all when None) and return their reports.
+    """Run the named suites (all when None), each timed into ``elapsed``.
 
-    max_order overrides each suite's default instance bound; ns overrides
-    the dihedral order list.
+    A given bound (max_order, ns) goes to each selected suite that names it
+    as a keyword parameter.  ValueError: an unknown id, max_order < 1, an
+    empty ns, or a bound that no selected suite takes.
     """
     if theorem_ids is None:
         theorem_ids = list(THEOREM_SUITES)
-    reports = []
     for tid in theorem_ids:
         if tid not in THEOREM_SUITES:
             raise ValueError(f"unknown theorem id: {tid!r}")
-        fn, _ = THEOREM_SUITES[tid]
-        kwargs = {}
-        if tid == "dihedral-corollary":
-            if ns is not None:
-                kwargs["ns"] = ns
-        elif tid == "doubly-transitive":
-            pass
-        elif max_order is not None:
-            kwargs["max_order"] = max_order
-        reports.append(fn(**kwargs))
+    if max_order is not None and max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
+    if ns is not None and not ns:
+        raise ValueError("ns must list at least one dihedral order")
+    bounds = {name: val for name, val in (("max_order", max_order), ("ns", ns)) if val is not None}
+    suites = [THEOREM_SUITES[tid][0] for tid in theorem_ids]
+    takes = [inspect.signature(fn).parameters for fn in suites]
+    for name in bounds:
+        if not any(name in params for params in takes):
+            raise ValueError(f"{name} is taken by none of: {', '.join(theorem_ids)}")
+    reports = []
+    for fn, params in zip(suites, takes):
+        t0 = time.perf_counter()
+        rep = fn(**{name: val for name, val in bounds.items() if name in params})
+        rep.elapsed = time.perf_counter() - t0
+        reports.append(rep)
     return reports

@@ -53,7 +53,7 @@ def test_criterion_2_takasaki_structure():
 
 def test_criterion_3_bae_choe_equivalence():
     t0 = time.perf_counter()
-    rep = T.check_thm_bae_choe(16)
+    rep = T.suite_bae_choe(16)
     assert rep.passed, rep.failures[:3]
     total = rep.instances_tested
     assert total == sum(
@@ -67,7 +67,7 @@ def test_criterion_4_connected_implies_abelian():
     t0 = time.perf_counter()
     assert G.catalog_groups(16, include_abelian=False), \
         "catalog must offer non-abelian groups up to order 16"
-    rep = T.check_thm_connected_abelian(16)
+    rep = T.suite_connected_abelian(16)
     assert rep.passed, rep.failures[:3]
     checked = rep.instances_tested
     assert checked > 0

@@ -139,6 +139,39 @@ def test_verify_unknown_id(capsys):
     assert "unknown theorem id" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bae-choe", "--max-order", "0"],
+    ["bae-choe", "--max-order", "-3"],
+    ["dihedral-corollary", "--n", ","],
+    ["conj-inn-embedding", "--max-order", "0"],   # would pass on the Z4 witness alone
+])
+def test_verify_refuses_an_empty_family(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["takasaki-aut", "--n", "3"], "ns"),
+    (["doubly-transitive", "--max-order", "3"], "max_order"),
+])
+def test_verify_refuses_a_bound_the_suite_does_not_take(argv, bound, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert code == 2
+    assert f"{bound} is taken by none" in err and out == ""
+
+
+def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):
+    code, out, _ = run(["verify", "all", "--max-order", "3", "--n", "3", "--json"], capsys)
+    assert code == 0
+    reports = {r["theorem"]: r for r in json.loads(out)["reports"]}
+    assert len(reports) == 13
+    assert reports["dihedral-corollary"]["instances_tested"] == 5     # R_3 only
+    assert reports["doubly-transitive"]["instances_tested"] == 5      # its fixed cases
+    assert "classes[3]" in reports["mccarron"]["annotations"]
+    assert "classes[4]" not in reports["mccarron"]["annotations"]
+
+
 def test_verify_json_and_out(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(["verify", "mccarron", "--max-order", "4", "--json",
