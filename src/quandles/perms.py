@@ -2,10 +2,10 @@
 
 Composition is fixed left-to-right everywhere in this package:
 ``compose(p, q)`` is the permutation "apply p first, then q".  Groups carry
-a deterministic stabilizer chain (classic Schreier-Sims, no randomization),
-so orders, membership tests and element iteration are exact and reproducible
-between runs.  Exact orders are plain Python ints and may be astronomically
-large even when the degree is small.
+a deterministic stabilizer chain (from the table search, or else classic
+Schreier-Sims), so orders, membership tests and element iteration are exact
+and reproducible between runs.  Exact orders are plain Python ints and may be
+astronomically large even when the degree is small.
 
 The chain works on raw image tuples internally; the ``Permutation`` wrapper
 exists for the public surface.  There is one point-orbit walk, ``_orbit``,
@@ -17,7 +17,8 @@ through them.
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of any square binary table, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
-depth-first step also decides quandle isomorphism.
+depth-first step also decides quandle isomorphism.  It hands back its own
+stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
 """
 
 import itertools
@@ -149,12 +150,16 @@ def _orbit(gens, x, ident):
 def _sift(levels, t, start):
     """Peel transversal reps off t from level start on.
 
+    A level whose point t fixes is passed over: its rep is the identity.
     Returns (residue, level) where the sift stopped, or (None, len(levels))
     when t is a group element.
     """
     for i in range(start, len(levels)):
         lv = levels[i]
-        rep = lv.transversal.get(t[lv.point])
+        pt = t[lv.point]
+        if pt == lv.point:
+            continue
+        rep = lv.transversal.get(pt)
         if rep is None:
             return t, i
         t = _tcompose(t, _tinverse(rep))
@@ -175,8 +180,9 @@ class _Level:
 class PermGroup:
     """Group generated by permutations, with a deterministic stabilizer chain.
 
-    The chain is built lazily on first use, over the fixed base 0..n-2 in
-    increasing order (base() reports the points with a nontrivial orbit).
+    The chain runs over the fixed base 0..n-2 in increasing order (base()
+    reports the points with a nontrivial orbit).  table_automorphism_group
+    and stabilizer(0) set it; otherwise Schreier-Sims builds it on first use.
     Orbits are traversed in FIFO order with generators in a fixed order, so
     every derived quantity (order, element iteration, transversals) is
     reproducible.
@@ -210,8 +216,7 @@ class PermGroup:
         sgens = []
 
         def gens_at(i):
-            pts = [levels[j].point for j in range(i)]
-            return [g for g in sgens if all(g[p] == p for p in pts)]
+            return [g for g in sgens if all(g[p] == p for p in range(i))]
 
         def insert(residue, lev):
             if lev == len(levels):
@@ -291,10 +296,17 @@ class PermGroup:
         return sorted(_orbit(gens, x, tuple(range(self.degree))))
 
     def stabilizer(self, x):
-        """Subgroup fixing the point x, via Schreier generators."""
+        """Subgroup fixing the point x: levels 1.. of the chain when x = 0,
+        else via Schreier generators."""
         if not 0 <= x < self.degree:
             raise ValueError(f"point {x} outside 0..{self.degree - 1}")
         ident = tuple(range(self.degree))
+        if x == 0:
+            levels, sgens = self._ensure_chain()
+            fixing = [g for g in sgens if g[0] == 0]
+            sub = PermGroup(fixing, degree=self.degree)
+            sub._chain = ([_Level(0, ident)] + levels[1:] if levels else [], fixing)
+            return sub
         gens = [g.images for g in self.generators if not g.is_identity()]
         tr = _orbit(gens, x, ident)
         schreier = []
@@ -346,9 +358,6 @@ class PermGroup:
             for lv in levels
             if len(lv.transversal) > 1
         ]
-        if not reps:
-            yield tuple(range(n))
-            return
 
         def walk(i):
             if i == len(reps):
@@ -414,8 +423,16 @@ def _assign(tsrc, ttgt, img, rev, assigned, a, b):
     return True
 
 
-def _dfs_first(tsrc, ttgt, img, rev, assigned):
-    """First completion of the partial map to a full isomorphism, or None."""
+# calls of _dfs_first one search may make before it is refused with ValueError
+_SEARCH_BUDGET = 200_000
+
+
+def _dfs_first(tsrc, ttgt, img, rev, assigned, nodes):
+    """First completion of the partial map to a full isomorphism, or None;
+    nodes[0] counts the calls of the whole search."""
+    nodes[0] += 1
+    if nodes[0] > _SEARCH_BUDGET:
+        raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} nodes")
     n = len(img)
     a = next((i for i in range(n) if img[i] == -1), -1)
     if a == -1:
@@ -425,7 +442,7 @@ def _dfs_first(tsrc, ttgt, img, rev, assigned):
             continue
         img2, rev2, as2 = img[:], rev[:], assigned[:]
         if _assign(tsrc, ttgt, img2, rev2, as2, a, b):
-            res = _dfs_first(tsrc, ttgt, img2, rev2, as2)
+            res = _dfs_first(tsrc, ttgt, img2, rev2, as2, nodes)
             if res is not None:
                 return res
     return None
@@ -445,6 +462,9 @@ def table_automorphism_group(rows):
     produces a coset representative or proves the coset empty.  Tables with
     enormous automorphism groups (all of Sym(n) for a trivial quandle) stay
     cheap.  Works for group Cayley tables and quandle tables alike.
+    The orbit of k under the generators found so far, when level k ends, is
+    level k of a stabilizer chain; the group comes back with that chain, so
+    it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET nodes.
     """
     n = len(rows)
     # states[k]: partial map with the identity forced on points 0..k-1
@@ -460,10 +480,12 @@ def table_automorphism_group(rows):
 
     gens = []
     ident = tuple(range(n))
-    for k in range(n - 1, -1, -1):
+    nodes = [0]
+    levels = [_Level(k, ident) for k in range(n - 1)]   # fixing 0..n-2 fixes n-1
+    for k in range(n - 2, -1, -1):
         img_k, rev_k, as_k = states[k]
         if img_k[k] != -1:
-            # image of k already forced by the identity prefix
+            # image of k already forced by the identity prefix: trivial level
             continue
         orbit = _orbit(gens, k, ident)
         for c in range(n):
@@ -472,12 +494,15 @@ def table_automorphism_group(rows):
             img2, rev2, as2 = img_k[:], rev_k[:], as_k[:]
             if not _assign(rows, rows, img2, rev2, as2, k, c):
                 continue
-            found = _dfs_first(rows, rows, img2, rev2, as2)
+            found = _dfs_first(rows, rows, img2, rev2, as2, nodes)
             if found is None:
                 continue
             gens.append(found)
             orbit = _orbit(gens, k, ident)
-    return PermGroup([Permutation(g) for g in gens], degree=n)
+        levels[k].transversal = orbit
+    group = PermGroup(gens, degree=n)
+    group._chain = (levels, gens)
+    return group
 
 
 def group_from_generators(generators, degree=None):

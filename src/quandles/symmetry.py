@@ -4,6 +4,7 @@ The inner group Inn(X) is generated by the right translations S_x; the full
 automorphism group Aut(X) comes from the backtracking table search in
 ``quandles.perms``, the same search that computes Aut(G) from a Cayley
 table, and isomorphism tests run its depth-first step between two tables.
+Aut(X) carries the search's own stabilizer chain.
 ``is_connected`` does not build Inn(X): it walks the orbit of 0 under the
 columns of the table with the one orbit walk of ``quandles.perms``.
 
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from .perms import Permutation, PermGroup, _dfs_first, _orbit, _tinverse, table_automorphism_group
 from .quandle import Quandle, inner_translation
 
-_BACKTRACK_BOUND = 81
 _BRUTE_FORCE_BOUND = 7
 
 
@@ -30,11 +30,8 @@ def inner_group(quandle):
     return cache["inn"]
 
 
-def automorphism_group_backtrack(quandle, max_order=_BACKTRACK_BOUND):
+def automorphism_group_backtrack(quandle):
     """Aut(X) as a PermGroup with exact order, by the shared table search."""
-    n = quandle.order
-    if n > max_order:
-        raise ValueError(f"order {n} exceeds automorphism search bound {max_order}")
     cache = quandle._cache
     if "aut" not in cache:
         cache["aut"] = table_automorphism_group(quandle.rows())
@@ -71,17 +68,15 @@ def is_two_point_homogeneous(quandle):
     return inner_group(quandle).is_k_transitive(2)
 
 
-def aut_is_doubly_transitive(quandle, max_order=_BACKTRACK_BOUND):
-    """Aut(X) doubly transitive, decided through the stabilizer criterion:
-    transitive, and the stabilizer of a point transitive on the rest."""
+def aut_is_doubly_transitive(quandle):
+    """Aut(X) doubly transitive, read off the chain of the table search:
+    levels 0 and 1, the orbit of 0 and the orbit of 1 under the stabilizer
+    of 0, have n and n - 1 points."""
     n = quandle.order
     if n < 2:
         raise ValueError("double transitivity needs at least 2 points")
-    aut = automorphism_group_backtrack(quandle, max_order=max_order)
-    if len(aut.orbit(0)) != n:
-        return False
-    stab = aut.stabilizer(0)
-    return stab.orbit(1) == list(range(1, n))
+    levels, _ = automorphism_group_backtrack(quandle)._ensure_chain()
+    return all(len(lv.transversal) == n - k for k, lv in enumerate(levels[:2]))
 
 
 # -- isomorphism ----------------------------------------------------------------
@@ -103,7 +98,7 @@ def quandle_isomorphic(x, y):
     if _column_profile(x) != _column_profile(y):
         return None
     n = x.order
-    res = _dfs_first(x.rows(), y.rows(), [-1] * n, [-1] * n, [])
+    res = _dfs_first(x.rows(), y.rows(), [-1] * n, [-1] * n, [], [0])
     return Permutation(res) if res is not None else None
 
 
@@ -193,11 +188,11 @@ class QuandleAnalysis:
         }
 
 
-def analyze_quandle(quandle, max_order=_BACKTRACK_BOUND):
+def analyze_quandle(quandle):
     from .quandle import is_commutative, is_involutory
 
     inn = inner_group(quandle)
-    aut = automorphism_group_backtrack(quandle, max_order=max_order)
+    aut = automorphism_group_backtrack(quandle)
     n = quandle.order
     return QuandleAnalysis(
         order=n,
@@ -205,7 +200,7 @@ def analyze_quandle(quandle, max_order=_BACKTRACK_BOUND):
         aut_order=aut.order(),
         connected=is_connected(quandle),
         two_point_homogeneous=is_two_point_homogeneous(quandle) if n >= 2 else None,
-        aut_doubly_transitive=aut_is_doubly_transitive(quandle, max_order=max_order) if n >= 2 else None,
+        aut_doubly_transitive=aut_is_doubly_transitive(quandle) if n >= 2 else None,
         commutative=is_commutative(quandle),
         involutory=is_involutory(quandle),
         provenance=quandle.provenance.describe() if quandle.provenance else "table",

@@ -198,7 +198,7 @@ def check_thm_takasaki_aut(group):
         raise ValueError(f"{group.name} has even order")
     n = group.order
     x = Q.takasaki(group)
-    aut = sym.automorphism_group_backtrack(x, max_order=max(sym._BACKTRACK_BOUND, n))
+    aut = sym.automorphism_group_backtrack(x)
     auts_g = G.automorphism_group(group)
     tag = group.name
 
@@ -263,7 +263,7 @@ def check_prop_conj_embedding(group):
     inn = sym.inner_group(x)
     if inn.order() != n // len(zc):
         rep.fail(f"{tag}: |Inn(Conj(G))| = {inn.order()} != |G|/|Z(G)| = {n // len(zc)}")
-    aut = sym.automorphism_group_backtrack(x, max_order=max(sym._BACKTRACK_BOUND, n))
+    aut = sym.automorphism_group_backtrack(x)
     rep.annotations[f"aut_conj[{tag}]"] = aut.order()
     rep.annotations[f"embedding_onto[{tag}]"] = aut.order() == rep.instances_tested
     return rep
@@ -382,7 +382,7 @@ def check_thm_fpf_structure(group, phi):
     x = Q.alexander(group, phi)
     cent = G.centralizer_in_aut(group, phi)
     cent_set = {f.images for f in cent}
-    aut = sym.automorphism_group_backtrack(x, max_order=max(sym._BACKTRACK_BOUND, n))
+    aut = sym.automorphism_group_backtrack(x)
     tag = f"{group.name}, {_phi_name(phi)}"
 
     stab = aut.stabilizer(0)
@@ -436,7 +436,7 @@ def check_thm_fnt(p, n, u):
     phi = G.scalar_map(group, u)
     x = Q.alexander(group, phi)
     tag = f"p={p}, n={n}, u={u}"
-    aut = sym.automorphism_group_backtrack(x, max_order=max(sym._BACKTRACK_BOUND, group.order))
+    aut = sym.automorphism_group_backtrack(x)
     via_stabilizer = sym.aut_is_doubly_transitive(x)
     via_bfs = aut.is_k_transitive(2)
     if via_stabilizer != via_bfs:
@@ -625,7 +625,7 @@ def suite_doubly_transitive(cases=((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (
 
 
 def suite_mccarron(max_order=6):
-    return check_mccarron_bound(1, min(max_order, 6))
+    return check_mccarron_bound(1, max_order)
 
 
 THEOREM_SUITES = {

@@ -161,6 +161,16 @@ def test_verify_refuses_a_bound_the_suite_does_not_take(argv, bound, capsys):
     assert f"{bound} is taken by none" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["mccarron", "--max-order", "8"],
+    ["all", "--max-order", "7"],
+])
+def test_verify_refuses_a_census_past_order_6(argv, capsys):
+    code, out, err = run(["verify", *argv], capsys)
+    assert code == 2
+    assert err.startswith("error:") and out == ""
+
+
 def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):
     code, out, _ = run(["verify", "all", "--max-order", "3", "--n", "3", "--json"], capsys)
     assert code == 0

@@ -6,6 +6,7 @@ automorphism search against Hillar and Rhea's closed form for |Aut| of a
 finite abelian group.
 """
 
+import random
 from collections import defaultdict
 from math import prod
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles.groups import catalog_groups
+from quandles.groups import catalog_groups, make_symmetric
 from quandles.perms import (
     PermGroup,
     Permutation,
@@ -23,6 +24,7 @@ from quandles.perms import (
     group_from_generators,
     table_automorphism_group,
 )
+from quandles.quandle import conj_quandle, enumerate_quandle_tables
 
 
 def hillar_rhea_aut_order(factors):
@@ -254,3 +256,52 @@ def test_table_search_matches_hillar_rhea_on_abelian_groups():
         factors, _ = g.abelian_coordinates
         found = table_automorphism_group(g.table.tolist()).order()
         assert found == hillar_rhea_aut_order(factors), g.name
+
+
+def _search_chain_tables(rng):
+    for n in range(1, 6):
+        for x in enumerate_quandle_tables(n):
+            yield x.rows()
+    for g in catalog_groups(32, include_nonabelian=False):
+        yield g.table.tolist()
+    conj = conj_quandle(make_symmetric(4), 1).rows()
+    for _ in range(3):
+        sigma = list(range(24))
+        rng.shuffle(sigma)
+        moved = [[0] * 24 for _ in range(24)]
+        for a in range(24):
+            for b in range(24):
+                moved[sigma[a]][sigma[b]] = sigma[conj[a][b]]
+        yield moved
+
+
+def test_search_chain_matches_an_independent_rebuild():
+    # the chain the search hands back against Schreier-Sims run from scratch
+    # on its generators, and against the closure oracle where that is small
+    rng = random.Random(6)
+    tables = 0
+    for rows in _search_chain_tables(rng):
+        tables += 1
+        n = len(rows)
+        aut = table_automorphism_group(rows)
+        rebuilt = PermGroup(aut.generators, degree=n)
+        assert aut.order() == rebuilt.order()
+        assert aut.base() == rebuilt.base()
+        if aut.order() <= 50_000:
+            assert set(aut._element_tuples()) == set(rebuilt._element_tuples())
+        stab = aut.stabilizer(0)
+        assert all(g(0) == 0 for g in stab.generators)
+        assert PermGroup(stab.generators, degree=n).order() == stab.order()
+        if aut.order() <= 5_000:
+            closure = brute_force_closure(aut.generators, n)
+            assert {p.images for p in stab.elements()} == {t for t in closure if t[0] == 0}
+        gens = [g.images for g in aut.generators]
+        for _ in range(4):
+            outside = list(range(n))
+            rng.shuffle(outside)
+            inside = tuple(range(n))
+            for g in rng.choices(gens, k=6) if gens else ():
+                inside = tuple(g[x] for x in inside)
+            assert aut.contains(outside) == rebuilt.contains(outside)
+            assert aut.contains(inside) and rebuilt.contains(inside)
+    assert tables == 447 + 55 + 3

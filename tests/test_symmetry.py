@@ -12,7 +12,9 @@ import pytest
 
 import quandles.groups as G
 import quandles.quandle as Q
+import quandles.perms as perms
 import quandles.symmetry as sym
+from quandles import cli
 from quandles.perms import Permutation, brute_force_closure
 
 DIHEDRAL_ORDERS = {3: (6, 6), 5: (20, 10), 7: (42, 14), 9: (54, 18), 11: (110, 22)}
@@ -60,9 +62,16 @@ def test_trivial_quandle_aut_is_everything():
     assert sym.inner_group(x).order() == 1
 
 
-def test_aut_order_bound_respected():
-    with pytest.raises(ValueError):
-        sym.automorphism_group_backtrack(Q.trivial_quandle(90), max_order=81)
+def test_aut_order_bound_respected(monkeypatch, tmp_path, capsys):
+    # the search is bounded by its node budget, not by the order of the table
+    assert sym.automorphism_group_backtrack(Q.trivial_quandle(90)).order() == math.factorial(90)
+    monkeypatch.setattr(perms, "_SEARCH_BUDGET", 5)
+    with pytest.raises(ValueError, match="gave up after 5 nodes"):
+        sym.automorphism_group_backtrack(Q.trivial_quandle(6))   # needs 20 nodes
+    path = tmp_path / "t6.qnd"
+    Q.save_quandle(Q.trivial_quandle(6), path)
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "gave up after 5 nodes" in capsys.readouterr().err
 
 
 def test_inner_generators_are_columns():
@@ -118,13 +127,50 @@ def test_two_point_homogeneity():
         sym.is_two_point_homogeneous(Q.trivial_quandle(1))
 
 
+def _scalar_alexander_up_to_49():
+    """Alex((Z/p)^d, u) for every odd prime p, p^d <= 49 and unit u != 1."""
+    for p in (p for p in range(3, 50) if all(p % k for k in range(2, p))):
+        for d in (1, 2, 3):
+            if p ** d <= 49:
+                group = G.make_abelian([p] * d)
+                for u in range(2, p):
+                    yield Q.alexander(group, G.scalar_map(group, u))
+
+
 def test_double_transitivity_two_routes_agree():
-    for x in (Q.dihedral(3), Q.dihedral(5), Q.dihedral(9), Q.trivial_quandle(4)):
+    negatives = [Q.dihedral(9), Q.dihedral(15), Q.conj_quandle(G.make_symmetric(4), 1)]
+    scalar = list(_scalar_alexander_up_to_49())
+    assert len(scalar) == 308
+    for x in (Q.dihedral(3), Q.dihedral(5), Q.trivial_quandle(2), Q.trivial_quandle(4),
+              *negatives, *scalar):
         via_stab = sym.aut_is_doubly_transitive(x)
         via_bfs = sym.automorphism_group_backtrack(x).is_k_transitive(2)
         assert via_stab == via_bfs
     assert sym.aut_is_doubly_transitive(Q.dihedral(5))
     assert not sym.aut_is_doubly_transitive(Q.dihedral(9))   # 54 < 72
+    assert not any(sym.aut_is_doubly_transitive(x) for x in negatives)
+    assert all(sym.aut_is_doubly_transitive(x) for x in scalar)
+
+
+def _unit_order(u, p):
+    k, v = 1, u % p
+    while v != 1:
+        k, v = k + 1, v * u % p
+    return k
+
+
+@pytest.mark.parametrize("p, d, u", [(3, 5, 2), (5, 3, 2)])
+def test_scalar_quandles_past_order_81(p, d, u):
+    # |Aut| = p^d |GL(d, p)| and |Inn| = p^d ord(u), with Aut doubly transitive;
+    # T(G) is Alex(G, -1)
+    group = G.make_abelian([p] * d)
+    x = Q.takasaki(group) if u == p - 1 else Q.alexander(group, G.scalar_map(group, u))
+    info = sym.analyze_quandle(x)
+    q = p ** d
+    assert info.order == q
+    assert info.aut_order == q * math.prod(q - p ** i for i in range(d))
+    assert info.inn_order == q * _unit_order(u, p)
+    assert info.aut_doubly_transitive is True
 
 
 def test_isomorphism_found_and_verified():
