@@ -4,7 +4,9 @@ Census of quandles with at most five elements
 
 Exhaustive enumeration by backtracking over table columns, then grouping
 into isomorphism classes.  The class counts match the published sequence
-1, 1, 3, 7, 22 and the labeled counts 1, 1, 5, 36, 404.
+1, 1, 3, 7, 22 and the labeled counts 1, 1, 5, 36, 404.  The census in
+``check_mccarron_bound`` reaches the same classes without pairwise tests,
+through relabeling orbits; this walkthrough uses the plain pairwise form.
 """
 
 from collections import defaultdict
@@ -14,8 +16,8 @@ import quandles as q
 for order in range(1, 6):
     tables = list(q.enumerate_quandle_tables(order))
 
-    # bucket by an invariant profile first so the isomorphism search only
-    # compares plausible pairs
+    # compare each table with every class found so far; quandle_isomorphic
+    # screens most pairs by their column cycle types before any search
     classes = []
     for x in tables:
         for rep in classes:

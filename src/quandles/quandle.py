@@ -231,10 +231,19 @@ def enumerate_quandle_tables(n):
     fixes its own point.  Assigning S_c propagates: axiom 3 forces
     S at the point S_c(b) to equal S_c^-1;S_b;S_c (apply S_c^-1 first) for
     every assigned b, which both prunes and fills columns, so leaves satisfy
-    all three axioms by construction.
+    all three axioms by construction.  The search runs once per candidate
+    S_0, in candidate order; the census (``theorems.check_mccarron_bound``)
+    runs the same search from one S_0 per cycle type instead.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    candidates = _column_candidates(n)
+    for s0 in candidates[0]:
+        yield from _tables_from(s0, candidates)
+
+
+def _column_candidates(n):
+    """For each point x, every permutation of 0..n-1 fixing x, as a tuple."""
     candidates = []
     for x in range(n):
         others = [y for y in range(n) if y != x]
@@ -246,6 +255,14 @@ def enumerate_quandle_tables(n):
                 col[y] = img
             cols.append(tuple(col))
         candidates.append(cols)
+    return candidates
+
+
+def _tables_from(s0, candidates):
+    """Yield every labeled quandle whose column S_0 is s0 (a tuple fixing 0),
+    in the order of ``enumerate_quandle_tables``; candidates comes from
+    ``_column_candidates``."""
+    n = len(s0)
 
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""
@@ -288,7 +305,9 @@ def enumerate_quandle_tables(n):
             if propagate(trial, free):
                 yield from dfs(trial)
 
-    yield from dfs([None] * n)
+    cols = [s0] + [None] * (n - 1)
+    if propagate(cols, 0):
+        yield from dfs(cols)
 
 
 # -- file format ---------------------------------------------------------------

@@ -21,8 +21,9 @@ through it.
 """
 
 import inspect
+import itertools
+import math
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -453,35 +454,82 @@ def check_thm_fnt(p, n, u):
 # -- the census bound on higher transitivity -----------------------------------
 
 
+_CENSUS_MAX_ORDER = 6
+
+
+def _first_columns(n):
+    """One column S_0 per cycle type on the points 1..n-1, cycles laid out
+    consecutively, each with the number (n-1)!/z of columns of its type."""
+    out = []
+    for parts in G._partitions(n - 1):
+        col, z = [0], 1
+        for k in parts:
+            start = len(col)
+            col += [start + (i + 1) % k for i in range(k)]
+        for k in set(parts):
+            z *= k ** parts.count(k) * math.factorial(parts.count(k))
+        out.append((tuple(col), math.factorial(n - 1) // z))
+    return out
+
+
+def _relabelings(table, perms):
+    """The relabelings of table by each row p of perms, as int8 rows of n*n:
+    moved[p(a), p(b)] = p(a*b)."""
+    k, n = perms.shape
+    inv = np.argsort(perms, axis=1)
+    pre = table[inv[:, :, None], inv[:, None, :]]          # a*b at a = p^-1(x), b = p^-1(y)
+    return np.take_along_axis(perms, pre.reshape(k, n * n), axis=1).astype(np.int8)
+
+
 def _quandle_classes(order):
-    """Isomorphism classes of quandles of the given order, deterministic."""
-    buckets = defaultdict(list)
-    labeled = 0
-    for x in Q.enumerate_quandle_tables(order):
-        labeled += 1
-        buckets[sym._column_profile(x)].append(x)
+    """Isomorphism classes of quandles of the given order, deterministic,
+    with the labeled tables counted twice: (classes, weighted, relabeled).
+
+    The search runs from one S_0 per cycle type.  Relabeling by a permutation
+    fixing 0 carries the tables with S_0 = s onto those with S_0 conjugate to
+    s, so every class has a member among these completions, and weighting
+    each completion by the size of its S_0's conjugacy class counts the
+    labeled tables.  A completion outside every relabeling orbit seen so far
+    starts a new class and adds its whole orbit to the set, whose size counts
+    the labeled tables again, by orbit closure.
+    """
+    perms = np.array(list(itertools.permutations(range(order))), dtype=np.int64)
+    candidates = Q._column_candidates(order)
+    seen = set()
     classes = []
-    for key in sorted(buckets):
-        reps = []
-        for x in buckets[key]:
-            if not any(sym.quandle_isomorphic(x, y) is not None for y in reps):
-                reps.append(x)
-        classes.extend(reps)
-    return classes, labeled
+    weighted = 0
+    for s0, weight in _first_columns(order):
+        for x in Q._tables_from(s0, candidates):
+            weighted += weight
+            if x.table.astype(np.int8).tobytes() not in seen:
+                classes.append(x)
+                seen.update(row.tobytes() for row in _relabelings(x.table, perms))
+    return classes, weighted, len(seen)
 
 
-def check_mccarron_bound(min_order=1, max_order=6):
+def check_mccarron_bound(min_order=1, max_order=_CENSUS_MAX_ORDER):
     """Census over all quandles of each order: no quandle with 4 or more
     elements is 3-transitive, and at order 3 the dihedral quandle R_3 is the
-    unique 3-transitive one."""
+    unique 3-transitive one.
+
+    The classes come from relabeling orbits of tables searched from one
+    column S_0 per cycle type, with no pairwise isomorphism tests (see
+    ``_quandle_classes``).  ``labeled[n]`` counts the labeled tables by
+    cycle-type weights and ``relabeled[n]`` by the size of the union of the
+    orbits; the report fails where the two differ.
+    """
     rep = TheoremReport("mccarron")
-    if not 1 <= min_order <= max_order <= 6:
-        raise ValueError("census bound must sit inside 1..6")
+    if not 1 <= min_order <= max_order <= _CENSUS_MAX_ORDER:
+        raise ValueError(f"census bound must sit inside 1..{_CENSUS_MAX_ORDER}")
     for order in range(min_order, max_order + 1):
-        classes, labeled = _quandle_classes(order)
+        classes, labeled, relabeled = _quandle_classes(order)
         rep.annotations[f"classes[{order}]"] = len(classes)
         rep.annotations[f"labeled[{order}]"] = labeled
+        rep.annotations[f"relabeled[{order}]"] = relabeled
         rep.instances_tested += len(classes)
+        if relabeled != labeled:
+            rep.fail(f"order {order}: the relabeling orbits hold {relabeled} tables, "
+                     f"the cycle-type weights count {labeled}")
         if order < 3:
             continue
         three_transitive = [x for x in classes if sym.inner_group(x).is_k_transitive(3)]
@@ -624,8 +672,13 @@ def suite_doubly_transitive(cases=((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (
     )
 
 
-def suite_mccarron(max_order=6):
+def suite_mccarron(max_order=_CENSUS_MAX_ORDER):
     return check_mccarron_bound(1, max_order)
+
+
+# the largest value of each bound a suite takes; run_suite refuses a bound
+# past it before any suite runs
+suite_mccarron.ceilings = {"max_order": _CENSUS_MAX_ORDER}
 
 
 THEOREM_SUITES = {
@@ -688,8 +741,9 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
     """Run the named suites (all when None), each timed into ``elapsed``.
 
     A given bound (max_order, ns) goes to each selected suite that names it
-    as a keyword parameter.  ValueError: an unknown id, max_order < 1, an
-    empty ns, or a bound that no selected suite takes.
+    as a keyword parameter.  ValueError, before any suite runs: an unknown
+    id, max_order < 1, an empty ns, a bound that no selected suite takes, or
+    one above a selected suite's declared ceiling.
     """
     if theorem_ids is None:
         theorem_ids = list(THEOREM_SUITES)
@@ -706,6 +760,10 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
     for name in bounds:
         if not any(name in params for params in takes):
             raise ValueError(f"{name} is taken by none of: {', '.join(theorem_ids)}")
+    for tid, fn in zip(theorem_ids, suites):
+        for name, top in getattr(fn, "ceilings", {}).items():
+            if name in bounds and bounds[name] > top:
+                raise ValueError(f"{tid} refuses {name} above {top}, got {bounds[name]}")
     reports = []
     for fn, params in zip(suites, takes):
         t0 = time.perf_counter()

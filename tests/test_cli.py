@@ -1,5 +1,6 @@
 """Command-line round trips, output stability, and exit codes."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import quandles.quandle as Q
-from quandles import cli
+from quandles import cli, theorems
 from quandles.theorems import TheoremReport
 
 
@@ -169,6 +170,20 @@ def test_verify_refuses_a_census_past_order_6(argv, capsys):
     code, out, err = run(["verify", *argv], capsys)
     assert code == 2
     assert err.startswith("error:") and out == ""
+
+
+def test_verify_all_refuses_a_census_past_order_6_before_any_suite_runs(monkeypatch, capsys):
+    def never(fn):
+        @functools.wraps(fn)
+        def suite(**bounds):
+            raise AssertionError(f"{fn.__name__} ran before the bound was refused")
+        return suite
+
+    for tid, (fn, desc) in list(theorems.THEOREM_SUITES.items()):
+        monkeypatch.setitem(theorems.THEOREM_SUITES, tid, (never(fn), desc))
+    code, out, err = run(["verify", "all", "--max-order", "7"], capsys)
+    assert code == 2
+    assert err == "error: mccarron refuses max_order above 6, got 7\n" and out == ""
 
 
 def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):

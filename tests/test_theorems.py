@@ -7,14 +7,18 @@ class counts 1, 1, 3, 7 for quandle orders 1..4.
 """
 
 import ast
+import itertools
+import math
 import re
 
+import numpy as np
 import pytest
 
 import quandles.groups as G
 import quandles.quandle as Q
 import quandles.symmetry as sym
 from quandles import theorems as T
+from quandles.perms import Permutation
 
 
 def test_report_plumbing():
@@ -201,6 +205,34 @@ def test_mccarron_check():
     assert rep.annotations["classes[4]"] == 7
     with pytest.raises(ValueError):
         T.check_mccarron_bound(1, 7)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_classes_match_the_full_enumeration(n):
+    full = [x.table.astype(np.int8).tobytes() for x in Q.enumerate_quandle_tables(n)]
+    classes, weighted, relabeled = T._quandle_classes(n)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    orbits = {row.tobytes() for x in classes for row in T._relabelings(x.table, perms)}
+    assert orbits == set(full)
+    assert weighted == relabeled == len(full)
+    assert all(sym.quandle_isomorphic(x, y) is None
+               for i, x in enumerate(classes) for y in classes[:i])
+    firsts = T._first_columns(n)
+    types = [Permutation(s0).cycle_type() for s0, _ in firsts]
+    assert len(types) == len(set(types)) == [1, 1, 2, 3, 5, 7][n - 1]
+    assert all(s0[0] == 0 for s0, _ in firsts)
+    assert sum(w for _, w in firsts) == math.factorial(n - 1)
+
+
+def test_census_fails_when_the_two_labeled_counts_differ(monkeypatch):
+    firsts = T._first_columns
+    monkeypatch.setattr(T, "_first_columns",
+                        lambda n: [(s0, w + (len(s0) == 4)) for s0, w in firsts(n)])
+    rep = T.check_mccarron_bound(1, 4)
+    labeled = rep.annotations["labeled[4]"]
+    assert labeled > 36 and rep.annotations["relabeled[4]"] == 36
+    assert rep.failures == [f"order 4: the relabeling orbits hold 36 tables, "
+                            f"the cycle-type weights count {labeled}"]
 
 
 def test_conj_inn_embedding_check():
