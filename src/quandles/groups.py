@@ -451,40 +451,30 @@ def make_symmetric(n):
     return FiniteGroup(table, labels=labels, name=f"S{n}", validate=n <= 5)
 
 
+def _inverting_extension(m, shift, labels, name):
+    """<a, b | a^m, b^2 = a^shift, b a b^-1 = a^-1>, order 2m; a^i b^j indexed i + m*j."""
+    table = np.empty((2 * m, 2 * m), dtype=np.int64)
+    for i1, j1 in itertools.product(range(m), range(2)):
+        for i2, j2 in itertools.product(range(m), range(2)):
+            i = (i1 - i2 + shift * j2) % m if j1 else (i1 + i2) % m
+            table[i1 + m * j1, i2 + m * j2] = i + m * ((j1 + j2) % 2)
+    return FiniteGroup(table, labels=labels, name=name)
+
+
 def make_dihedral_group(n):
     """Symmetries of the regular n-gon, order 2n; r^i s^j indexed as i + n*j."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    m = 2 * n
-    table = np.empty((m, m), dtype=np.int64)
-    for i1, j1 in itertools.product(range(n), range(2)):
-        for i2, j2 in itertools.product(range(n), range(2)):
-            i = (i1 - i2) % n if j1 else (i1 + i2) % n
-            j = (j1 + j2) % 2
-            table[i1 + n * j1, i2 + n * j2] = i + n * j
     labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
-    return FiniteGroup(table, labels=labels, name=f"D{n}")
+    return _inverting_extension(n, 0, labels, f"D{n}")
 
 
 def make_dicyclic(n):
     """Dicyclic group of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    two_n = 2 * n
-    m = 4 * n
-    table = np.empty((m, m), dtype=np.int64)
-    for i1, j1 in itertools.product(range(two_n), range(2)):
-        for i2, j2 in itertools.product(range(two_n), range(2)):
-            if j1:
-                i = (i1 - i2) % two_n
-                if j2:
-                    i = (i + n) % two_n
-            else:
-                i = (i1 + i2) % two_n
-            j = (j1 + j2) % 2
-            table[i1 + two_n * j1, i2 + two_n * j2] = i + two_n * j
-    labels = [f"a{i}" for i in range(two_n)] + [f"a{i}b" for i in range(two_n)]
-    return FiniteGroup(table, labels=labels, name=f"Dic{n}")
+    labels = [f"a{i}" for i in range(2 * n)] + [f"a{i}b" for i in range(2 * n)]
+    return _inverting_extension(2 * n, n, labels, f"Dic{n}")
 
 
 def make_quaternion8():

@@ -14,6 +14,13 @@ sift, ``_sift``: orbits, stabilizers, chain levels, membership tests, the
 orbit bookkeeping of the table search and ``symmetry.is_connected`` all go
 through them.
 
+The chain runs over the fixed base 0..n-2, so it is a list of transversals:
+level i maps each point of the orbit of i under the pointwise stabilizer of
+0..i-1 to a rep carrying i there.  Only this module reads it; orders,
+membership, elements, ``stabilizer(0)`` and ``is_k_transitive`` (level i
+full for every i < k) are its public reads.  ``brute_force_closure`` and
+``brute_force_k_transitive`` are oracles that never touch the chain.
+
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of any square binary table, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
@@ -150,31 +157,21 @@ def _orbit(gens, x, ident):
 def _sift(levels, t, start):
     """Peel transversal reps off t from level start on.
 
-    A level whose point t fixes is passed over: its rep is the identity.
+    Level i is passed over when t fixes i: its rep is the identity.
     Returns (residue, level) where the sift stopped, or (None, len(levels))
     when t is a group element.
     """
     for i in range(start, len(levels)):
-        lv = levels[i]
-        pt = t[lv.point]
-        if pt == lv.point:
+        pt = t[i]
+        if pt == i:
             continue
-        rep = lv.transversal.get(pt)
+        rep = levels[i].get(pt)
         if rep is None:
             return t, i
         t = _tcompose(t, _tinverse(rep))
     if t == tuple(range(len(t))):
         return None, len(levels)
     return t, len(levels)
-
-
-class _Level:
-    __slots__ = ("point", "transversal")
-
-    def __init__(self, point, ident):
-        self.point = point
-        # orbit point -> coset representative u with u(level point) = orbit point
-        self.transversal = {point: ident}
 
 
 class PermGroup:
@@ -212,7 +209,7 @@ class PermGroup:
             return self._chain
         n = self.degree
         ident = tuple(range(n))
-        levels = [_Level(i, ident) for i in range(n - 1)]
+        levels = [{i: ident} for i in range(n - 1)]
         sgens = []
 
         def gens_at(i):
@@ -226,11 +223,10 @@ class PermGroup:
 
         def complete_level(i):
             # verify all Schreier generators at level i, assuming deeper levels complete
-            lv = levels[i]
-            lv.transversal = _orbit(gens_at(i), lv.point, ident)
+            levels[i] = _orbit(gens_at(i), i, ident)
             while True:
                 gens_i = gens_at(i)
-                tr = lv.transversal
+                tr = levels[i]
                 clean = True
                 for p in sorted(tr):
                     up = tr[p]
@@ -238,7 +234,7 @@ class PermGroup:
                         uq = tr.get(s[p])
                         if uq is None:
                             # orbit grew behind our back (new strong generator)
-                            lv.transversal = _orbit(gens_i, lv.point, ident)
+                            levels[i] = _orbit(gens_i, i, ident)
                             clean = False
                             break
                         schreier = _tcompose(_tcompose(up, s), _tinverse(uq))
@@ -272,11 +268,11 @@ class PermGroup:
 
     def base(self):
         levels, _ = self._ensure_chain()
-        return [lv.point for lv in levels if len(lv.transversal) > 1]
+        return [i for i, tr in enumerate(levels) if len(tr) > 1]
 
     def order(self):
         levels, _ = self._ensure_chain()
-        return prod(len(lv.transversal) for lv in levels) if levels else 1
+        return prod(len(tr) for tr in levels)
 
     def contains(self, p):
         if not isinstance(p, Permutation):
@@ -305,7 +301,7 @@ class PermGroup:
             levels, sgens = self._ensure_chain()
             fixing = [g for g in sgens if g[0] == 0]
             sub = PermGroup(fixing, degree=self.degree)
-            sub._chain = ([_Level(0, ident)] + levels[1:] if levels else [], fixing)
+            sub._chain = ([{0: ident}] + levels[1:] if levels else [], fixing)
             return sub
         gens = [g.images for g in self.generators if not g.is_identity()]
         tr = _orbit(gens, x, ident)
@@ -326,38 +322,25 @@ class PermGroup:
     def is_k_transitive(self, k):
         """True when the action on ordered k-tuples of distinct points is transitive.
 
-        Breadth-first search on tuples; exact but exponential in k, intended
-        for k <= 3 at small degree.
+        Read off the chain: the orbit of (0, ..., k-1) has prod |level i|
+        points for i < k, and level i holds at most the n - i points outside
+        0..i-1, so the group is k-transitive exactly when each of those levels
+        is full.  Fixing 0..n-2 fixes n - 1, so k = n asks no more than n - 1.
         """
         n = self.degree
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > n:
             raise ValueError(f"k = {k} exceeds degree {n}")
-        target = prod(range(n - k + 1, n + 1))
-        start = tuple(range(k))
-        seen = {start}
-        queue = [start]
-        gens = [g.images for g in self.generators]
-        while queue:
-            tup = queue.pop(0)
-            for g in gens:
-                nxt = tuple(g[t] for t in tup)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == target
+        levels, _ = self._ensure_chain()
+        return all(len(levels[i]) == n - i for i in range(min(k, n - 1)))
 
     # -- element iteration -------------------------------------------------
 
     def _element_tuples(self):
         levels, _ = self._ensure_chain()
         n = self.degree
-        reps = [
-            [lv.transversal[p] for p in sorted(lv.transversal)]
-            for lv in levels
-            if len(lv.transversal) > 1
-        ]
+        reps = [[tr[p] for p in sorted(tr)] for tr in levels if len(tr) > 1]
 
         def walk(i):
             if i == len(reps):
@@ -481,7 +464,7 @@ def table_automorphism_group(rows):
     gens = []
     ident = tuple(range(n))
     nodes = [0]
-    levels = [_Level(k, ident) for k in range(n - 1)]   # fixing 0..n-2 fixes n-1
+    levels = [{k: ident} for k in range(n - 1)]   # fixing 0..n-2 fixes n-1
     for k in range(n - 2, -1, -1):
         img_k, rev_k, as_k = states[k]
         if img_k[k] != -1:
@@ -499,7 +482,7 @@ def table_automorphism_group(rows):
                 continue
             gens.append(found)
             orbit = _orbit(gens, k, ident)
-        levels[k].transversal = orbit
+        levels[k] = orbit
     group = PermGroup(gens, degree=n)
     group._chain = (levels, gens)
     return group
@@ -531,6 +514,25 @@ def brute_force_closure(generators, degree):
                 seen.add(nt)
                 queue.append(nt)
     return seen
+
+
+def brute_force_k_transitive(generators, degree, k):
+    """Oracle: breadth-first search over the images of the k-tuple (0, ..., k-1).
+
+    Independent of the stabilizer chain; O(n^k) tuples, for cross-checking
+    is_k_transitive at small k.
+    """
+    gens = [g.images if isinstance(g, Permutation) else tuple(g) for g in generators]
+    start = tuple(range(k))
+    seen = {start}
+    queue = [start]
+    for tup in queue:
+        for g in gens:
+            nxt = tuple(g[t] for t in tup)
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return len(seen) == prod(range(degree - k + 1, degree + 1))
 
 
 def all_permutations(degree):

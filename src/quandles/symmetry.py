@@ -4,7 +4,9 @@ The inner group Inn(X) is generated by the right translations S_x; the full
 automorphism group Aut(X) comes from the backtracking table search in
 ``quandles.perms``, the same search that computes Aut(G) from a Cayley
 table, and isomorphism tests run its depth-first step between two tables.
-Aut(X) carries the search's own stabilizer chain.
+Aut(X) carries the search's own stabilizer chain and Inn(X) a Schreier-Sims
+chain; k-transitivity of either is read off its chain by
+``PermGroup.is_k_transitive``.
 ``is_connected`` does not build Inn(X): it walks the orbit of 0 under the
 columns of the table with the one orbit walk of ``quandles.perms``.
 
@@ -62,21 +64,15 @@ def is_connected(quandle):
 
 
 def is_two_point_homogeneous(quandle):
-    """Inn(X) is transitive on ordered pairs of distinct points."""
-    if quandle.order < 2:
-        raise ValueError("two-point homogeneity needs at least 2 points")
+    """Inn(X) is transitive on ordered pairs of distinct points; ValueError
+    below 2 points."""
     return inner_group(quandle).is_k_transitive(2)
 
 
 def aut_is_doubly_transitive(quandle):
-    """Aut(X) doubly transitive, read off the chain of the table search:
-    levels 0 and 1, the orbit of 0 and the orbit of 1 under the stabilizer
-    of 0, have n and n - 1 points."""
-    n = quandle.order
-    if n < 2:
-        raise ValueError("double transitivity needs at least 2 points")
-    levels, _ = automorphism_group_backtrack(quandle)._ensure_chain()
-    return all(len(lv.transversal) == n - k for k, lv in enumerate(levels[:2]))
+    """Aut(X) doubly transitive, read off the chain of the table search;
+    ValueError below 2 points."""
+    return automorphism_group_backtrack(quandle).is_k_transitive(2)
 
 
 # -- isomorphism ----------------------------------------------------------------
@@ -109,9 +105,9 @@ def quandle_isomorphic(x, y):
 class EmbeddingReport:
     """Outcome of checking a -> S_a against conjugation in Inn(X).
 
-    The homomorphism clause asks S_{a*b} = S_b^-1 ; S_a ; S_b (apply S_b
-    first), which holds for involutory quandles; injectivity can fail, and
-    the first witnessing pair is recorded.
+    The homomorphism clause asks S_{a*b} = S_b^-1 ; S_a ; S_b (apply S_b^-1
+    first), which is axiom 3 and holds in every quandle; injectivity can
+    fail, and the first witnessing pair is recorded.
     """
 
     translations: list
@@ -136,7 +132,7 @@ def embed_in_conj_inn(quandle):
         for b in range(n):
             sa, sb, sb_inv = cols[a], cols[b], inv_cols[b]
             target = cols[t[a][b]]
-            conj = tuple(sb_inv[sa[sb[y]]] for y in range(n))
+            conj = tuple(sb[sa[sb_inv[y]]] for y in range(n))
             if tuple(target) != conj:
                 hom_witness = (a, b)
                 break

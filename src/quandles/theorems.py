@@ -31,7 +31,7 @@ import numpy as np
 from . import groups as G
 from . import quandle as Q
 from . import symmetry as sym
-from .perms import PermGroup, Permutation
+from .perms import PermGroup, Permutation, brute_force_k_transitive
 
 
 @dataclass
@@ -439,7 +439,7 @@ def check_thm_fnt(p, n, u):
     tag = f"p={p}, n={n}, u={u}"
     aut = sym.automorphism_group_backtrack(x)
     via_stabilizer = sym.aut_is_doubly_transitive(x)
-    via_bfs = aut.is_k_transitive(2)
+    via_bfs = brute_force_k_transitive(aut.generators, aut.degree, 2)
     if via_stabilizer != via_bfs:
         rep.fail(f"{tag}: stabilizer criterion {via_stabilizer} != pair BFS {via_bfs}")
     if not via_stabilizer:

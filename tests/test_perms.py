@@ -20,6 +20,7 @@ from quandles.perms import (
     Permutation,
     all_permutations,
     brute_force_closure,
+    brute_force_k_transitive,
     compose,
     group_from_generators,
     table_automorphism_group,
@@ -157,9 +158,9 @@ def test_orbits_stabilizers_and_transversals_match_closure_oracle(gen_images):
         assert g.orbit(x) == sorted({t[x] for t in closure})
         assert {p.images for p in g.stabilizer(x).elements()} == {t for t in closure if t[x] == x}
     levels, _ = g._ensure_chain()
-    for lv in levels:
-        for pt, rep in lv.transversal.items():
-            assert rep[lv.point] == pt
+    for i, tr in enumerate(levels):
+        for pt, rep in tr.items():
+            assert rep[i] == pt
             assert rep in closure
 
 
@@ -175,6 +176,29 @@ def test_k_transitivity():
         s4.is_k_transitive(0)
     with pytest.raises(ValueError):
         s4.is_k_transitive(5)
+
+
+def _assert_chain_read_matches_tuple_bfs(group):
+    n = group.degree
+    for k in range(1, n + 1):
+        want = brute_force_k_transitive(group.generators, n, k)
+        assert group.is_k_transitive(k) == want, (group.generators, k)
+
+
+def test_k_transitivity_matches_tuple_bfs_on_inn_and_aut_of_every_small_quandle():
+    tables = 0
+    for n in range(1, 6):
+        for x in enumerate_quandle_tables(n):
+            tables += 1
+            _assert_chain_read_matches_tuple_bfs(PermGroup([x.column(b) for b in range(n)], degree=n))
+            _assert_chain_read_matches_tuple_bfs(table_automorphism_group(x.rows()))
+    assert tables == 447
+
+
+@settings(max_examples=60)
+@given(st.lists(st.permutations(list(range(6))), max_size=3))
+def test_k_transitivity_matches_tuple_bfs_on_random_groups(gen_images):
+    _assert_chain_read_matches_tuple_bfs(PermGroup(gen_images, degree=6))
 
 
 def test_transitivity_degree_is_divisible():

@@ -144,7 +144,7 @@ def test_double_transitivity_two_routes_agree():
     for x in (Q.dihedral(3), Q.dihedral(5), Q.trivial_quandle(2), Q.trivial_quandle(4),
               *negatives, *scalar):
         via_stab = sym.aut_is_doubly_transitive(x)
-        via_bfs = sym.automorphism_group_backtrack(x).is_k_transitive(2)
+        via_bfs = perms.brute_force_k_transitive(sym.automorphism_group_backtrack(x).generators, x.order, 2)
         assert via_stab == via_bfs
     assert sym.aut_is_doubly_transitive(Q.dihedral(5))
     assert not sym.aut_is_doubly_transitive(Q.dihedral(9))   # 54 < 72
@@ -215,6 +215,18 @@ def test_embedding_report_even_collision():
     assert not rep.is_injective
     assert rep.injectivity_witness == (0, 2)
     assert not rep.is_embedding
+
+
+def test_embedding_homomorphism_holds_beyond_involutory_quandles():
+    # S_{a*b} = S_b^-1 ; S_a ; S_b is axiom 3, so it holds in every quandle
+    z5, z7 = G.make_cyclic(5), G.make_cyclic(7)
+    small = [x for n in range(1, 6) for x in Q.enumerate_quandle_tables(n) if not Q.is_involutory(x)]
+    assert small
+    for x in (Q.alexander(z5, G.scalar_map(z5, 2)), Q.alexander(z7, G.scalar_map(z7, 3)),
+              Q.conj_quandle(G.make_symmetric(3), 1), *small):
+        assert not Q.is_involutory(x)
+        rep = sym.embed_in_conj_inn(x)
+        assert rep.is_homomorphism, rep.homomorphism_witness
 
 
 def test_analysis_fields():
