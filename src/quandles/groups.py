@@ -321,8 +321,8 @@ def twisted_map(phi):
     G = phi.domain
     if phi.codomain is not G and not np.array_equal(phi.codomain.table, G.table):
         raise ValueError("twisted map needs an endomorphism")
-    images = tuple(G.mul(G.inv(a), phi(a)) for a in G.elements())
-    img = np.array(images, dtype=np.int64)
+    img = G.table[G.inverse_array(), phi.images]
+    images = tuple(img.tolist())
     hom = bool(np.array_equal(G.table[img[:, None], img[None, :]], img[G.table])) and images[0] == 0
     return TwistedMap(images=images, is_homomorphism=hom, is_bijective=len(set(images)) == G.order)
 
@@ -347,21 +347,25 @@ def automorphism_group(group):
 
     The table search yields Aut(G) as a PermGroup first; groups above order
     _AUT_ORDER_BOUND, or with more than _AUT_LIST_BOUND automorphisms, are
-    refused with ValueError before any map is listed.
+    refused with ValueError before any map is listed.  The sorted image
+    array is cached beside the list.
     """
     if group.order > _AUT_ORDER_BOUND:
         raise ValueError(f"order {group.order} exceeds bound {_AUT_ORDER_BOUND}")
-    cache_key = "aut"
-    if cache_key in group._aut_cache:
-        return group._aut_cache[cache_key]
+    if "aut" in group._aut_cache:
+        return group._aut_cache["aut"]
     aut = table_automorphism_group(group._rows)
     count = aut.order()
     if count > _AUT_LIST_BOUND:
         raise ValueError(
             f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
         )
-    result = [GroupMap(group, group, t, validate=False) for t in sorted(aut._element_tuples())]
-    group._aut_cache[cache_key] = result
+    arr = aut.element_array()
+    arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
+    arr.setflags(write=False)
+    result = [GroupMap(group, group, t, validate=False) for t in arr.tolist()]
+    group._aut_cache["aut"] = result
+    group._aut_cache["aut_array"] = arr
     return result
 
 
@@ -391,8 +395,7 @@ def is_central_automorphism(phi):
     if not phi.is_automorphism:
         raise ValueError("centrality is defined for automorphisms")
     G = phi.domain
-    Z = set(center(G))
-    return all(G.mul(G.inv(a), phi(a)) in Z for a in G.elements())
+    return bool(np.isin(G.table[G.inverse_array(), phi.images], center(G)).all())
 
 
 def centralizer_in_aut(group, phi):
@@ -400,8 +403,8 @@ def centralizer_in_aut(group, phi):
     if not phi.is_automorphism:
         raise ValueError("centralizer is taken around an automorphism")
     auts = automorphism_group(group)
-    pim = phi.images
-    return [f for f in auts if tuple(pim[x] for x in f.images) == tuple(f.images[x] for x in pim)]
+    arr, pim = group._aut_cache["aut_array"], np.array(phi.images)
+    return [auts[i] for i in np.flatnonzero((arr[:, pim] == pim[arr]).all(axis=1))]
 
 
 # -- constructors -----------------------------------------------------------

@@ -7,12 +7,13 @@ Schreier-Sims), so orders, membership tests and element iteration are exact
 and reproducible between runs.  Exact orders are plain Python ints and may be
 astronomically large even when the degree is small.
 
-The chain works on raw image tuples internally; the ``Permutation`` wrapper
-exists for the public surface.  There is one point-orbit walk, ``_orbit``,
-which returns the orbit together with its transversal, and one Schreier-Sims
-sift, ``_sift``: orbits, stabilizers, chain levels, membership tests, the
-orbit bookkeeping of the table search and ``symmetry.is_connected`` all go
-through them.
+Chain levels hold raw image tuples; the ``Permutation`` wrapper exists for
+the public surface.  Elements come out as one numpy array, one gather per
+level (``PermGroup.element_array``).  There is one point-orbit walk,
+``_orbit``, which returns the orbit together with its transversal, and one
+Schreier-Sims sift, ``_sift``: orbits, stabilizers, chain levels, membership
+tests, the orbit bookkeeping of the table search and ``symmetry.is_connected``
+all go through them.
 
 The chain runs over the fixed base 0..n-2, so it is a list of transversals:
 level i maps each point of the orbit of i under the pointwise stabilizer of
@@ -30,6 +31,10 @@ stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
 
 import itertools
 from math import prod
+
+import numpy as np
+
+_ELEMENT_CAP = 1 << 26     # most entries (order x degree) element_array builds
 
 
 def _tcompose(p, q):
@@ -337,25 +342,27 @@ class PermGroup:
 
     # -- element iteration -------------------------------------------------
 
-    def _element_tuples(self):
+    def element_array(self):
+        """Every element as a row of an (order, degree) array, in the smallest
+        signed int dtype holding the degree: the products deeper ; u over the
+        nontrivial levels, one gather per level, with u running fastest over
+        the sorted transversal of the shallowest level.  ValueError before
+        allocating past _ELEMENT_CAP = 2**26 entries (order x degree)."""
         levels, _ = self._ensure_chain()
         n = self.degree
-        reps = [[tr[p] for p in sorted(tr)] for tr in levels if len(tr) > 1]
-
-        def walk(i):
-            if i == len(reps):
-                yield tuple(range(n))
-                return
-            for deeper in walk(i + 1):
-                for u in reps[i]:
-                    yield _tcompose(deeper, u)
-
-        yield from walk(0)
+        if self.order() * n > _ELEMENT_CAP:
+            raise ValueError(f"{self.order():,} x {n} entries exceed the element cap {_ELEMENT_CAP:,}")
+        dtype = np.min_scalar_type(-n)          # signed, so it holds -n and hence n - 1
+        out = np.arange(n, dtype=dtype)[None, :]
+        for tr in reversed(levels):
+            if len(tr) > 1:
+                reps = np.array([tr[p] for p in sorted(tr)], dtype=dtype)
+                out = reps[:, out].transpose(1, 0, 2).reshape(-1, n)
+        return out
 
     def elements(self):
-        """Iterate every element exactly once, in a deterministic order."""
-        for t in self._element_tuples():
-            yield Permutation(t)
+        """Every element once, in the row order of element_array()."""
+        return (Permutation(row.tolist()) for row in self.element_array())
 
     # -- serialization ----------------------------------------------------
 

@@ -263,6 +263,7 @@ def _tables_from(s0, candidates):
     in the order of ``enumerate_quandle_tables``; candidates comes from
     ``_column_candidates``."""
     n = len(s0)
+    inverses = {}   # column -> its inverse, for this search only
 
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""
@@ -270,7 +271,7 @@ def _tables_from(s0, candidates):
         while queue:
             c = queue.pop()
             sc = cols[c]
-            sc_inv = _tinverse(sc)
+            sc_inv = inverses.get(sc) or inverses.setdefault(sc, _tinverse(sc))
             for b in range(n):
                 sb = cols[b]
                 if sb is None:
@@ -283,7 +284,7 @@ def _tables_from(s0, candidates):
                     queue.append(t1)
                 elif cols[t1] != f1:
                     return False
-                sb_inv = _tinverse(sb)
+                sb_inv = inverses.get(sb) or inverses.setdefault(sb, _tinverse(sb))
                 t2 = sb[c]
                 f2 = tuple(sb[sc[sb_inv[y]]] for y in range(n))
                 if cols[t2] is None:

@@ -136,21 +136,23 @@ def _check_factorization(rep, group, aut, maps, tag):
     """Check that aut, an automorphism group of a quandle on the elements of
     the group, is translations followed by maps (image arrays of group
     automorphisms): |aut| = |G| |maps|, and every f in aut is t_{f(0)} ; h
-    with h = f - f(0) one of maps.  The first f that does not factor is the witness.  Returns |aut|.
+    with h = f - f(0) one of maps.  The first f, in element order, that
+    does not factor is the witness.  Returns |aut|.
     """
     n = group.order
     m = aut.order()
     if m != n * len(maps):
         rep.fail(f"{tag}: |Aut| = {m} != {n} * {len(maps)}")
-    elems = np.empty((m, n), dtype=np.int32)
-    for i, t in enumerate(aut._element_tuples()):
-        elems[i] = t
-    inv = group.inverse_array()
-    shifted = group.table[elems, inv[elems[:, 0]][:, None]]      # h = f - f(0)
-    keys = {row.tobytes() for row in np.asarray(maps, dtype=shifted.dtype)}
-    bad = next((i for i, row in enumerate(shifted) if row.tobytes() not in keys), None)
-    if bad is not None:
-        rep.fail(f"{tag}: automorphism {tuple(int(v) for v in elems[bad])} does not factor")
+    elems = aut.element_array()
+    tbl, inv = group.table.astype(elems.dtype), group.inverse_array()
+    row = np.dtype((np.void, n * elems.itemsize))                # one image row as one key
+    keys = np.ascontiguousarray(maps, dtype=elems.dtype).reshape(-1, n).view(row)
+    for s in G._row_chunks(m, n):
+        block = elems[s]
+        bad = np.flatnonzero(~np.isin(tbl[block, inv[block[:, :1]]].view(row), keys))   # h = f - f(0)
+        if len(bad):
+            rep.fail(f"{tag}: automorphism {tuple(block[bad[0]].tolist())} does not factor")
+            break
     return m
 
 

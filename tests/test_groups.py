@@ -178,6 +178,27 @@ def test_centralizer():
     assert 24 % len(cent) == 0
 
 
+def test_aut_gathers_match_per_element_definitions():
+    for g in G.catalog_groups(12):
+        auts = G.automorphism_group(g)
+        zc = set(G.center(g))
+        for phi in auts:
+            twisted = tuple(g.mul(g.inv(a), phi(a)) for a in g.elements())
+            tw = G.twisted_map(phi)
+            assert tw.images == twisted, (g.name, phi)
+            assert tw.is_bijective == (len(set(twisted)) == g.order)
+            assert tw.is_homomorphism == all(
+                twisted[g.mul(a, b)] == g.mul(twisted[a], twisted[b])
+                for a in g.elements() for b in g.elements()
+            )
+            assert G.is_central_automorphism(phi) == all(v in zc for v in twisted)
+            pim = phi.images
+            commuting = [
+                f for f in auts if tuple(pim[x] for x in f.images) == tuple(f.images[x] for x in pim)
+            ]
+            assert G.centralizer_in_aut(g, phi) == commuting, (g.name, phi)
+
+
 def test_twisted_map():
     z5 = G.make_cyclic(5)
     tw = G.twisted_map(G.negation_map(z5))

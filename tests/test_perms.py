@@ -7,15 +7,18 @@ finite abelian group.
 """
 
 import random
+import tracemalloc
 from collections import defaultdict
-from math import prod
+from math import factorial, prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandles.groups import catalog_groups, make_symmetric
 from quandles.perms import (
+    _ELEMENT_CAP,
     PermGroup,
     Permutation,
     all_permutations,
@@ -25,7 +28,7 @@ from quandles.perms import (
     group_from_generators,
     table_automorphism_group,
 )
-from quandles.quandle import conj_quandle, enumerate_quandle_tables
+from quandles.quandle import conj_quandle, enumerate_quandle_tables, trivial_quandle
 
 
 def hillar_rhea_aut_order(factors):
@@ -219,6 +222,51 @@ def test_elements_enumeration_is_deterministic():
     assert a == b
 
 
+def _recursive_walk(group):
+    """Oracle: the elements as the former recursive walk over the chain
+    listed them, one tuple at a time."""
+    levels, _ = group._ensure_chain()
+    n = group.degree
+    reps = [[tr[p] for p in sorted(tr)] for tr in levels if len(tr) > 1]
+
+    def walk(i):
+        if i == len(reps):
+            yield tuple(range(n))
+            return
+        for deeper in walk(i + 1):
+            for u in reps[i]:
+                yield tuple(u[x] for x in deeper)
+
+    return list(walk(0))
+
+
+def test_element_order_matches_the_recursive_walk():
+    s5 = PermGroup(_symmetric_gens(5))                           # Schreier-Sims chain
+    aut = table_automorphism_group(trivial_quandle(6).rows())    # search chain, Sym(6)
+    for g in (s5, aut, aut.stabilizer(0), s5.stabilizer(2)):
+        want = _recursive_walk(g)
+        arr = g.element_array()
+        assert arr.shape == (g.order(), g.degree) and arr.dtype == np.int8
+        assert list(map(tuple, arr.tolist())) == want
+        assert [p.images for p in g.elements()] == want
+
+
+def test_element_array_refuses_past_its_cap():
+    g = PermGroup(_symmetric_gens(40))
+    assert g.order() == factorial(40)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceed the element cap"):
+            g.element_array()
+        with pytest.raises(ValueError, match="exceed the element cap"):
+            g.elements()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # the cap counts entries: Sym(10) at degree 10 fits, Sym(11) does not
+    assert factorial(10) * 10 <= _ELEMENT_CAP < factorial(11) * 11
+
+
 def test_trivial_and_identity_groups():
     g = PermGroup([], degree=5)
     assert g.order() == 1
@@ -312,7 +360,9 @@ def test_search_chain_matches_an_independent_rebuild():
         assert aut.order() == rebuilt.order()
         assert aut.base() == rebuilt.base()
         if aut.order() <= 50_000:
-            assert set(aut._element_tuples()) == set(rebuilt._element_tuples())
+            assert set(map(tuple, aut.element_array().tolist())) == set(
+                map(tuple, rebuilt.element_array().tolist())
+            )
         stab = aut.stabilizer(0)
         assert all(g(0) == 0 for g in stab.generators)
         assert PermGroup(stab.generators, degree=n).order() == stab.order()

@@ -95,6 +95,40 @@ def test_factorization_reports_a_missing_map():
     assert tuple((v - witness[0]) % 7 for v in witness) == removed
 
 
+
+def test_factorization_runs_in_chunks_and_names_the_first_witness(monkeypatch):
+    g = G.make_abelian([3, 3, 3])
+    aut = sym.automorphism_group_backtrack(Q.takasaki(g))
+    elems = aut.element_array()
+    assert elems.shape == (303_264, 27)
+    assert len(list(G._row_chunks(*elems.shape))) > 1
+    maps = [h.images for h in G.automorphism_group(g)]
+    rep = T.TheoremReport("demo")
+    assert T._check_factorization(rep, g, aut, maps, "T27") == 303_264
+    assert rep.passed
+    # drop the map whose first element comes last: every element with that
+    # map fails, so the witness is the first of them
+    tbl = g.table.astype(elems.dtype)
+    shifted = tbl[elems, g.inverse_array()[elems[:, 0]][:, None]]
+    rows, first = np.unique(shifted, axis=0, return_index=True)
+    latest = int(first.argmax())
+    removed = tuple(rows[latest].tolist())
+    maps.remove(removed)
+    want = tuple(elems[first[latest]].tolist())
+    assert tuple(g.mul(v, g.inv(want[0])) for v in want) == removed
+    assert aut.contains(want)
+    # once with the default chunks, once with chunks small enough that the
+    # witness lies past the first one
+    assert first[latest] >= 1000
+    for chunk_entries in (G._CHUNK_ENTRIES, 27 * 1000):
+        monkeypatch.setattr(G, "_CHUNK_ENTRIES", chunk_entries)
+        rep = T.TheoremReport("demo")
+        T._check_factorization(rep, g, aut, maps, "T27")
+        assert rep.failures[0] == "T27: |Aut| = 303264 != 27 * 11231"
+        assert len(rep.failures) == 2
+        witness = re.search(r"automorphism (\(.*\)) does not factor", rep.failures[1]).group(1)
+        assert ast.literal_eval(witness) == want
+
 def test_takasaki_check():
     assert T.check_thm_takasaki_aut(G.make_cyclic(9)).passed
     rep = T.check_thm_takasaki_aut(G.make_abelian([3, 3]))
