@@ -395,7 +395,7 @@ def is_central_automorphism(phi):
     if not phi.is_automorphism:
         raise ValueError("centrality is defined for automorphisms")
     G = phi.domain
-    return bool(np.isin(G.table[G.inverse_array(), phi.images], center(G)).all())
+    return set(center(G)).issuperset(G.table[G.inverse_array(), phi.images].tolist())
 
 
 def centralizer_in_aut(group, phi):
