@@ -10,6 +10,10 @@ between the two sides does not check that search; its independent gates are
 the brute-force oracles (``groups.brute_force_group_automorphisms``,
 ``symmetry.brute_force_aut``) and the closed-form orders in the tests.
 
+The two statements Aut(Alex(G, phi)) = G x| C(phi), for fixed-point-free
+phi and for the Takasaki quandle T(G) = Alex(G, -id), share one body,
+``_check_split``.
+
 Each statement has one suite: a public ``suite_*`` function that builds the
 statement's instance family from the bounds named by its keyword parameters
 (``max_order``, ``ns``, or none) and merges the per-instance reports.  An
@@ -156,6 +160,27 @@ def _check_factorization(rep, group, aut, maps, tag):
     return m
 
 
+def _check_split(rep, group, x, maps, inn_order, tag):
+    """Check Aut(x) = G x| maps for a quandle x on the elements of the group,
+    with maps the image rows of group automorphisms, sorted.
+
+    Clauses: every right translation and every map preserves x; the
+    stabilizer Aut_0 is exactly the set of maps; |Aut| = |G| |maps| and
+    every automorphism factors as a translation then a map
+    (``_check_factorization``); and |Inn(x)| = inn_order.  Returns |Aut|.
+    """
+    aut = sym.automorphism_group_backtrack(x)
+    _check_preserved(rep, x, group, range(group.order), maps, tag)
+    stab = aut.stabilizer(0).element_array()
+    if not np.array_equal(stab[np.lexsort(stab.T[::-1])], maps):
+        rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
+    m = _check_factorization(rep, group, aut, maps, tag)
+    inn = sym.inner_group(x).order()
+    if inn != inn_order:
+        rep.fail(f"{tag}: |Inn| = {inn} != {inn_order}")
+    return m
+
+
 def _phi_name(phi):
     return "phi=" + ",".join(map(str, phi.images))
 
@@ -190,6 +215,8 @@ def check_thm_takasaki_aut(group):
     quandle splits uniquely as a translation followed by a group
     automorphism, |Aut| = |G| |Aut(G)|, and |Inn| = 2 |2G| (for |G| > 1).
 
+    T(G) = Alex(G, -id) and C(-id) = Aut(G), so this is
+    ``check_thm_fpf_structure`` at phi = -id: both run ``_check_split``.
     The group-side automorphism list and the quandle-side automorphism
     group come from the same table search run on different tables; this
     check confronts them.
@@ -199,25 +226,11 @@ def check_thm_takasaki_aut(group):
         raise ValueError(f"{group.name} is not abelian")
     if group.order % 2 == 0:
         raise ValueError(f"{group.name} has even order")
-    n = group.order
-    x = Q.takasaki(group)
-    aut = sym.automorphism_group_backtrack(x)
-    auts_g = G.automorphism_group(group)
-    tag = group.name
-
-    # constructive direction: every t_c and every group automorphism preserves T(G)
-    auts_arr = np.array([h.images for h in auts_g], dtype=np.int64)
-    _check_preserved(rep, x, group, range(n), auts_arr, tag)
-
-    # factorization: f = t_{f(0)} ; h with h in the group-side Aut(G) list
-    m = _check_factorization(rep, group, aut, auts_arr, tag)
-
-    inn = sym.inner_group(x)
-    expected_inn = 1 if n == 1 else 2 * len(G.doubling_image(group))
-    if inn.order() != expected_inn:
-        rep.fail(f"{tag}: |Inn(T(G))| = {inn.order()} != {expected_inn}")
+    auts_arr = np.array([h.images for h in G.automorphism_group(group)], dtype=np.int64)
+    inn_order = 1 if group.order == 1 else 2 * len(G.doubling_image(group))
+    m = _check_split(rep, group, Q.takasaki(group), auts_arr, inn_order, group.name)
     rep.instances_tested = m + 2
-    rep.annotations[f"aut_order[{tag}]"] = aut.order()
+    rep.annotations[f"aut_order[{group.name}]"] = m
     return rep
 
 
@@ -375,33 +388,16 @@ def check_thm_fpf_structure(group, phi):
     """Fixed-point-free phi on an abelian group: the stabilizer of 0 in
     Aut(Alex(G, phi)) is exactly the centralizer of phi in Aut(G), every
     automorphism is a translation composed with a centralizer element,
-    |Aut| = |G| |C|, and |Inn| = |G| ord(phi)."""
+    |Aut| = |G| |C|, and |Inn| = |G| ord(phi).  The clauses are
+    ``_check_split``'s, shared with ``check_thm_takasaki_aut``."""
     rep = TheoremReport("fpf-structure")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
     if not G.is_fixed_point_free(phi):
         raise ValueError("phi must be fixed-point free")
-    n = group.order
-    x = Q.alexander(group, phi)
-    cent = G.centralizer_in_aut(group, phi)
-    cent_set = {f.images for f in cent}
-    aut = sym.automorphism_group_backtrack(x)
+    cent = np.array([f.images for f in G.centralizer_in_aut(group, phi)], dtype=np.int64)
     tag = f"{group.name}, {_phi_name(phi)}"
-
-    stab = aut.stabilizer(0)
-    if stab.order() != len(cent):
-        rep.fail(f"{tag}: |Aut_0| = {stab.order()} != |C| = {len(cent)}")
-    else:
-        for e in stab.elements():
-            if e.images not in cent_set:
-                rep.fail(f"{tag}: stabilizer element {e.images} outside the centralizer")
-                break
-
-    m = _check_factorization(rep, group, aut, [f.images for f in cent], tag)
-
-    inn = sym.inner_group(x)
-    if inn.order() != n * phi.map_order():
-        rep.fail(f"{tag}: |Inn| = {inn.order()} != {n} * ord(phi) = {n * phi.map_order()}")
+    m = _check_split(rep, group, Q.alexander(group, phi), cent, group.order * phi.map_order(), tag)
     rep.instances_tested = m + 2
     return rep
 
@@ -679,8 +675,9 @@ def suite_mccarron(max_order=_CENSUS_MAX_ORDER):
 
 
 # the largest value of each bound a suite takes; run_suite refuses a bound
-# past it before any suite runs
+# past it before any suite runs (the embedding suites' m^2 product law runs for hours at 16)
 suite_mccarron.ceilings = {"max_order": _CENSUS_MAX_ORDER}
+suite_alexander_embedding.ceilings = suite_conj_embedding.ceilings = {"max_order": 15}
 
 
 THEOREM_SUITES = {

@@ -172,7 +172,9 @@ def test_verify_refuses_a_census_past_order_6(argv, capsys):
     assert err.startswith("error:") and out == ""
 
 
-def test_verify_all_refuses_a_census_past_order_6_before_any_suite_runs(monkeypatch, capsys):
+@pytest.fixture
+def no_suite_runs(monkeypatch):
+    """Replace every suite by one that fails the test when it is called."""
     def never(fn):
         @functools.wraps(fn)
         def suite(**bounds):
@@ -181,9 +183,20 @@ def test_verify_all_refuses_a_census_past_order_6_before_any_suite_runs(monkeypa
 
     for tid, (fn, desc) in list(theorems.THEOREM_SUITES.items()):
         monkeypatch.setitem(theorems.THEOREM_SUITES, tid, (never(fn), desc))
+
+
+def test_verify_all_refuses_a_census_past_order_6_before_any_suite_runs(no_suite_runs, capsys):
     code, out, err = run(["verify", "all", "--max-order", "7"], capsys)
     assert code == 2
     assert err == "error: mccarron refuses max_order above 6, got 7\n" and out == ""
+
+
+@pytest.mark.parametrize("tid", ["alexander-embedding", "conj-embedding"])
+def test_verify_refuses_an_embedding_past_order_15_before_it_runs(tid, no_suite_runs, capsys):
+    # at order 16 the m^2 product law of (Z/2)^4 with phi = id runs for hours
+    code, out, err = run(["verify", tid, "--max-order", "16"], capsys)
+    assert code == 2
+    assert err == f"error: {tid} refuses max_order above 15, got 16\n" and out == ""
 
 
 def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):

@@ -210,6 +210,35 @@ def test_fpf_structure_check():
         T.check_thm_fpf_structure(z5, G.identity_map(z5))
 
 
+def test_takasaki_is_fpf_structure_at_negation():
+    # T(G) = Alex(G, -id): the fpf check at -id passes with the takasaki count
+    for g in T._odd_abelian(27):
+        fpf = T.check_thm_fpf_structure(g, G.negation_map(g))
+        assert fpf.passed, g.name
+        assert fpf.instances_tested == T.check_thm_takasaki_aut(g).instances_tested, g.name
+
+
+def test_split_check_names_each_planted_defect():
+    z7 = G.make_cyclic(7)
+    phi = G.scalar_map(z7, 3)
+    x = Q.alexander(z7, phi)
+    cent = np.array([f.images for f in G.centralizer_in_aut(z7, phi)], dtype=np.int64)
+
+    def failures(maps, inn_order=42):
+        rep = T.TheoremReport("demo")
+        assert T._check_split(rep, z7, x, maps, inn_order, "Z7") == 42
+        return rep.failures
+
+    assert failures(cent) == []
+    dropped = failures(np.delete(cent, 3, axis=0))
+    assert "Z7: Aut_0 (6 elements) != the 5 maps" in dropped
+    assert "Z7: |Aut| = 42 != 7 * 5" in dropped
+    planted = cent.copy()
+    planted[3] = (0, 2, 1, 3, 4, 5, 6)                  # bijective, not additive
+    assert "Z7: map (0, 2, 1, 3, 4, 5, 6) is not a quandle automorphism" in failures(planted)
+    assert failures(cent, inn_order=41) == ["Z7: |Inn| = 42 != 41"]
+
+
 def test_transitive_aut_check():
     rep = T.suite_aut_transitive(9)
     assert rep.passed
