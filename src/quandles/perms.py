@@ -12,8 +12,7 @@ the public surface.  Elements come out as one numpy array, one gather per
 level (``PermGroup.element_array``).  There is one point-orbit walk,
 ``_orbit``, which returns the orbit together with its transversal, and one
 Schreier-Sims sift, ``_sift``: orbits, stabilizers, chain levels, membership
-tests, the orbit bookkeeping of the table search and ``symmetry.is_connected``
-all go through them.
+tests and the orbit bookkeeping of the table search go through them.
 
 The chain runs over the fixed base 0..n-2, so it is a list of transversals:
 level i maps each point of the orbit of i under the pointwise stabilizer of

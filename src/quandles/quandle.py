@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _read_table, _row_chunks, _table_text, make_cyclic
+from .groups import _TABLE_ORDER_BOUND, _read_table, _row_chunks, _table_text, make_cyclic
 from .perms import Permutation, _tinverse
 
 
@@ -131,64 +131,51 @@ def trivial_quandle(n):
     """a*b = a for all a, b."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
+    if n > _TABLE_ORDER_BOUND:
+        raise ValueError(f"order {n} exceeds bound {_TABLE_ORDER_BOUND}")
     table = np.tile(np.arange(n)[:, None], (1, n))
     return Quandle(table, provenance=Provenance("trivial"), validate=False)
 
 
 def conj_quandle(group, m=1):
     """Conjugation quandle: a*b = b^-m a b^m."""
-    n = group.order
-    tbl = group.table
-    inv = group.inverse_array()
-    powm = np.array([group.power(b, m) for b in range(n)], dtype=np.int64)
-    out = np.empty((n, n), dtype=np.int64)
-    for b in range(n):
-        bm = int(powm[b])
-        out[:, b] = tbl[tbl[inv[bm], :], bm]
+    powm = np.array([group.power(b, m) for b in range(group.order)], dtype=np.int64)
+    out = group.table[group.table[group.inverse_array()[powm]].T, powm]     # (b^-m a) b^m
     prov = Provenance("conj", group=group, power=m)
     return Quandle(out, provenance=prov, validate=False)
 
 
 def takasaki(group):
-    """Takasaki quandle on an abelian group: a*b = 2b - a."""
+    """Takasaki quandle on an abelian group: a*b = 2b - a, which is Alex(G, -id)."""
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    tbl = group.table
-    inv = group.inverse_array()
-    diag = tbl[np.arange(group.order), np.arange(group.order)]
-    out = tbl[inv[:, None], diag[None, :]]
-    prov = Provenance("takasaki", group=group)
-    return Quandle(out, provenance=prov, validate=False)
+    out = _alexander_tables(group, group.inverse_array()[None])[0]
+    return Quandle(out, provenance=Provenance("takasaki", group=group), validate=False)
 
 
 def alexander(group, phi):
-    """Alexander quandle on an abelian group: a*b = phi(a) + b - phi(b)."""
+    """Alexander quandle on an abelian group: a*b = phi(a) + b - phi(b) = phi(a - b) + b."""
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    if not phi.is_automorphism:
-        raise ValueError("twisting map must be an automorphism")
-    tbl = group.table
-    inv = group.inverse_array()
-    t = np.array(phi.images, dtype=np.int64)
-    n = group.order
-    m1 = tbl[t[:, None], np.arange(n)[None, :]]     # phi(a) + b
-    out = tbl[m1, inv[t][None, :]]                  # ... - phi(b)
+    table = gen_alexander(group, phi).table
     prov = Provenance("alexander", group=group, automorphism=phi.images)
-    return Quandle(out, provenance=prov, validate=False)
+    return Quandle(table, provenance=prov, validate=False)
 
 
 def gen_alexander(group, phi):
     """Generalized Alexander quandle: a*b = phi(a b^-1) b, any group."""
     if not phi.is_automorphism:
         raise ValueError("twisting map must be an automorphism")
-    tbl = group.table
-    inv = group.inverse_array()
-    t = np.array(phi.images, dtype=np.int64)
-    n = group.order
-    m1 = tbl[:, inv]                                 # a b^-1
-    out = tbl[t[m1], np.arange(n)[None, :]]          # phi(...) * b
+    out = _alexander_tables(group, np.array([phi.images]))[0]
     prov = Provenance("gen_alexander", group=group, automorphism=phi.images)
     return Quandle(out, provenance=prov, validate=False)
+
+
+def _alexander_tables(group, rows):
+    """The tables of Alex(G, phi), a*b = phi(a b^-1) b, for each image row
+    phi of rows, as one (k, n, n) array."""
+    quotients = group.table[:, group.inverse_array()]          # a b^-1
+    return group.table[rows[:, quotients], np.arange(group.order)]
 
 
 def dihedral(n):

@@ -7,8 +7,8 @@ table, and isomorphism tests run its depth-first step between two tables.
 Aut(X) carries the search's own stabilizer chain and Inn(X) a Schreier-Sims
 chain; k-transitivity of either is read off its chain by
 ``PermGroup.is_k_transitive``.
-``is_connected`` does not build Inn(X): it walks the orbit of 0 under the
-columns of the table with the one orbit walk of ``quandles.perms``.
+``is_connected`` does not build Inn(X): it is ``_connected_tables``, the
+package's one connectivity test, a breadth-first search over k tables at once.
 
 An independent brute-force search over all bijections exists as an oracle
 for tiny orders.
@@ -17,7 +17,9 @@ for tiny orders.
 import itertools
 from dataclasses import dataclass
 
-from .perms import Permutation, PermGroup, _dfs_first, _orbit, _tinverse, table_automorphism_group
+import numpy as np
+
+from .perms import Permutation, PermGroup, _dfs_first, _tinverse, table_automorphism_group
 from .quandle import Quandle, inner_translation
 
 _BRUTE_FORCE_BOUND = 7
@@ -59,8 +61,22 @@ def brute_force_aut(quandle):
 
 def is_connected(quandle):
     """Inn(X) has a single orbit: the columns S_x move 0 to every point."""
-    n = quandle.order
-    return len(_orbit(quandle.table.T.tolist(), 0, tuple(range(n)))) == n
+    return bool(_connected_tables(quandle.table[None])[0])
+
+
+def _connected_tables(tables):
+    """Mask over a (k, n, n) array of quandle tables: a single Inn orbit, by one
+    breadth-first search from 0 on all k (row y lists y*b for every column S_b)."""
+    seen = np.zeros(tables.shape[:2], dtype=bool)
+    seen[:, 0] = True
+    frontier = seen
+    while frontier.any():
+        i, y = np.nonzero(frontier)
+        step = np.zeros_like(seen)
+        step[i[:, None], tables[i, y]] = True
+        frontier = step & ~seen
+        seen |= frontier
+    return seen.all(axis=1)
 
 
 def is_two_point_homogeneous(quandle):

@@ -77,10 +77,9 @@ class TheoremReport:
         return out
 
 
-def _check_preserved(rep, quandle, group, translations, maps, tag):
+def _check_preserved(rep, t, group, translations, maps, tag):
     """Fail for each right translation b -> b*a (a in translations) and each
-    row of the image array maps that is not a quandle automorphism."""
-    t = quandle.table
+    image row of maps that is not an automorphism of the quandle table t."""
     perms = np.concatenate([group.table[:, translations].T, maps])
     ok = np.empty(len(perms), dtype=bool)
     for s in G._row_chunks(len(perms), t.size):
@@ -94,27 +93,26 @@ def _check_preserved(rep, quandle, group, translations, maps, tag):
             rep.fail(f"{tag}: map {images} is not a quandle automorphism")
 
 
-def _check_semidirect_embedding(rep, group, quandle, center, maps, tag):
-    """Check that (a, f) -> (b -> f(b) a) embeds center x| maps into
-    Aut(quandle), where center lists central elements of the group and maps
-    are group automorphisms.
+def _check_semidirect_embedding(rep, group, table, center, maps, tag):
+    """Check that (a, f) -> (b -> f(b) a) embeds center x| maps into the
+    automorphisms of a quandle table, where center lists central elements of
+    the group and maps are image rows of group automorphisms.
 
     Clauses: every central translation and every map preserves the quandle;
     the m = |center| |maps| images are distinct; and all m^2 pairs obey the
     product law (a1, f1)(a2, f2) = (a1 f1(a2), f1 f2).  Failures name their
-    pairs as (a, f.images), the first three per clause.  Returns m.
+    pairs as (a, images of f), the first three per clause.  Returns m.
     """
     tbl = group.table
-    fs = np.array([f.images for f in maps], dtype=np.int64)
-    _check_preserved(rep, quandle, group, center, fs, tag)
+    _check_preserved(rep, table, group, center, maps, tag)
     k = len(maps)
     elem_a = np.repeat(center, k)                                # pair i is (elem_a[i], maps[i % k])
-    elem_f = np.tile(fs, (len(center), 1))
+    elem_f = np.tile(maps, (len(center), 1))
     emb = tbl[elem_f, elem_a[:, None]]                           # emb[i, b] = f(b) a
     m = len(emb)
 
     def name(i):
-        return f"({int(elem_a[i])}, {maps[i % k].images})"
+        return f"({int(elem_a[i])}, {tuple(maps[i % k].tolist())})"
 
     _, first, inverse = np.unique(emb, axis=0, return_index=True, return_inverse=True)
     earlier = first[inverse.reshape(-1)]
@@ -170,7 +168,7 @@ def _check_split(rep, group, x, maps, inn_order, tag):
     (``_check_factorization``); and |Inn(x)| = inn_order.  Returns |Aut|.
     """
     aut = sym.automorphism_group_backtrack(x)
-    _check_preserved(rep, x, group, range(group.order), maps, tag)
+    _check_preserved(rep, x.table, group, range(group.order), maps, tag)
     stab = aut.stabilizer(0).element_array()
     if not np.array_equal(stab[np.lexsort(stab.T[::-1])], maps):
         rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
@@ -181,8 +179,8 @@ def _check_split(rep, group, x, maps, inn_order, tag):
     return m
 
 
-def _phi_name(phi):
-    return "phi=" + ",".join(map(str, phi.images))
+def _phi_name(images):
+    return "phi=" + ",".join(map(str, images))
 
 
 # -- embedding of Z(G) x| C_Aut(phi) into Aut of the generalized Alexander quandle
@@ -197,12 +195,16 @@ def check_prop_embedding_zg_caut(group, phi):
     from the semidirect product (a1,f1)(a2,f2) = (a1 f1(a2), f1 f2), checked
     on every pair of its elements.
     """
-    rep = TheoremReport("alexander-embedding")
     if not phi.is_automorphism:
         raise ValueError("phi must be an automorphism")
-    x = Q.gen_alexander(group, phi)
-    cent = G.centralizer_in_aut(group, phi)
-    tag = f"{group.name}, {_phi_name(phi)}"
+    return _embedding_one(group, np.array(phi.images))
+
+
+def _embedding_one(group, images):
+    rep = TheoremReport("alexander-embedding")
+    x = Q._alexander_tables(group, images[None])[0]
+    cent = G._centralizer_rows(group, images)
+    tag = f"{group.name}, {_phi_name(images)}"
     rep.instances_tested = _check_semidirect_embedding(rep, group, x, G.center(group), cent, tag)
     return rep
 
@@ -226,9 +228,8 @@ def check_thm_takasaki_aut(group):
         raise ValueError(f"{group.name} is not abelian")
     if group.order % 2 == 0:
         raise ValueError(f"{group.name} has even order")
-    auts_arr = np.array([h.images for h in G.automorphism_group(group)], dtype=np.int64)
     inn_order = 1 if group.order == 1 else 2 * len(G.doubling_image(group))
-    m = _check_split(rep, group, Q.takasaki(group), auts_arr, inn_order, group.name)
+    m = _check_split(rep, group, Q.takasaki(group), G.automorphism_array(group), inn_order, group.name)
     rep.instances_tested = m + 2
     rep.annotations[f"aut_order[{group.name}]"] = m
     return rep
@@ -272,9 +273,9 @@ def check_prop_conj_embedding(group):
     x = Q.conj_quandle(group, 1)
     n = group.order
     zc = G.center(group)
-    auts_g = G.automorphism_group(group)
+    auts_g = G.automorphism_array(group)
     tag = group.name
-    rep.instances_tested = _check_semidirect_embedding(rep, group, x, zc, auts_g, tag)
+    rep.instances_tested = _check_semidirect_embedding(rep, group, x.table, zc, auts_g, tag)
 
     inn = sym.inner_group(x)
     if inn.order() != n // len(zc):
@@ -288,28 +289,32 @@ def check_prop_conj_embedding(group):
 # -- commutativity and central automorphisms ----------------------------------
 
 
+def _alexander_mask(group, phis, test):
+    """Mask over image rows phi: test on (k, n, n) blocks of Alex(G, phi) tables, k per _row_chunks slice."""
+    out = np.empty(len(phis), dtype=bool)
+    for s in G._row_chunks(len(phis), group.order ** 2):
+        out[s] = test(Q._alexander_tables(group, phis[s]))
+    return out
+
+
 def _commutativity_one(group):
     """The commutativity clauses on a single group, over all its automorphisms."""
     rep = TheoremReport("commutativity")
-    phis = G.automorphism_group(group)
-    abelian = group.is_abelian()
+    phis = G.automorphism_array(group)
     tbl = group.table
     rng = np.arange(group.order)
-    diag = tbl[rng, rng]
+    comm = _alexander_mask(group, phis, lambda x: (x == x.transpose(0, 2, 1)).all(axis=(1, 2)))
+    squares_back = (phis[:, tbl[rng, rng]] == rng).all(axis=1)
     tag = group.name
-    for phi in phis:
-        img = np.asarray(phi.images)
-        x = Q.gen_alexander(group, phi)
-        comm = Q.is_commutative(x)
-        squares_back = bool((img[diag] == rng).all())
-        if comm and not squares_back:
-            rep.fail(f"{tag}, {_phi_name(phi)}: commutative but phi(a*a) != a")
-        if abelian:
-            two_phi_id = bool((tbl[img, img] == rng).all())
-            if comm != two_phi_id:
-                rep.fail(f"{tag}, {_phi_name(phi)}: commutative={comm} but 2phi=id is {two_phi_id}")
-        elif squares_back and comm:
-            rep.fail(f"{tag}, {_phi_name(phi)}: non-abelian group yet commutative quandle")
+    for i in np.flatnonzero(comm & ~squares_back)[:3]:
+        rep.fail(f"{tag}, {_phi_name(phis[i])}: commutative but phi(a*a) != a")
+    if group.is_abelian():
+        two_phi_id = (tbl[phis, phis] == rng).all(axis=1)
+        for i in np.flatnonzero(comm != two_phi_id)[:3]:
+            rep.fail(f"{tag}, {_phi_name(phis[i])}: commutative={comm[i]} but 2phi=id is {two_phi_id[i]}")
+    else:
+        for i in np.flatnonzero(comm & squares_back)[:3]:
+            rep.fail(f"{tag}, {_phi_name(phis[i])}: non-abelian group yet commutative quandle")
     rep.instances_tested = len(phis)
     return rep
 
@@ -317,23 +322,25 @@ def _commutativity_one(group):
 def _central_one(group):
     """The central-automorphism clauses on a single group."""
     rep = TheoremReport("central-lemma")
-    phis = G.automorphism_group(group)
-    central = [phi for phi in phis if G.is_central_automorphism(phi)]
-    zc = set(G.center(group))
+    phis = G.automorphism_array(group)
+    central = phis[G._central(group, phis)]
+    tw = G._twisted_rows(group, central)
+    tbl = group.table
     tag = group.name
-    seen = {}
-    for phi in central:
-        tw = G.twisted_map(phi)
-        if not tw.is_homomorphism:
-            rep.fail(f"{tag}, {_phi_name(phi)}: twisted map is not a homomorphism")
-        if any(v not in zc for v in tw.images):
-            rep.fail(f"{tag}, {_phi_name(phi)}: twisted map leaves the center")
-        if tw.images in seen:
-            rep.fail(f"{tag}: twisted maps collide for {_phi_name(phi)} and {seen[tw.images]}")
-        seen[tw.images] = _phi_name(phi)
-        if not group.is_abelian() and G.is_fixed_point_free(phi):
-            rep.fail(f"{tag}, {_phi_name(phi)}: fixed-point-free central map on a non-abelian group")
-    if group.is_abelian() and len(central) != len(phis):
+    hom = np.empty(len(tw), dtype=bool)
+    for s in G._row_chunks(len(tw), group.order ** 2):
+        t = tw[s]
+        hom[s] = (t[:, tbl] == tbl[t[:, :, None], t[:, None, :]]).all(axis=(1, 2))
+    for i in np.flatnonzero(~hom)[:3]:
+        rep.fail(f"{tag}, {_phi_name(central[i])}: twisted map is not a homomorphism")
+    _, first, inverse = np.unique(tw, axis=0, return_index=True, return_inverse=True)
+    earlier = first[inverse.reshape(-1)]
+    for i in np.flatnonzero(earlier != np.arange(len(tw)))[:3]:
+        rep.fail(f"{tag}: twisted maps collide for {_phi_name(central[i])} and {_phi_name(central[earlier[i]])}")
+    if not group.is_abelian():
+        for i in np.flatnonzero(G._fixed_point_free(central))[:3]:
+            rep.fail(f"{tag}, {_phi_name(central[i])}: fixed-point-free central map on a non-abelian group")
+    elif len(central) != len(phis):
         rep.fail(f"{tag}: abelian group but Autcent has {len(central)} of {len(phis)} maps")
     rep.instances_tested = len(central)
     rep.annotations[f"autcent[{tag}]"] = len(central)
@@ -345,19 +352,12 @@ def _connected_abelian_one(group):
     rep = TheoremReport("connected-abelian")
     if group.is_abelian():
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
-    phis = G.automorphism_group(group)
-    ident = tuple(range(group.order))
-    count = 0
-    for phi in phis:
-        if not G.is_central_automorphism(phi):
-            continue
-        if tuple(phi.images[i] for i in phi.images) != ident:
-            continue
-        count += 1
-        x = Q.gen_alexander(group, phi)
-        if sym.is_connected(x):
-            rep.fail(f"{group.name}, {_phi_name(phi)}: connected despite central involutory phi")
-    rep.instances_tested = count
+    phis = G.automorphism_array(group)
+    involutory = (np.take_along_axis(phis, phis, axis=1) == np.arange(group.order)).all(axis=1)
+    chosen = phis[G._central(group, phis) & involutory]
+    for i in np.flatnonzero(_alexander_mask(group, chosen, sym._connected_tables))[:3]:
+        rep.fail(f"{group.name}, {_phi_name(chosen[i])}: connected despite central involutory phi")
+    rep.instances_tested = len(chosen)
     return rep
 
 
@@ -366,17 +366,15 @@ def _bae_choe_one(group):
     rep = TheoremReport("bae-choe")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    phis = G.automorphism_group(group)
-    for phi in phis:
-        x = Q.alexander(group, phi)
-        connected = sym.is_connected(x)
-        fpf = G.is_fixed_point_free(phi)
-        bij = G.twisted_map(phi).is_bijective
-        if not (connected == fpf == bij):
-            rep.fail(
-                f"{group.name}, {_phi_name(phi)}: connected={connected}, "
-                f"fixed-point-free={fpf}, twisted-bijective={bij}"
-            )
+    phis = G.automorphism_array(group)
+    connected = _alexander_mask(group, phis, sym._connected_tables)
+    fpf = G._fixed_point_free(phis)
+    bij = (np.sort(G._twisted_rows(group, phis), axis=1) == np.arange(group.order)).all(axis=1)
+    for i in np.flatnonzero((connected != fpf) | (fpf != bij))[:3]:
+        rep.fail(
+            f"{group.name}, {_phi_name(phis[i])}: connected={connected[i]}, "
+            f"fixed-point-free={fpf[i]}, twisted-bijective={bij[i]}"
+        )
     rep.instances_tested = len(phis)
     return rep
 
@@ -390,14 +388,19 @@ def check_thm_fpf_structure(group, phi):
     automorphism is a translation composed with a centralizer element,
     |Aut| = |G| |C|, and |Inn| = |G| ord(phi).  The clauses are
     ``_check_split``'s, shared with ``check_thm_takasaki_aut``."""
-    rep = TheoremReport("fpf-structure")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
     if not G.is_fixed_point_free(phi):
         raise ValueError("phi must be fixed-point free")
-    cent = np.array([f.images for f in G.centralizer_in_aut(group, phi)], dtype=np.int64)
-    tag = f"{group.name}, {_phi_name(phi)}"
-    m = _check_split(rep, group, Q.alexander(group, phi), cent, group.order * phi.map_order(), tag)
+    return _fpf_structure_one(group, np.array(phi.images))
+
+
+def _fpf_structure_one(group, images):
+    rep = TheoremReport("fpf-structure")
+    x = Q.Quandle(Q._alexander_tables(group, images[None])[0], validate=False)
+    cent = G._centralizer_rows(group, images)
+    tag = f"{group.name}, {_phi_name(images)}"
+    m = _check_split(rep, group, x, cent, group.order * Permutation(images).order(), tag)
     rep.instances_tested = m + 2
     return rep
 
@@ -407,8 +410,7 @@ def _aut_transitive_one(group):
     rep = TheoremReport("aut-transitive")
     if group.order == 1:
         raise ValueError("transitivity on non-identity elements needs a nontrivial group")
-    auts = G.automorphism_group(group)
-    reach = {phi.images[1] for phi in auts}      # auts is all of Aut(G), so already closed
+    reach = set(G.automorphism_array(group)[:, 1].tolist())    # all of Aut(G), so already closed
     transitive = reach == set(range(1, group.order))
     elem = G.is_elementary_abelian(group)
     if transitive != elem:
@@ -593,8 +595,8 @@ def suite_conj_inn_embedding(max_order=15):
 
 
 def suite_alexander_embedding(max_order=12):
-    reports = [check_prop_embedding_zg_caut(g, phi)
-               for g in G.catalog_groups(max_order) for phi in G.automorphism_group(g)]
+    reports = [_embedding_one(g, phi)
+               for g in G.catalog_groups(max_order) for phi in G.automorphism_array(g)]
     return TheoremReport.merge("alexander-embedding", reports)
 
 
@@ -650,9 +652,10 @@ def suite_bae_choe(max_order=16):
 
 
 def suite_fpf_structure(max_order=12):
-    reports = [check_thm_fpf_structure(g, phi)
-               for g in G.catalog_groups(max_order, include_nonabelian=False)
-               for phi in G.automorphism_group(g) if G.is_fixed_point_free(phi)]
+    reports = []
+    for g in G.catalog_groups(max_order, include_nonabelian=False):
+        phis = G.automorphism_array(g)
+        reports += [_fpf_structure_one(g, phi) for phi in phis[G._fixed_point_free(phis)]]
     return TheoremReport.merge("fpf-structure", reports)
 
 

@@ -53,6 +53,18 @@ def test_make_galexander_matrix(tmp_path, capsys):
     assert Q.load_quandle(path).order == 9
 
 
+@pytest.mark.parametrize("argv", [
+    ["make", "dihedral", "20000"],
+    ["make", "takasaki", "--factors", "30000"],
+    ["make", "trivial", "200000"],
+    ["make", "conj", "--group", "z40000"],
+])
+def test_make_refuses_a_huge_order_before_building_it(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and out == ""
+    assert "exceeds bound 1024" in err
+
+
 def test_make_rejects_non_unit_scalar(capsys):
     code, _, err = run(["make", "alexander", "--factors", "4", "--scalar", "2"], capsys)
     assert code == 2

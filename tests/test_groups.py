@@ -5,6 +5,7 @@ Automorphism counts are frozen from the all-bijections brute-force oracle
 counts for cyclic groups.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,17 +182,16 @@ def test_centralizer():
 def test_aut_gathers_match_per_element_definitions():
     for g in G.catalog_groups(12):
         auts = G.automorphism_group(g)
+        rows = G.automorphism_array(g)
+        assert [phi.images for phi in auts] == [tuple(r) for r in rows.tolist()]
+        twisted_rows = G._twisted_rows(g, rows)
+        central, fpf = G._central(g, rows), G._fixed_point_free(rows)
         zc = set(G.center(g))
-        for phi in auts:
+        for i, phi in enumerate(auts):
             twisted = tuple(g.mul(g.inv(a), phi(a)) for a in g.elements())
-            tw = G.twisted_map(phi)
-            assert tw.images == twisted, (g.name, phi)
-            assert tw.is_bijective == (len(set(twisted)) == g.order)
-            assert tw.is_homomorphism == all(
-                twisted[g.mul(a, b)] == g.mul(twisted[a], twisted[b])
-                for a in g.elements() for b in g.elements()
-            )
-            assert G.is_central_automorphism(phi) == all(v in zc for v in twisted)
+            assert tuple(twisted_rows[i].tolist()) == twisted, (g.name, phi)
+            assert central[i] == G.is_central_automorphism(phi) == all(v in zc for v in twisted)
+            assert fpf[i] == G.is_fixed_point_free(phi) == all(phi(a) != a for a in range(1, g.order))
             pim = phi.images
             commuting = [
                 f for f in auts if tuple(pim[x] for x in f.images) == tuple(f.images[x] for x in pim)
@@ -199,15 +199,24 @@ def test_aut_gathers_match_per_element_definitions():
             assert G.centralizer_in_aut(g, phi) == commuting, (g.name, phi)
 
 
+def test_automorphism_array_is_one_cached_read_only_sorted_array():
+    g = G.make_abelian([2, 4])
+    rows = G.automorphism_array(g)
+    assert G.automorphism_array(g) is rows and not rows.flags.writeable
+    assert len(rows) == 8 and rows.tolist() == sorted(rows.tolist())
+    with pytest.raises(ValueError, match="exceeds bound 64"):
+        G.automorphism_array(G.make_cyclic(65))
+
+
 def test_twisted_map():
+    # the twisted map a -> -a + phi(a), one row per image row phi
     z5 = G.make_cyclic(5)
-    tw = G.twisted_map(G.negation_map(z5))
-    assert tw.is_homomorphism and tw.is_bijective
-    assert tw.images == tuple((-2 * a) % 5 for a in range(5))
+    tw = G._twisted_rows(z5, np.array([G.negation_map(z5).images, G.identity_map(z5).images]))
+    assert tw.tolist() == [[(-2 * a) % 5 for a in range(5)], [0] * 5]
     z4 = G.make_cyclic(4)
-    tw = G.twisted_map(G.negation_map(z4))
-    assert tw.is_homomorphism and not tw.is_bijective
-    assert tw.as_group_map(z4).images == tw.images
+    tw = G._twisted_rows(z4, np.array([G.negation_map(z4).images]))[0].tolist()
+    assert tw == [0, 2, 0, 2]                            # a homomorphism, not bijective
+    assert G.map_from_images(z4, tw).images == tuple(tw)
 
 
 def test_scalar_and_matrix_maps():

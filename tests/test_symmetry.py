@@ -8,6 +8,7 @@ Frozen orders: |Aut(R_n)| = n phi(n) and the 12-point trivial quandle at
 
 import math
 
+import numpy as np
 import pytest
 
 import quandles.groups as G
@@ -118,6 +119,23 @@ def test_connectivity_matches_closure_oracle_on_every_small_table():
             reach = {g[0] for g in brute_force_closure([x.column(b) for b in range(n)], n)}
             assert sym.is_connected(x) == (len(reach) == n)
     assert tables == 447
+
+
+def test_batched_connectivity_matches_closure_oracle_on_every_small_alexander_quandle():
+    # one breadth-first search over the (k, n, n) tables of Alex(G, phi) for all
+    # of Aut(G) at once, against the closure of the columns of gen_alexander(G, phi)
+    maps = 0
+    for g in G.catalog_groups(12):
+        n = g.order
+        tables = Q._alexander_tables(g, G.automorphism_array(g))
+        batched = sym._connected_tables(tables)
+        for phi, table, connected in zip(G.automorphism_group(g), tables, batched):
+            x = Q.gen_alexander(g, phi)
+            assert np.array_equal(x.table, table), (g.name, phi)
+            reach = {p[0] for p in brute_force_closure([x.column(b) for b in range(n)], n)}
+            assert connected == (len(reach) == n), (g.name, phi)
+            maps += 1
+    assert maps == sum(len(G.automorphism_group(g)) for g in G.catalog_groups(12))
 
 
 def test_two_point_homogeneity():

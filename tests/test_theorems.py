@@ -48,7 +48,8 @@ def test_semidirect_embedding_reports_a_non_automorphism():
     bad = G.GroupMap(z5, z5, (0, 2, 1, 3, 4), validate=False)   # bijective, not additive
     maps = [G.identity_map(z5), bad]
     rep = T.TheoremReport("demo")
-    m = T._check_semidirect_embedding(rep, z5, Q.takasaki(z5), G.center(z5), maps, "Z5")
+    rows = np.array([f.images for f in maps])
+    m = T._check_semidirect_embedding(rep, z5, Q.takasaki(z5).table, G.center(z5), rows, "Z5")
     assert m == 10
     preserve = [f for f in rep.failures if "not a quandle automorphism" in f]
     product = [f for f in rep.failures if "product law" in f]
@@ -70,9 +71,9 @@ def test_semidirect_embedding_reports_a_non_automorphism():
 
 def test_semidirect_embedding_reports_a_collision():
     z5 = G.make_cyclic(5)
-    ident = G.identity_map(z5)
+    ident = np.arange(5)
     rep = T.TheoremReport("demo")
-    T._check_semidirect_embedding(rep, z5, Q.takasaki(z5), G.center(z5), [ident, ident], "Z5")
+    T._check_semidirect_embedding(rep, z5, Q.takasaki(z5).table, G.center(z5), np.array([ident, ident]), "Z5")
     assert rep.failures
     assert all("not injective" in f for f in rep.failures)
     assert rep.failures[0] == (
@@ -237,6 +238,62 @@ def test_split_check_names_each_planted_defect():
     planted[3] = (0, 2, 1, 3, 4, 5, 6)                  # bijective, not additive
     assert "Z7: map (0, 2, 1, 3, 4, 5, 6) is not a quandle automorphism" in failures(planted)
     assert failures(cent, inn_order=41) == ["Z7: |Inn| = 42 != 41"]
+
+
+def _plant(monkeypatch, group, bad_rows):
+    """Make automorphism_array hand out the group's rows with rows 1, 2, ...
+    replaced by bad_rows."""
+    real = G.automorphism_array
+
+    def planted(g):
+        rows = real(g)
+        if g is not group:
+            return rows
+        out = rows.copy()
+        out[1:1 + len(bad_rows)] = bad_rows
+        return out
+
+    monkeypatch.setattr(G, "automorphism_array", planted)
+
+
+@pytest.mark.parametrize("sweep, row, expected", [
+    (T._commutativity_one, (0, 1, 2, 0, 0), [
+        "Z5, phi=0,1,2,0,0: commutative but phi(a*a) != a",
+        "Z5, phi=0,1,2,0,0: commutative=True but 2phi=id is False",
+    ]),
+    (T._central_one, (0, 2, 1, 3, 4), ["Z5, phi=0,2,1,3,4: twisted map is not a homomorphism"]),
+    (T._bae_choe_one, (0, 2, 3, 4, 1), [
+        "Z5, phi=0,2,3,4,1: connected=True, fixed-point-free=True, twisted-bijective=False",
+    ]),
+])
+def test_each_sweep_names_a_planted_row(monkeypatch, sweep, row, expected):
+    z5 = G.make_cyclic(5)
+    assert sweep(z5).passed
+    _plant(monkeypatch, z5, [row])
+    assert sweep(z5).failures == expected
+
+
+def test_connected_abelian_names_a_planted_row(monkeypatch):
+    # A row whose twisted map lies in the center gives a*b = a z with z central,
+    # so no row alone can make Alex(G, phi) connected; the plant also puts the
+    # transposition 1 into the center of S3, and then a planted row can.
+    s3 = G.make_symmetric(3)
+    assert T._connected_abelian_one(s3).passed
+    _plant(monkeypatch, s3, [(0, 1, 4, 5, 2, 3)])
+    monkeypatch.setattr(G, "center", lambda g: [0, 1])
+    rep = T._connected_abelian_one(s3)
+    assert rep.failures == ["S3, phi=0,1,4,5,2,3: connected despite central involutory phi"]
+
+
+def test_a_sweep_names_only_the_first_three_failing_rows(monkeypatch):
+    z7 = G.make_cyclic(7)
+    shifts = [tuple([0] + [1 + (a + k) % 6 for a in range(6)]) for k in range(1, 5)]   # fpf, not twisted-bijective
+    _plant(monkeypatch, z7, shifts)
+    failures = T._bae_choe_one(z7).failures
+    assert len(failures) == 3
+    for row, failure in zip(shifts, failures):
+        assert failure.startswith(f"Z7, phi={','.join(map(str, row))}: ")
+        assert "fixed-point-free=True, twisted-bijective=False" in failure
 
 
 def test_transitive_aut_check():
