@@ -69,7 +69,7 @@ def _connected_tables(tables):
     breadth-first search from 0 on all k (row y lists y*b for every column S_b)."""
     seen = np.zeros(tables.shape[:2], dtype=bool)
     seen[:, 0] = True
-    frontier = seen
+    frontier = seen.copy()
     while frontier.any():
         i, y = np.nonzero(frontier)
         step = np.zeros_like(seen)
