@@ -5,12 +5,15 @@ Automorphism counts are frozen from the all-bijections brute-force oracle
 counts for cyclic groups.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quandles.groups as G
+import quandles.quandle as Q
 
 # order of the automorphism group, brute-forced over all bijections fixing 0
 AUT_ORDERS = {
@@ -92,6 +95,121 @@ def test_validation_rejects_broken_tables():
     bad[0] = [1, 2, 0]
     with pytest.raises(ValueError):
         G.FiniteGroup(bad, validate=True)
+
+
+# the smallest loop that is not a group: a Latin square with identity 0
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.permutations(range(1, 5)), st.integers(1, 3))
+def test_associativity_witness_matches_all_triples(rest, m):
+    # relabel the loop by a permutation fixing 0, then multiply it by Z/m
+    p = np.array((0,) + tuple(rest))
+    loop = np.empty((5, 5), dtype=np.int64)
+    loop[p[:, None], p[None, :]] = p[np.array(LOOP5)]
+    zm = G.make_cyclic(m).table
+    t = (loop[:, None, :, None] * m + zm[None, :, None, :]).reshape(5 * m, 5 * m)
+    witness = tuple(int(v) for v in np.argwhere(t[t] != t[:, t])[0])    # (ab)c vs a(bc)
+    with pytest.raises(ValueError) as exc:
+        G.FiniteGroup(t)
+    assert str(exc.value) == f"associativity fails at {witness}"
+
+
+def _closure(rows, gens):
+    """Every product of two members, repeated until nothing new appears."""
+    out = set(int(g) for g in gens)
+    while True:
+        more = out | {rows[x][y] for x in out for y in out}
+        if more == out:
+            return out
+        out = more
+
+
+def _generator_tables():
+    """Every catalog group of order <= 16, and small members of each family
+    of quandles the analyze benchmark loads."""
+    groups = G.catalog_groups(16)
+    z7, z9, f9, f25 = (G.group_by_name(x) for x in ("z7", "z9", "3x3", "5x5"))
+    quandles = [Q.dihedral(n) for n in (3, 5, 8, 12)] + [
+        Q.takasaki(f9), Q.takasaki(G.make_abelian([3, 3, 3])),
+        Q.alexander(f9, G.scalar_map(f9, 2)), Q.alexander(f25, G.scalar_map(f25, 3)),
+        Q.alexander(z7, G.scalar_map(z7, 3)), Q.alexander(z9, G.scalar_map(z9, 5)),
+        Q.trivial_quandle(1), Q.trivial_quandle(6),
+    ] + [Q.conj_quandle(g) for g in G.catalog_groups(16, include_abelian=False)]
+    return [(g.name, g.table) for g in groups] + [(repr(x), x.table) for x in quandles]
+
+
+@pytest.mark.parametrize("name, table", _generator_tables(), ids=lambda v: v if isinstance(v, str) else "")
+def test_generators_close_the_table_and_each_is_new(name, table):
+    gens = G._table_generators(table)
+    rows = table.tolist()
+    assert list(gens) == sorted(set(gens.tolist()))
+    assert _closure(rows, gens) == set(range(len(rows)))
+    for i, g in enumerate(gens):
+        assert g not in _closure(rows, gens[:i])
+
+
+def test_group_generators_are_cached_from_validation():
+    g = G.make_symmetric(4)
+    assert g.generators() is g.generators()
+    assert np.array_equal(g.generators(), G._table_generators(g.table))
+    assert G.make_cyclic(12).generators().tolist() == [0, 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["z6", "s3", "d4", "q8", "2x4", "2x2x2"]), st.integers(0, 10 ** 6),
+       st.integers(0, 7), st.integers(0, 7))
+def test_homomorphism_check_matches_all_pairs(name, pick, i, j):
+    # an automorphism with two images swapped, so usually no homomorphism
+    g = G.group_by_name(name)
+    auts = G.automorphism_array(g)
+    images = auts[pick % len(auts)].tolist()
+    i, j = i % g.order, j % g.order
+    images[i], images[j] = images[j], images[i]
+    t = g.table.tolist()
+    bad = [(a, b) for a in range(g.order) for b in range(g.order) if images[t[a][b]] != t[images[a]][images[b]]]
+    if images[0] != 0:
+        with pytest.raises(ValueError, match="identity to identity"):
+            G.map_from_images(g, images)
+    elif bad:
+        a, b = bad[0]
+        with pytest.raises(ValueError) as exc:
+            G.map_from_images(g, images)
+        assert str(exc.value) == f"not a homomorphism: f({a}*{b}) != f({a})*f({b})"
+    else:
+        assert G.map_from_images(g, images).is_automorphism
+
+
+def _ordered_factor_lists(bound):
+    """Every list of factors >= 2 with product <= bound, in every order."""
+    out, todo = [], [[]]
+    while todo:
+        head = todo.pop()
+        for f in range(2, bound // max(1, int(np.prod(head))) + 1):
+            out.append(head + [f])
+            todo.append(head + [f])
+    return out
+
+
+def test_abelian_tables_match_the_coordinate_loop():
+    lists = _ordered_factor_lists(64) + [[1], [1, 4], [3, 1, 2]]
+    for factors in lists:
+        coords = list(itertools.product(*[range(f) for f in factors]))
+        index = {c: i for i, c in enumerate(coords)}
+        table = [[index[tuple((x + y) % f for x, y, f in zip(ca, cb, factors))] for cb in coords]
+                 for ca in coords]
+        labels = [",".join(map(str, c)) if len(factors) > 1 else str(c[0]) for c in coords]
+        g = G.make_abelian(factors)
+        assert g.table.tolist() == table, factors
+        assert g.labels == labels
+        assert g.abelian_coordinates == (tuple(factors), tuple(coords))
 
 
 def test_inverses_and_power():

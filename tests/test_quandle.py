@@ -218,3 +218,39 @@ def test_dihedral_always_yields_involutory_quandles(n):
     x = Q.dihedral(n)
     Q.validate_axioms(x.table)
     assert Q.is_involutory(x)
+
+
+def _planting_families():
+    f9, f25, z7 = (G.group_by_name(x) for x in ("3x3", "5x5", "z7"))
+    return [
+        lambda: Q.alexander(f9, G.scalar_map(f9, 2)),
+        lambda: Q.alexander(f25, G.scalar_map(f25, 3)),
+        lambda: Q.alexander(z7, G.scalar_map(z7, 3)),
+        lambda: Q.dihedral(9),
+        lambda: Q.conj_quandle(G.make_symmetric(3)),
+        lambda: Q.conj_quandle(G.make_quaternion8()),
+        lambda: Q.conj_quandle(G.make_symmetric(4)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_planting_families()), st.randoms(use_true_random=False))
+def test_axiom_3_witness_matches_all_triples(family, rnd):
+    # a relabeled affine or conjugation quandle with two off-diagonal entries
+    # of one column swapped: axioms 1 and 2 still hold
+    t = family().table
+    n = len(t)
+    p = np.array(rnd.sample(range(n), n))
+    moved = np.empty_like(t)
+    moved[p[:, None], p[None, :]] = p[t]
+    b = rnd.randrange(n)
+    a1, a2 = rnd.sample([a for a in range(n) if a != b], 2)
+    moved[[a1, a2], b] = moved[[a2, a1], b]
+    bad = np.argwhere(moved[moved] != moved[moved[:, None, :], moved[None, :, :]])
+    if not len(bad):
+        Q.validate_axioms(moved)
+        return
+    with pytest.raises(QuandleAxiomError) as exc:
+        Q.validate_axioms(moved)
+    assert exc.value.axiom == 3
+    assert exc.value.witness == tuple(int(v) for v in bad[0])

@@ -56,11 +56,14 @@ def test_semidirect_embedding_reports_a_non_automorphism():
     assert preserve == ["Z5: map (0, 2, 1, 3, 4) is not a quandle automorphism"]
     assert not any("not injective" in f for f in rep.failures)
 
-    # reference: the product law pair by pair, (a, f) acting as b -> f(b) + a
+    # reference: the product law at every x and every generator g, in that
+    # order, with (a, f) acting as b -> f(b) + a; the generators are (z, id)
+    # for the center's generators 0 and 1, and (0, f) for the maps' id and bad
     elems = [(a, f) for a in range(5) for f in maps]
+    gens = [(0, maps[0]), (0, bad), (1, maps[0])]
     expected = []
     for a1, f1 in elems:
-        for a2, f2 in elems:
+        for a2, f2 in gens:
             lhs = [(f1(f2(b)) + a1 + f1(a2)) % 5 for b in range(5)]
             rhs = [(f1((f2(b) + a2) % 5) + a1) % 5 for b in range(5)]
             if lhs != rhs:
@@ -79,6 +82,54 @@ def test_semidirect_embedding_reports_a_collision():
     assert rep.failures[0] == (
         "Z5: not injective, (0, (0, 1, 2, 3, 4)) collides with (0, (0, 1, 2, 3, 4))"
     )
+
+
+def _product_law_holds(group, center, maps):
+    """Oracle over all m^2 pairs: x y lies in the list and E(x y) = E(x) E(y),
+    with (a1, f1)(a2, f2) = (a1 f1(a2), f1 f2) and E(a, f) = (b -> f(b) a)."""
+    t, n = group.table.tolist(), group.order
+    elems = [(a, tuple(f)) for a in center for f in maps.tolist()]
+    assert len(elems) <= 2000
+    listed = set(elems)
+    emb = {(a, f): [t[f[b]][a] for b in range(n)] for a, f in elems}
+    for a1, f1 in elems:
+        for a2, f2 in elems:
+            prod = (t[a1][f1[a2]], tuple(f1[v] for v in f2))
+            if prod not in listed or emb[prod] != [emb[a1, f1][v] for v in emb[a2, f2]]:
+                return False
+    return True
+
+
+def _semidirect_cases():
+    """(group, center, maps) with m <= 400: the embedding suites' instances
+    of order <= 8, each also broken two ways (a map with two images swapped,
+    a missing map), and non-central cyclic subgroups in place of the center."""
+    cases = []
+    for g in G.catalog_groups(8):
+        auts = G.automorphism_array(g)
+        for maps in [auts] + [G._centralizer_rows(g, phi) for phi in auts[:12]]:
+            cases.append((g, G.center(g), maps))
+            if len(maps) > 1:
+                swapped = maps.copy()
+                swapped[-1, [1, -1]] = swapped[-1, [-1, 1]]
+                cases += [(g, G.center(g), swapped), (g, G.center(g), np.delete(maps, 1, axis=0))]
+        if not g.is_abelian():
+            a = next(x for x in range(g.order) if x not in G.center(g))
+            cases.append((g, sorted({g.power(a, k) for k in range(g.order)}), auts))
+    return [(g, center, maps) for g, center, maps in cases if len(center) * len(maps) <= 400]
+
+
+def test_semidirect_generator_check_fails_exactly_when_all_pairs_do():
+    outcomes = []
+    for g, center, maps in _semidirect_cases():
+        rep = T.TheoremReport("demo")
+        table = Q.conj_quandle(g).table
+        T._check_semidirect_embedding(rep, g, table, center, maps, g.name)
+        failed = any("product law" in f or "not in the list" in f for f in rep.failures)
+        holds = _product_law_holds(g, center, maps)
+        assert failed != holds, (g.name, center, maps.tolist())
+        outcomes.append(holds)
+    assert outcomes.count(True) > 50 and outcomes.count(False) > 20
 
 
 def test_factorization_reports_a_missing_map():
