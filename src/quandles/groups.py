@@ -132,37 +132,35 @@ def _row_chunks(rows, width):
 def _generators(n, times):
     """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
 
-    times(xs, ys) gives the products x*y for x in xs and y in ys as a
-    (len(xs), len(ys)) index array, -1 for a product outside the structure.
-    Each element outside the closure of the generators so far becomes the
-    next generator, so the closure of the result is everything.  The
-    closure is the generators and the products x*g of its members x with
+    times(x, g) is the product x*g, or -1 for a product outside the
+    structure.  Each element outside the closure of the generators so far
+    becomes the next generator, so the closure of the result is everything.
+    The closure is the generators and the products x*g of its members x with
     generators g.  It grows by a frontier that multiplies each member by
     each generator once: n k products for k generators.  For a group or a
     quandle it is the subgroup or subquandle the generators make.  A law
     that holds at x*g whenever it holds at x and at g therefore holds
     everywhere once it holds at the generators.
     """
-    inside = np.zeros(n, dtype=bool)
-    gens = []
+    inside = [False] * n
+    members, gens = [], []
     for g in range(n):
         if inside[g]:
             continue
-        pending = times(np.flatnonzero(inside), [g])       # the closure so far, times g
         gens.append(g)
-        new = np.array([g])
-        while len(new):
-            inside[new] = True
-            ys = np.concatenate([pending.ravel(), times(new, gens).ravel()])
-            ys = ys[ys >= 0]
-            new = np.unique(ys[~inside[ys]])
-            pending = ys[:0]
+        frontier = [times(x, g) for x in members] + [g]
+        while frontier:
+            x = frontier.pop()
+            if x >= 0 and not inside[x]:
+                inside[x] = True
+                members.append(x)
+                frontier += [times(x, h) for h in gens]
     return np.array(gens)
 
 
 def _table_generators(table):
     """``_generators`` under the product table[x][y] of a square table."""
-    return _generators(len(table), lambda xs, ys: table[np.ix_(xs, ys)])
+    return _generators(len(table), table.item)
 
 
 def _validate_group_table(arr):

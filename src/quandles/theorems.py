@@ -145,8 +145,8 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     where[center] = np.arange(len(center))                       # position in center, -1 outside
     find = _row_lookup(maps)
     ident = find(np.arange(group.order)[None])[0]
-    zgens = G._generators(len(center), lambda xs, ys: where[tbl[np.ix_(center[xs], center[ys])]])
-    fgens = G._generators(k, lambda xs, ys: find(maps[xs][:, maps[ys]]))
+    zgens = G._generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]))
+    fgens = G._generators(k, lambda x, g: int(find(maps[x][maps[g]])))
     gens = np.unique(np.concatenate([zgens * k + ident, fgens]))
     outside, bad = [], []
     for s in G._row_chunks(m, len(gens) * group.order):
