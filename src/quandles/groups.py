@@ -42,7 +42,7 @@ class FiniteGroup:
     display names only and play no role in any computation.
     """
 
-    def __init__(self, table, labels=None, name=None, abelian_coordinates=None, validate=True):
+    def __init__(self, table, labels=None, name=None, abelian_coordinates=None):
         arr = np.array(table, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"Cayley table must be square, got shape {arr.shape}")
@@ -51,7 +51,7 @@ class FiniteGroup:
             raise ValueError("group must be nonempty")
         if arr.min() < 0 or arr.max() >= n:
             raise ValueError("table entries must lie in 0..n-1")
-        self._gens = _validate_group_table(arr) if validate else None
+        self._gens = _validate_group_table(arr)
         arr.setflags(write=False)
         self.table = arr
         self.order = n
@@ -112,9 +112,8 @@ class FiniteGroup:
         _validate_group_table(self.table)
 
     def generators(self):
-        """A generating set, greedy in element order (``_table_generators``); cached."""
-        if self._gens is None:
-            self._gens = _table_generators(self.table)
+        """A generating set, greedy in element order and without the
+        identity (``_generators``), as found by validation."""
         return self._gens
 
     def __repr__(self):
@@ -129,12 +128,14 @@ def _row_chunks(rows, width):
         yield slice(lo, min(lo + step, rows))
 
 
-def _generators(n, times):
+def _generators(n, times, identity=None):
     """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
 
     times(x, g) is the product x*g, or -1 for a product outside the
     structure.  Each element outside the closure of the generators so far
     becomes the next generator, so the closure of the result is everything.
+    An identity, when given, counts as inside from the start and is never a
+    generator: in a finite group it is a power of any element.
     The closure is the generators and the products x*g of its members x with
     generators g.  It grows by a frontier that multiplies each member by
     each generator once: n k products for k generators.  For a group or a
@@ -144,6 +145,9 @@ def _generators(n, times):
     """
     inside = [False] * n
     members, gens = [], []
+    if identity is not None:
+        inside[identity] = True
+        members.append(identity)
     for g in range(n):
         if inside[g]:
             continue
@@ -155,17 +159,12 @@ def _generators(n, times):
                 inside[x] = True
                 members.append(x)
                 frontier += [times(x, h) for h in gens]
-    return np.array(gens)
-
-
-def _table_generators(table):
-    """``_generators`` under the product table[x][y] of a square table."""
-    return _generators(len(table), table.item)
+    return np.array(gens, dtype=np.int64)
 
 
 def _validate_group_table(arr):
     """Raise ValueError unless arr is a group table with identity 0; return
-    the table's generators (``_table_generators``).
+    the table's generators other than 0 (``_generators``).
 
     Associativity is Light's test: (x g) y = x (g y) for every x, y and every
     generator g.  The g that pass are closed under the product, since
@@ -179,7 +178,7 @@ def _validate_group_table(arr):
         raise ValueError("element 0 is not a two-sided identity")
     if not (np.sort(arr, axis=1) == rng).all() or not (np.sort(arr, axis=0) == rng[:, None]).all():
         raise ValueError("table rows/columns are not permutations (not a Latin square)")
-    gens = _table_generators(arr)
+    gens = _generators(n, arr.item, identity=0)
     if all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         return gens
     # a generator fails: scan every g, in row chunks of x, for the first witness

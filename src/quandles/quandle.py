@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _read_table, _row_chunks, _table_generators, _table_text, make_cyclic
+from .groups import _TABLE_ORDER_BOUND, _generators, _read_table, _row_chunks, _table_text, make_cyclic
 from .perms import Permutation, _tinverse
 
 
@@ -98,7 +98,7 @@ def _check_axioms(arr):
     lexicographically first witness.
 
     Axiom 3 is checked only for c in a generating set of the table
-    (``groups._table_generators``).  Once every column is a permutation,
+    (``groups._generators``).  Once every column is a permutation,
     axiom 3 at c says that S_c is an automorphism, and then
     S_{a*c} = S_c S_a S_c^-1.  So the c whose S_c is an automorphism are
     closed under *, and they hold the closure of the generators, which is
@@ -129,7 +129,7 @@ def _check_axioms(arr):
     cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
     values, col_values = arr.astype(small), cols.astype(small)
     left, rows, right = np.empty((3, n, n), dtype=small)
-    for c in _table_generators(arr):
+    for c in _generators(n, arr.item):
         np.take(col_values[c], arr, out=left)             # (a,b) -> (a*b)*c
         np.take(values, cols[c], axis=0, out=rows)
         np.take(rows, cols[c], axis=1, out=right)         # (a,b) -> (a*c)*(b*c)

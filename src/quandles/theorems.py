@@ -119,11 +119,13 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     the m = |center| |maps| images are distinct; and the embedding E obeys
     the product law E(x g) = E(x) E(g), with x g in the list, for every x
     and every g in a generating set: the pairs (z, id) for generators z of
-    the center and (0, f) for generators f of maps (``G._generators``).
-    The product is (a1, f1)(a2, f2) = (a1 f1(a2), f1 f2).  Induction on the
-    length of a word in the generators then gives the law on all m^2 pairs,
-    and closes the list under the product.  Failures name their pairs as
-    (a, images of f), the first three per clause.  Returns m.
+    the center and (0, f) for generators f of maps (``G._generators``, the
+    identity (0, id) left out).  The product is
+    (a1, f1)(a2, f2) = (a1 f1(a2), f1 f2).  Induction on the length of a
+    word in the generators then gives the law on all m^2 pairs, and closes
+    the list under the product.  A list without the identity is not closed,
+    so it fails before the product law is checked.  Failures name their
+    pairs as (a, images of f), the first three per clause.  Returns m.
     """
     tbl, center = group.table, np.asarray(center)
     _check_preserved(rep, table, group, center, maps, tag)
@@ -144,12 +146,15 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     where = np.full(group.order, -1)
     where[center] = np.arange(len(center))                       # position in center, -1 outside
     find = _row_lookup(maps)
-    ident = find(np.arange(group.order)[None])[0]
-    zgens = G._generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]))
-    fgens = G._generators(k, lambda x, g: int(find(maps[x][maps[g]])))
-    gens = np.unique(np.concatenate([zgens * k + ident, fgens]))
+    zero, ident = where[0], find(np.arange(group.order)[None])[0]
+    if zero < 0 or ident < 0:
+        rep.fail(f"{tag}: the identity (0, {tuple(range(group.order))}) is not in the list")
+        return m
+    zgens = G._generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]), identity=zero)
+    fgens = G._generators(k, lambda x, g: int(find(maps[x][maps[g]])), identity=ident)
+    gens = np.sort(np.concatenate([zgens * k + ident, zero * k + fgens]))
     outside, bad = [], []
-    for s in G._row_chunks(m, len(gens) * group.order):
+    for s in G._row_chunks(m, max(len(gens), 1) * group.order):
         f1 = elem_f[s]
         prod_a = tbl[elem_a[s, None], f1[:, elem_a[gens]]]       # a1 f1(a2)
         prod_f = f1[:, elem_f[gens]]                             # f1 f2

@@ -90,11 +90,11 @@ def test_validation_rejects_broken_tables():
     bad = G.make_cyclic(4).table.copy()
     bad[1][2], bad[1][3] = bad[1][3], bad[1][2]
     with pytest.raises(ValueError):
-        G.FiniteGroup(bad, validate=True)
+        G.FiniteGroup(bad)
     bad = G.make_cyclic(3).table.copy()
     bad[0] = [1, 2, 0]
     with pytest.raises(ValueError):
-        G.FiniteGroup(bad, validate=True)
+        G.FiniteGroup(bad)
 
 
 # the smallest loop that is not a group: a Latin square with identity 0
@@ -133,8 +133,8 @@ def _closure(rows, gens):
 
 
 def _generator_tables():
-    """Every catalog group of order <= 16, and small members of each family
-    of quandles the analyze benchmark loads."""
+    """Every catalog group of order <= 16 with its identity 0, and small
+    members of each family of quandles the analyze benchmark loads."""
     groups = G.catalog_groups(16)
     z7, z9, f9, f25 = (G.group_by_name(x) for x in ("z7", "z9", "3x3", "5x5"))
     quandles = [Q.dihedral(n) for n in (3, 5, 8, 12)] + [
@@ -143,24 +143,32 @@ def _generator_tables():
         Q.alexander(z7, G.scalar_map(z7, 3)), Q.alexander(z9, G.scalar_map(z9, 5)),
         Q.trivial_quandle(1), Q.trivial_quandle(6),
     ] + [Q.conj_quandle(g) for g in G.catalog_groups(16, include_abelian=False)]
-    return [(g.name, g.table) for g in groups] + [(repr(x), x.table) for x in quandles]
+    return [(g.name, g.table, 0) for g in groups] + [(repr(x), x.table, None) for x in quandles]
 
 
-@pytest.mark.parametrize("name, table", _generator_tables(), ids=lambda v: v if isinstance(v, str) else "")
-def test_generators_close_the_table_and_each_is_new(name, table):
-    gens = G._table_generators(table)
+@pytest.mark.parametrize("name, table, identity", _generator_tables(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_generators_close_the_table_and_each_is_new(name, table, identity):
+    gens = G._generators(len(table), table.item, identity=identity)
     rows = table.tolist()
+    start = set() if identity is None else {identity}
+    assert identity not in gens.tolist()
     assert list(gens) == sorted(set(gens.tolist()))
-    assert _closure(rows, gens) == set(range(len(rows)))
+    assert _closure(rows, gens) | start == set(range(len(rows)))
     for i, g in enumerate(gens):
-        assert g not in _closure(rows, gens[:i])
+        assert g not in _closure(rows, gens[:i]) | start
+    if identity is not None:
+        # the identity would have been the first generator, and nothing else changes
+        assert G._generators(len(table), table.item).tolist() == [identity] + gens.tolist()
 
 
-def test_group_generators_are_cached_from_validation():
+def test_group_generators_come_from_validation():
     g = G.make_symmetric(4)
     assert g.generators() is g.generators()
-    assert np.array_equal(g.generators(), G._table_generators(g.table))
-    assert G.make_cyclic(12).generators().tolist() == [0, 1]
+    assert np.array_equal(g.generators(), G._generators(g.order, g.table.item, identity=0))
+    assert G.make_cyclic(12).generators().tolist() == [1]
+    assert G.make_cyclic(1).generators().tolist() == []
+    G.GroupMap(G.make_cyclic(1), G.make_cyclic(3), (0,))
 
 
 @settings(max_examples=60, deadline=None)

@@ -57,10 +57,10 @@ def test_semidirect_embedding_reports_a_non_automorphism():
     assert not any("not injective" in f for f in rep.failures)
 
     # reference: the product law at every x and every generator g, in that
-    # order, with (a, f) acting as b -> f(b) + a; the generators are (z, id)
-    # for the center's generators 0 and 1, and (0, f) for the maps' id and bad
+    # order, with (a, f) acting as b -> f(b) + a; the generators are (0, f)
+    # for the map bad and (z, id) for the center's generator 1
     elems = [(a, f) for a in range(5) for f in maps]
-    gens = [(0, maps[0]), (0, bad), (1, maps[0])]
+    gens = [(0, bad), (1, maps[0])]
     expected = []
     for a1, f1 in elems:
         for a2, f2 in gens:
@@ -102,8 +102,9 @@ def _product_law_holds(group, center, maps):
 
 def _semidirect_cases():
     """(group, center, maps) with m <= 400: the embedding suites' instances
-    of order <= 8, each also broken two ways (a map with two images swapped,
-    a missing map), and non-central cyclic subgroups in place of the center."""
+    of order <= 8, each also broken three ways (a map with two images
+    swapped, a missing map, the identity map missing), and non-central
+    cyclic subgroups in place of the center, with and without 0."""
     cases = []
     for g in G.catalog_groups(8):
         auts = G.automorphism_array(g)
@@ -112,10 +113,13 @@ def _semidirect_cases():
             if len(maps) > 1:
                 swapped = maps.copy()
                 swapped[-1, [1, -1]] = swapped[-1, [-1, 1]]
-                cases += [(g, G.center(g), swapped), (g, G.center(g), np.delete(maps, 1, axis=0))]
+                ident = (maps == np.arange(g.order)).all(axis=1).argmax()
+                cases += [(g, G.center(g), swapped), (g, G.center(g), np.delete(maps, 1, axis=0)),
+                          (g, G.center(g), np.delete(maps, ident, axis=0))]
         if not g.is_abelian():
             a = next(x for x in range(g.order) if x not in G.center(g))
-            cases.append((g, sorted({g.power(a, k) for k in range(g.order)}), auts))
+            cyclic = sorted({g.power(a, k) for k in range(g.order)})
+            cases += [(g, cyclic, auts), (g, cyclic[1:], auts)]
     return [(g, center, maps) for g, center, maps in cases if len(center) * len(maps) <= 400]
 
 
