@@ -90,9 +90,8 @@ def build_parser():
     vf.add_argument("theorem", metavar="THEOREM",
                     help="a theorem id (see the list subcommand) or 'all'")
     vf.add_argument("--max-order", type=int, default=None, metavar="N",
-                    help="bound the instance family sizes (mccarron refuses a bound above 6, "
-                    "alexander-embedding and conj-embedding one above 15; "
-                    "dihedral-corollary and doubly-transitive take no --max-order)")
+                    help="bound the group order of every selected suite that takes it; "
+                    "a bound above a selected suite's ceiling is refused")
     vf.add_argument("--n", type=_ints, default=None, metavar="N1,N2,...",
                     help="dihedral orders to test (dihedral-corollary only)")
     vf.add_argument("--json", action="store_true", help="emit a JSON report")

@@ -43,14 +43,8 @@ class FiniteGroup:
     """
 
     def __init__(self, table, labels=None, name=None, abelian_coordinates=None):
-        arr = np.array(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"Cayley table must be square, got shape {arr.shape}")
+        arr = _square_table(table, "group")
         n = arr.shape[0]
-        if n == 0:
-            raise ValueError("group must be nonempty")
-        if arr.min() < 0 or arr.max() >= n:
-            raise ValueError("table entries must lie in 0..n-1")
         self._gens = _validate_group_table(arr)
         arr.setflags(write=False)
         self.table = arr
@@ -106,10 +100,6 @@ class FiniteGroup:
             base = self._rows[base][base]
             k >>= 1
         return out
-
-    def validate(self):
-        """Recheck all three table invariants; raises ValueError on failure."""
-        _validate_group_table(self.table)
 
     def generators(self):
         """A generating set, greedy in element order and without the
@@ -247,7 +237,7 @@ class GroupMap:
     the first failing (a, b).
     """
 
-    def __init__(self, domain, codomain, images, validate=True):
+    def __init__(self, domain, codomain, images):
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(int(x) for x in images)
@@ -255,16 +245,15 @@ class GroupMap:
             raise ValueError(f"{len(self.images)} images for order {domain.order}")
         if any(not 0 <= x < codomain.order for x in self.images):
             raise ValueError("image outside codomain")
-        if validate:
-            if self.images[0] != 0:
-                raise ValueError("homomorphism must send identity to identity")
-            img = np.array(self.images, dtype=np.int64)
-            gens = domain.generators()
-            if not np.array_equal(codomain.table[img[:, None], img[gens]], img[domain.table[:, gens]]):
-                lhs = codomain.table[img[:, None], img[None, :]]
-                rhs = img[domain.table]
-                a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
-                raise ValueError(f"not a homomorphism: f({a}*{b}) != f({a})*f({b})")
+        if self.images[0] != 0:
+            raise ValueError("homomorphism must send identity to identity")
+        img = np.array(self.images, dtype=np.int64)
+        gens = domain.generators()
+        if not np.array_equal(codomain.table[img[:, None], img[gens]], img[domain.table[:, gens]]):
+            lhs = codomain.table[img[:, None], img[None, :]]
+            rhs = img[domain.table]
+            a, b = (int(x) for x in np.argwhere(lhs != rhs)[0])
+            raise ValueError(f"not a homomorphism: f({a}*{b}) != f({a})*f({b})")
         self._is_bijective = len(set(self.images)) == domain.order
 
     @property
@@ -286,12 +275,12 @@ class GroupMap:
         """Composite map: apply self first, then other."""
         if other.domain.order != self.codomain.order:
             raise ValueError("maps do not compose")
-        return GroupMap(self.domain, other.codomain, tuple(other.images[x] for x in self.images), validate=False)
+        return GroupMap(self.domain, other.codomain, tuple(other.images[x] for x in self.images))
 
     def inverse(self):
         if not self.is_automorphism:
             raise ValueError("only automorphisms invert")
-        return GroupMap(self.domain, self.domain, _tinverse(self.images), validate=False)
+        return GroupMap(self.domain, self.domain, _tinverse(self.images))
 
     def __eq__(self, other):
         return (
@@ -313,14 +302,14 @@ def map_from_images(group, images):
 
 
 def identity_map(group):
-    return GroupMap(group, group, range(group.order), validate=False)
+    return GroupMap(group, group, range(group.order))
 
 
 def negation_map(group):
     """a -> a^-1; an automorphism exactly for abelian groups."""
     if not group.is_abelian():
         raise ValueError("inversion is a homomorphism only on abelian groups")
-    return GroupMap(group, group, [group.inv(a) for a in group.elements()], validate=False)
+    return GroupMap(group, group, [group.inv(a) for a in group.elements()])
 
 
 def _require_coordinates(group):
@@ -330,17 +319,14 @@ def _require_coordinates(group):
 
 
 def scalar_map(group, u):
-    """Coordinate-wise multiplication by u on an abelian group with factors."""
-    factors, coords = _require_coordinates(group)
-    index = {c: i for i, c in enumerate(coords)}
-    images = []
-    for c in coords:
-        target = tuple((u * ci) % f for ci, f in zip(c, factors))
-        images.append(index[target])
-    out = GroupMap(group, group, images)
-    if not out.is_bijective:
-        raise ValueError(f"{u} is not a unit for factors {factors}")
-    return out
+    """Coordinate-wise multiplication by u on an abelian group with factors:
+    the matrix u I."""
+    factors, _ = _require_coordinates(group)
+    k = len(factors)
+    try:
+        return matrix_map(group, [[u * (i == j) for j in range(k)] for i in range(k)])
+    except ValueError:
+        raise ValueError(f"{u} is not a unit for factors {factors}") from None
 
 
 def matrix_map(group, rows):
@@ -389,7 +375,7 @@ def automorphism_array(group):
 
 
 def _maps(group, rows):
-    return [GroupMap(group, group, t, validate=False) for t in rows.tolist()]
+    return [GroupMap(group, group, t) for t in rows.tolist()]
 
 
 def automorphism_group(group):
@@ -408,7 +394,7 @@ def brute_force_group_automorphisms(group, max_order=_BRUTE_FORCE_BOUND):
         img = (0,) + rest
         if all(img[rows[a][b]] == rows[img[a]][img[b]] for a in range(n) for b in range(n)):
             out.append(img)
-    return [GroupMap(group, group, t, validate=False) for t in out]
+    return [GroupMap(group, group, t) for t in out]
 
 
 def is_fixed_point_free(phi):
@@ -493,14 +479,11 @@ def make_symmetric(n):
     """
     if not 1 <= n <= 6:
         raise ValueError(f"symmetric group constructor accepts 1..6 letters, got {n}")
-    perms = list(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    m = len(perms)
-    table = np.empty((m, m), dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            table[a, b] = index[tuple(pb[x] for x in pa)]
-    labels = ["".join(map(str, p)) for p in perms]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8).reshape(-1, n)
+    place = n ** np.arange(n - 1, -1, -1)   # mixed-radix keys rise with the rows' lexicographic order
+    products = perms[:, perms]              # products[b, a] = pb[pa], the permutation a*b
+    table = np.searchsorted(perms @ place, products @ place).T
+    labels = ["".join(map(str, p)) for p in perms.tolist()]
     return FiniteGroup(table, labels=labels, name=f"S{n}")
 
 
@@ -531,10 +514,8 @@ def make_dicyclic(n):
 
 
 def make_quaternion8():
-    """The quaternion group {±1, ±i, ±j, ±k}."""
-    q = make_dicyclic(2)
-    labels = ["1", "i", "-1", "-i", "j", "k", "-j", "-k"]
-    return FiniteGroup(q.table, labels=labels, name="Q8")
+    """The quaternion group {±1, ±i, ±j, ±k}: the dicyclic group of order 8."""
+    return _inverting_extension(4, 2, ["1", "i", "-1", "-i", "j", "k", "-j", "-k"], "Q8")
 
 
 def direct_product(g, h, name=None):
@@ -660,6 +641,17 @@ def _table_text(table):
     """Serialized table: first line the order, then one row per line."""
     lines = [str(len(table))] + [" ".join(map(str, row)) for row in table.tolist()]
     return "\n".join(lines) + "\n"
+
+
+def _square_table(table, kind):
+    """The intake of every FiniteGroup and Quandle: table as an int64 array,
+    or ValueError naming the kind of table unless square, nonempty, in 0..n-1."""
+    arr = np.array(table, dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError(f"{kind} table must be square and nonempty, got shape {arr.shape}")
+    if arr.min() < 0 or arr.max() >= arr.shape[0]:
+        raise ValueError("table entries must lie in 0..n-1")
+    return arr
 
 
 def _read_table(path, kind):

@@ -7,6 +7,9 @@ S_b : y -> y*b.  The three axioms checked everywhere:
   2. every column is a permutation (y -> y*b invertible)
   3. (a*b)*c = (a*c)*(b*c)
 
+Every Quandle satisfies the three axioms, however its table was made: the
+constructor checks them, and nothing skips or repeats that check.
+
 Axiom 3 needs checking only for c in a generating set: once the columns
 are permutations, S_{a*c} = S_c S_a S_c^-1 whenever S_c is an automorphism,
 so the c at which axiom 3 holds are closed under *.  Validation therefore
@@ -15,8 +18,8 @@ costs n^2 k for k generators, not n^3.
 Constructors cover the families built from a group G: conjugation
 a*b = b^-m a b^m, Takasaki a*b = 2b - a on abelian groups, Alexander
 a*b = t(a) + b - t(b), and the generalized Alexander quandle
-a*b = phi(a b^-1) b for an automorphism phi.  Constructed quandles remember
-where they came from.
+a*b = phi(a b^-1) b for an automorphism phi.  Each builds its table once,
+and constructed quandles remember where they came from.
 """
 
 import itertools
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _generators, _read_table, _row_chunks, _table_text, make_cyclic
+from .groups import _TABLE_ORDER_BOUND, _generators, _read_table, _row_chunks, _square_table, _table_text
+from .groups import make_cyclic
 from .perms import Permutation, _tinverse
 
 
@@ -59,16 +63,15 @@ class Provenance:
 
 
 class Quandle:
-    """Immutable quandle on {0..n-1} given by its full operation table."""
+    """Immutable quandle on {0..n-1} given by its full operation table.
 
-    def __init__(self, table, provenance=None, validate=True):
-        arr = np.array(table, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValueError(f"quandle table must be square and nonempty, got shape {arr.shape}")
-        if arr.min() < 0 or arr.max() >= arr.shape[0]:
-            raise ValueError("table entries must lie in 0..n-1")
-        if validate:
-            _check_axioms(arr)
+    Every Quandle satisfies the three axioms, however its table was made:
+    the constructor raises QuandleAxiomError for the first broken one.
+    """
+
+    def __init__(self, table, provenance=None):
+        arr = _square_table(table, "quandle")
+        _check_axioms(arr)
         arr.setflags(write=False)
         self.table = arr
         self.order = arr.shape[0]
@@ -151,8 +154,8 @@ def _check_axioms(arr):
 
 
 def validate_axioms(table, provenance=None):
-    """Build a Quandle from a raw table, reporting the first broken axiom."""
-    return Quandle(table, provenance=provenance, validate=True)
+    """``Quandle(table, provenance)``: a raw table checked against the axioms."""
+    return Quandle(table, provenance)
 
 
 # -- constructors ------------------------------------------------------------
@@ -165,41 +168,43 @@ def trivial_quandle(n):
     if n > _TABLE_ORDER_BOUND:
         raise ValueError(f"order {n} exceeds bound {_TABLE_ORDER_BOUND}")
     table = np.tile(np.arange(n)[:, None], (1, n))
-    return Quandle(table, provenance=Provenance("trivial"), validate=False)
+    return Quandle(table, Provenance("trivial"))
 
 
 def conj_quandle(group, m=1):
     """Conjugation quandle: a*b = b^-m a b^m."""
     powm = np.array([group.power(b, m) for b in range(group.order)], dtype=np.int64)
     out = group.table[group.table[group.inverse_array()[powm]].T, powm]     # (b^-m a) b^m
-    prov = Provenance("conj", group=group, power=m)
-    return Quandle(out, provenance=prov, validate=False)
+    return Quandle(out, Provenance("conj", group=group, power=m))
 
 
 def takasaki(group):
     """Takasaki quandle on an abelian group: a*b = 2b - a, which is Alex(G, -id)."""
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    out = _alexander_tables(group, group.inverse_array()[None])[0]
-    return Quandle(out, provenance=Provenance("takasaki", group=group), validate=False)
+    return _alexander_quandle(group, group.inverse_array(), "takasaki")
 
 
 def alexander(group, phi):
     """Alexander quandle on an abelian group: a*b = phi(a) + b - phi(b) = phi(a - b) + b."""
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    table = gen_alexander(group, phi).table
-    prov = Provenance("alexander", group=group, automorphism=phi.images)
-    return Quandle(table, provenance=prov, validate=False)
+    if not phi.is_automorphism:
+        raise ValueError("twisting map must be an automorphism")
+    return _alexander_quandle(group, phi.images, "alexander")
 
 
 def gen_alexander(group, phi):
     """Generalized Alexander quandle: a*b = phi(a b^-1) b, any group."""
     if not phi.is_automorphism:
         raise ValueError("twisting map must be an automorphism")
-    out = _alexander_tables(group, np.array([phi.images]))[0]
-    prov = Provenance("gen_alexander", group=group, automorphism=phi.images)
-    return Quandle(out, provenance=prov, validate=False)
+    return _alexander_quandle(group, phi.images, "gen_alexander")
+
+
+def _alexander_quandle(group, images, kind):
+    """The Quandle Alex(G, phi) for the image row phi = images, built by kind."""
+    table = _alexander_tables(group, np.array([images]))[0]
+    return Quandle(table, Provenance(kind, group=group, automorphism=tuple(map(int, images))))
 
 
 def _alexander_tables(group, rows):
@@ -211,9 +216,8 @@ def _alexander_tables(group, rows):
 
 def dihedral(n):
     """Dihedral quandle R_n: points mod n with a*b = 2b - a."""
-    q = takasaki(make_cyclic(n))
-    prov = Provenance("dihedral", group=q.provenance.group)
-    return Quandle(q.table, provenance=prov, validate=False)
+    group = make_cyclic(n)
+    return _alexander_quandle(group, group.inverse_array(), "dihedral")
 
 
 # -- predicates and translations ---------------------------------------------
@@ -249,15 +253,18 @@ def enumerate_quandle_tables(n):
     fixes its own point.  Assigning S_c propagates: axiom 3 forces
     S at the point S_c(b) to equal S_c^-1;S_b;S_c (apply S_c^-1 first) for
     every assigned b, which both prunes and fills columns, so leaves satisfy
-    all three axioms by construction.  The search runs once per candidate
-    S_0, in candidate order; the census (``theorems.check_mccarron_bound``)
-    runs the same search from one S_0 per cycle type instead.
+    all three axioms by construction; the Quandle constructor checks them
+    again, with code the search does not share.  The search runs once per
+    candidate S_0, in candidate order; the census
+    (``theorems.check_mccarron_bound``) runs the same search from one S_0
+    per cycle type instead.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     candidates = _column_candidates(n)
     for s0 in candidates[0]:
-        yield from _tables_from(s0, candidates)
+        for table in _tables_from(s0, candidates):
+            yield Quandle(table, Provenance("enumerated"))
 
 
 def _column_candidates(n):
@@ -277,9 +284,9 @@ def _column_candidates(n):
 
 
 def _tables_from(s0, candidates):
-    """Yield every labeled quandle whose column S_0 is s0 (a tuple fixing 0),
-    in the order of ``enumerate_quandle_tables``; candidates comes from
-    ``_column_candidates``."""
+    """Yield the int8 (n, n) table of every labeled quandle whose column S_0
+    is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``;
+    candidates comes from ``_column_candidates``."""
     n = len(s0)
     inverses = {}   # column -> its inverse, for this search only
 
@@ -315,8 +322,7 @@ def _tables_from(s0, candidates):
     def dfs(cols):
         free = next((i for i in range(n) if cols[i] is None), None)
         if free is None:
-            table = [[cols[b][a] for b in range(n)] for a in range(n)]
-            yield Quandle(table, provenance=Provenance("enumerated"), validate=False)
+            yield np.array(cols, dtype=np.int8).T.copy()     # cols[b][a] = a*b
             return
         for cand in candidates[free]:
             trial = list(cols)

@@ -434,7 +434,7 @@ def check_thm_fpf_structure(group, phi):
 
 def _fpf_structure_one(group, images):
     rep = TheoremReport("fpf-structure")
-    x = Q.Quandle(Q._alexander_tables(group, images[None])[0], validate=False)
+    x = Q._alexander_quandle(group, images, "alexander")
     cent = G._centralizer_rows(group, images)
     tag = f"{group.name}, {_phi_name(images)}"
     m = _check_split(rep, group, x, cent, group.order * Permutation(images).order(), tag)
@@ -528,7 +528,8 @@ def _quandle_classes(order):
     each completion by the size of its S_0's conjugacy class counts the
     labeled tables.  A completion outside every relabeling orbit seen so far
     starts a new class and adds its whole orbit to the set, whose size counts
-    the labeled tables again, by orbit closure.
+    the labeled tables again, by orbit closure.  Only such a table becomes a
+    Quandle, and so is checked against the axioms.
     """
     perms = np.array(list(itertools.permutations(range(order))), dtype=np.int64)
     candidates = Q._column_candidates(order)
@@ -536,11 +537,11 @@ def _quandle_classes(order):
     classes = []
     weighted = 0
     for s0, weight in _first_columns(order):
-        for x in Q._tables_from(s0, candidates):
+        for table in Q._tables_from(s0, candidates):
             weighted += weight
-            if x.table.astype(np.int8).tobytes() not in seen:
-                classes.append(x)
-                seen.update(row.tobytes() for row in _relabelings(x.table, perms))
+            if table.tobytes() not in seen:
+                classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
+                seen.update(row.tobytes() for row in _relabelings(table, perms))
     return classes, weighted, len(seen)
 
 

@@ -59,15 +59,34 @@ def test_symmetric_group():
     s3 = G.make_symmetric(3)
     assert s3.order == 6
     assert not s3.is_abelian()
-    s3.validate()
     with pytest.raises(ValueError):
         G.make_symmetric(7)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_symmetric_tables_match_the_composition_loop(n):
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(pb[x] for x in pa)] for pb in perms] for pa in perms]
+    g = G.make_symmetric(n)
+    assert g.table.tolist() == table
+    assert g.labels == ["".join(map(str, p)) for p in perms]
+
+
+def test_groups_and_quandles_share_one_table_intake():
+    for kind, build in (("group", G.FiniteGroup), ("quandle", Q.Quandle)):
+        for bad in ([], [[0, 1]], [[[0]]]):
+            with pytest.raises(ValueError, match=f"^{kind} table must be square and nonempty"):
+                build(bad)
+        with pytest.raises(ValueError, match="^table entries must lie in 0..n-1$"):
+            build([[0, 2], [1, 0]])
+    assert not hasattr(G.FiniteGroup, "validate")
 
 
 def test_named_groups_validate():
     for g in (G.make_dihedral_group(4), G.make_quaternion8(), G.make_dicyclic(4),
               G.direct_product(G.make_quaternion8(), G.make_cyclic(2))):
-        g.validate()
+        assert G.FiniteGroup(g.table).generators().tolist() == g.generators().tolist()
     assert G.make_dicyclic(4).order == 16
     assert G.make_dihedral_group(5).order == 10
 
@@ -83,7 +102,6 @@ def test_direct_product():
     g = G.direct_product(G.make_cyclic(3), G.make_symmetric(3))
     assert g.order == 18
     assert not g.is_abelian()
-    g.validate()
 
 
 def test_validation_rejects_broken_tables():
@@ -282,7 +300,7 @@ def test_fixed_point_free():
     assert not G.is_fixed_point_free(G.negation_map(z4))   # fixes 2
     assert not G.is_fixed_point_free(G.identity_map(z4))
     with pytest.raises(ValueError):
-        G.is_fixed_point_free(G.GroupMap(z4, z4, (0, 0, 0, 0), validate=False))
+        G.is_fixed_point_free(G.GroupMap(z4, z4, (0, 0, 0, 0)))
 
 
 def test_central_automorphisms():
@@ -408,7 +426,6 @@ def test_euler_phi():
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3))
 def test_abelian_factors_always_give_groups(factors):
     g = G.make_abelian(factors)
-    g.validate()
     assert g.is_abelian()
     # negation is fixed-point free exactly on odd orders
     odd = g.order % 2 == 1

@@ -5,6 +5,8 @@ defining formulas, and the labeled enumeration counts 1, 1, 5, 36, 404 for
 orders 1..5 (cross-checked below by validating every emitted table).
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,15 @@ from quandles.quandle import QuandleAxiomError
 NOT_SELF_DISTRIBUTIVE = [[0, 2, 1], [1, 1, 0], [2, 0, 2]]
 
 LABELED_COUNTS = {1: 1, 2: 1, 3: 5, 4: 36, 5: 404}
+
+# sha256 of the int8 bytes of the tables enumerate_quandle_tables(n) yields, in yield order
+ENUMERATION_DIGESTS = {
+    1: "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    2: "4afc7d98518180331a55e2f7b2d03f93c15d1c24afc976cdfb5737e02a190203",
+    3: "fc38e73a11ef0c3ae1546d92d4b8ea0f9ab4d71828a81edac2b7cb4f53dbe27c",
+    4: "c55ab7916ec584f227f06a9d7fcd6bc965493bea715877a159a58145b529097b",
+    5: "0aacc1b7e00bce5e7cdd5e212684e04ec7dd560668fdbefcbd36a9a1a4716b58",
+}
 
 
 def test_axiom_idempotence_witness():
@@ -92,7 +103,7 @@ def test_alexander_formula():
 
 def test_alexander_requires_automorphism():
     z6 = G.make_cyclic(6)
-    endo = G.GroupMap(z6, z6, tuple((2 * a) % 6 for a in range(6)), validate=False)
+    endo = G.GroupMap(z6, z6, tuple((2 * a) % 6 for a in range(6)))
     with pytest.raises(ValueError):
         Q.alexander(z6, endo)
 
@@ -171,6 +182,36 @@ def test_enumerator_counts_and_soundness():
             Q.validate_axioms(x.table)
             seen.add(tuple(map(tuple, x.table.tolist())))
         assert len(seen) == want   # no duplicates
+
+
+def test_enumerator_yields_pinned_tables_in_a_pinned_order():
+    for n, digest in ENUMERATION_DIGESTS.items():
+        h = hashlib.sha256()
+        for x in Q.enumerate_quandle_tables(n):
+            assert isinstance(x, Q.Quandle) and x.provenance.kind == "enumerated"
+            h.update(x.table.astype(np.int8).tobytes())
+        assert h.hexdigest() == digest
+
+
+def test_each_constructor_checks_its_quandle_once(monkeypatch, tmp_path):
+    calls = []
+    check = Q._check_axioms
+    monkeypatch.setattr(Q, "_check_axioms", lambda arr: calls.append(len(arr)) or check(arr))
+    z5, q8 = G.make_cyclic(5), G.make_quaternion8()
+    phi, psi = G.scalar_map(z5, 2), G.automorphism_group(q8)[5]
+    r3 = Q.dihedral(3).table
+    path = tmp_path / "r3.qnd"
+    path.write_text(Q.quandle_to_text(Q.dihedral(3)))
+    builds = [
+        lambda: Q.trivial_quandle(3), lambda: Q.conj_quandle(q8, 1), lambda: Q.takasaki(z5),
+        lambda: Q.alexander(z5, phi), lambda: Q.gen_alexander(q8, psi), lambda: Q.dihedral(6),
+        lambda: Q.validate_axioms(r3), lambda: Q.Quandle(r3), lambda: Q.load_quandle(path),
+        lambda: next(Q.enumerate_quandle_tables(4)),
+    ]
+    for build in builds:
+        calls.clear()
+        x = build()
+        assert calls == [x.order]
 
 
 def test_enumerator_finds_the_known_families():
