@@ -22,6 +22,7 @@ a*b = phi(a b^-1) b for an automorphism phi.  Each builds its table once,
 and constructed quandles remember where they came from.
 """
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .groups import _TABLE_ORDER_BOUND, _generators, _read_table, _row_chunks, _square_table, _table_text
 from .groups import make_cyclic
-from .perms import Permutation, _tinverse
+from .perms import Permutation
 
 
 class QuandleAxiomError(ValueError):
@@ -246,72 +247,98 @@ def inner_translation(quandle, x):
 # -- exhaustive enumeration ---------------------------------------------------
 
 
+# the largest order the column search takes: at order 8 its conjugation table
+# would hold 40,320^2 uint16 entries, about 3.25 GB
+_COLUMN_SEARCH_BOUND = 7
+
+
 def enumerate_quandle_tables(n):
     """Yield every labeled quandle of order n exactly once, deterministically.
 
     Depth-first over the columns S_0, S_1, ... where each candidate column
-    fixes its own point.  Assigning S_c propagates: axiom 3 forces
-    S at the point S_c(b) to equal S_c^-1;S_b;S_c (apply S_c^-1 first) for
-    every assigned b, which both prunes and fills columns, so leaves satisfy
-    all three axioms by construction; the Quandle constructor checks them
-    again, with code the search does not share.  The search runs once per
-    candidate S_0, in candidate order; the census
-    (``theorems.check_mccarron_bound``) runs the same search from one S_0
-    per cycle type instead.
+    fixes its own point.  A column is held as the id of its permutation, its
+    index in lexicographic order (``_column_candidates``).  Assigning S_c
+    propagates: axiom 3 forces S at the point S_c(b) to equal
+    S_c S_b S_c^-1 (apply S_c^-1 first) for every assigned b, and S at
+    S_b(c) to equal S_b S_c S_b^-1, and each forced id is one read of a
+    conjugation table built before the search.  This both prunes and fills
+    columns, so leaves satisfy all three axioms by construction; the
+    Quandle constructor checks them again, with code the search does not
+    share.  The search runs once per candidate S_0, in candidate order; the
+    census (``theorems.check_mccarron_bound``) runs the same search from one
+    S_0 per cycle type instead.  Orders outside 1..7 raise ValueError before
+    anything is built.
     """
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    candidates = _column_candidates(n)
-    for s0 in candidates[0]:
-        for table in _tables_from(s0, candidates):
+    columns = _column_candidates(n)
+    for i in columns.fixing[0]:
+        for table in _tables_from(columns.rows[i], columns):
             yield Quandle(table, Provenance("enumerated"))
 
 
+@dataclass(frozen=True)
+class _Columns:
+    """The permutations of 0..n-1 as column ids for the search, in
+    lexicographic order, which is ``itertools.permutations`` order."""
+
+    perms: np.ndarray    # (n!, n) int8: row i is the permutation with id i
+    rows: list           # the same rows as tuples, sorted, so bisect finds an id
+    fixing: list         # fixing[x]: the ids of the permutations fixing x, ascending
+    conj: memoryview     # flat uint16: conj[c * n! + b] = id(S_c S_b S_c^-1)
+
+
 def _column_candidates(n):
-    """For each point x, every permutation of 0..n-1 fixing x, as a tuple."""
-    candidates = []
-    for x in range(n):
-        others = [y for y in range(n) if y != x]
-        cols = []
-        for perm in itertools.permutations(others):
-            col = [0] * n
-            col[x] = x
-            for y, img in zip(others, perm):
-                col[y] = img
-            cols.append(tuple(col))
-        candidates.append(cols)
-    return candidates
+    """The ``_Columns`` of order n, for one search; ValueError for an order
+    outside 1.._COLUMN_SEARCH_BOUND, before anything is built.
+
+    Row c of the conjugation table is one gather: S_c S_b S_c^-1 sends S_c(z)
+    to S_c(S_b(z)), so its base-n key sum_y p(y) n^(n-1-y) is
+    sum_z S_c(S_b(z)) n^(n-1-S_c(z)), and a lookup array indexed by key
+    turns keys into ids.
+    """
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    if n > _COLUMN_SEARCH_BOUND:
+        raise ValueError(f"order {n} exceeds the column search's bound {_COLUMN_SEARCH_BOUND}")
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    weights = n ** np.arange(n - 1, -1, -1)
+    ids = np.zeros(n ** n, dtype=np.uint16)      # base-n key -> id, at most 7^7 entries
+    ids[perms @ weights] = np.arange(len(perms))
+    conj = np.empty((len(perms), len(perms)), dtype=np.uint16)
+    for c, sc in enumerate(perms):
+        conj[c] = ids[sc[perms] @ weights[sc]]
+    fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
+    return _Columns(perms, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
 
 
-def _tables_from(s0, candidates):
+def _tables_from(s0, columns):
     """Yield the int8 (n, n) table of every labeled quandle whose column S_0
     is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``;
-    candidates comes from ``_column_candidates``."""
+    columns comes from ``_column_candidates``."""
     n = len(s0)
-    inverses = {}   # column -> its inverse, for this search only
+    rows, conj, fixing = columns.rows, columns.conj, columns.fixing
+    n_perms = len(rows)
 
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""
         queue = [c]
         while queue:
             c = queue.pop()
-            sc = cols[c]
-            sc_inv = inverses.get(sc) or inverses.setdefault(sc, _tinverse(sc))
+            ic = cols[c]
+            sc, base = rows[ic], ic * n_perms
             for b in range(n):
-                sb = cols[b]
-                if sb is None:
+                ib = cols[b]
+                if ib is None:
                     continue
                 # axiom 3 forces the columns at sc[b] and at sb[c]
                 t1 = sc[b]
-                f1 = tuple(sc[sb[sc_inv[y]]] for y in range(n))
+                f1 = conj[base + ib]
                 if cols[t1] is None:
                     cols[t1] = f1
                     queue.append(t1)
                 elif cols[t1] != f1:
                     return False
-                sb_inv = inverses.get(sb) or inverses.setdefault(sb, _tinverse(sb))
-                t2 = sb[c]
-                f2 = tuple(sb[sc[sb_inv[y]]] for y in range(n))
+                t2 = rows[ib][c]
+                f2 = conj[ib * n_perms + ic]
                 if cols[t2] is None:
                     cols[t2] = f2
                     queue.append(t2)
@@ -320,17 +347,17 @@ def _tables_from(s0, candidates):
         return True
 
     def dfs(cols):
-        free = next((i for i in range(n) if cols[i] is None), None)
-        if free is None:
-            yield np.array(cols, dtype=np.int8).T.copy()     # cols[b][a] = a*b
+        if None not in cols:
+            yield columns.perms[cols].T.copy()     # cols[b] is the id of S_b, and a*b = S_b(a)
             return
-        for cand in candidates[free]:
+        free = cols.index(None)
+        for cand in fixing[free]:
             trial = list(cols)
             trial[free] = cand
             if propagate(trial, free):
                 yield from dfs(trial)
 
-    cols = [s0] + [None] * (n - 1)
+    cols = [bisect.bisect_left(rows, s0)] + [None] * (n - 1)
     if propagate(cols, 0):
         yield from dfs(cols)
 

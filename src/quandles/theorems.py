@@ -25,7 +25,6 @@ through it.
 """
 
 import inspect
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -491,7 +490,10 @@ def check_thm_fnt(p, n, u):
 # -- the census bound on higher transitivity -----------------------------------
 
 
-_CENSUS_MAX_ORDER = 6
+# the census runs to order 6 unless asked for more, and takes at most the
+# column search's bound, 7 (about 13 s and 100 MB peak RSS)
+_CENSUS_DEFAULT_ORDER = 6
+_CENSUS_CEILING = Q._COLUMN_SEARCH_BOUND
 
 
 def _first_columns(n):
@@ -520,32 +522,34 @@ def _relabelings(table, perms):
 
 def _quandle_classes(order):
     """Isomorphism classes of quandles of the given order, deterministic,
-    with the labeled tables counted twice: (classes, weighted, relabeled).
+    with the labeled tables counted twice and the search's completions
+    counted: (classes, weighted, relabeled, completions).
 
     The search runs from one S_0 per cycle type.  Relabeling by a permutation
     fixing 0 carries the tables with S_0 = s onto those with S_0 conjugate to
     s, so every class has a member among these completions, and weighting
     each completion by the size of its S_0's conjugacy class counts the
     labeled tables.  A completion outside every relabeling orbit seen so far
-    starts a new class and adds its whole orbit to the set, whose size counts
-    the labeled tables again, by orbit closure.  Only such a table becomes a
-    Quandle, and so is checked against the axioms.
+    starts a new class and adds its whole orbit, under the search's own
+    permutation list, to the set, whose size counts the labeled tables
+    again, by orbit closure.  Only such a table becomes a Quandle, and so is
+    checked against the axioms.
     """
-    perms = np.array(list(itertools.permutations(range(order))), dtype=np.int64)
-    candidates = Q._column_candidates(order)
+    columns = Q._column_candidates(order)
     seen = set()
     classes = []
-    weighted = 0
+    weighted = completions = 0
     for s0, weight in _first_columns(order):
-        for table in Q._tables_from(s0, candidates):
+        for table in Q._tables_from(s0, columns):
+            completions += 1
             weighted += weight
             if table.tobytes() not in seen:
                 classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
-                seen.update(row.tobytes() for row in _relabelings(table, perms))
-    return classes, weighted, len(seen)
+                seen.update(row.tobytes() for row in _relabelings(table, columns.perms))
+    return classes, weighted, len(seen), completions
 
 
-def check_mccarron_bound(min_order=1, max_order=_CENSUS_MAX_ORDER):
+def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     """Census over all quandles of each order: no quandle with 4 or more
     elements is 3-transitive, and at order 3 the dihedral quandle R_3 is the
     unique 3-transitive one.
@@ -554,16 +558,18 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_MAX_ORDER):
     column S_0 per cycle type, with no pairwise isomorphism tests (see
     ``_quandle_classes``).  ``labeled[n]`` counts the labeled tables by
     cycle-type weights and ``relabeled[n]`` by the size of the union of the
-    orbits; the report fails where the two differ.
+    orbits; the report fails where the two differ.  ``completions[n]``
+    counts the tables the column search completed.
     """
     rep = TheoremReport("mccarron")
-    if not 1 <= min_order <= max_order <= _CENSUS_MAX_ORDER:
-        raise ValueError(f"census bound must sit inside 1..{_CENSUS_MAX_ORDER}")
+    if not 1 <= min_order <= max_order <= _CENSUS_CEILING:
+        raise ValueError(f"census bound must sit inside 1..{_CENSUS_CEILING}")
     for order in range(min_order, max_order + 1):
-        classes, labeled, relabeled = _quandle_classes(order)
+        classes, labeled, relabeled, completions = _quandle_classes(order)
         rep.annotations[f"classes[{order}]"] = len(classes)
         rep.annotations[f"labeled[{order}]"] = labeled
         rep.annotations[f"relabeled[{order}]"] = relabeled
+        rep.annotations[f"completions[{order}]"] = completions
         rep.instances_tested += len(classes)
         if relabeled != labeled:
             rep.fail(f"order {order}: the relabeling orbits hold {relabeled} tables, "
@@ -711,7 +717,7 @@ def suite_doubly_transitive(cases=((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (
     )
 
 
-def suite_mccarron(max_order=_CENSUS_MAX_ORDER):
+def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
     return check_mccarron_bound(1, max_order)
 
 
@@ -719,7 +725,7 @@ def suite_mccarron(max_order=_CENSUS_MAX_ORDER):
 # past it before any suite runs.  At 16, alexander-embedding's centralizers
 # of all 20,160 automorphisms of (Z/2)^4 take about 43 s, and conj-embedding's
 # Aut(Conj(G)) searches on the non-abelian groups about 10 s.
-suite_mccarron.ceilings = {"max_order": _CENSUS_MAX_ORDER}
+suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
 suite_alexander_embedding.ceilings = suite_conj_embedding.ceilings = {"max_order": 15}
 
 

@@ -176,9 +176,9 @@ def test_verify_refuses_a_bound_the_suite_does_not_take(argv, bound, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["mccarron", "--max-order", "8"],
-    ["all", "--max-order", "7"],
+    ["all", "--max-order", "8"],
 ])
-def test_verify_refuses_a_census_past_order_6(argv, capsys):
+def test_verify_refuses_a_census_past_its_ceiling(argv, capsys):
     code, out, err = run(["verify", *argv], capsys)
     assert code == 2
     assert err.startswith("error:") and out == ""
@@ -197,10 +197,10 @@ def no_suite_runs(monkeypatch):
         monkeypatch.setitem(theorems.THEOREM_SUITES, tid, (never(fn), desc))
 
 
-def test_verify_all_refuses_a_census_past_order_6_before_any_suite_runs(no_suite_runs, capsys):
-    code, out, err = run(["verify", "all", "--max-order", "7"], capsys)
+def test_verify_all_refuses_a_census_past_its_ceiling_before_any_suite_runs(no_suite_runs, capsys):
+    code, out, err = run(["verify", "all", "--max-order", "8"], capsys)
     assert code == 2
-    assert err == "error: mccarron refuses max_order above 6, got 7\n" and out == ""
+    assert err == "error: mccarron refuses max_order above 7, got 8\n" and out == ""
 
 
 @pytest.mark.parametrize("tid", ["alexander-embedding", "conj-embedding"])

@@ -6,6 +6,8 @@ orders 1..5 (cross-checked below by validating every emitted table).
 """
 
 import hashlib
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from hypothesis import strategies as st
 
 import quandles.groups as G
 import quandles.quandle as Q
+import quandles.theorems as T
+from quandles.perms import Permutation
 from quandles.quandle import QuandleAxiomError
 
 # passes idempotence and column bijectivity but breaks self-distributivity
@@ -29,6 +33,10 @@ ENUMERATION_DIGESTS = {
     4: "c55ab7916ec584f227f06a9d7fcd6bc965493bea715877a159a58145b529097b",
     5: "0aacc1b7e00bce5e7cdd5e212684e04ec7dd560668fdbefcbd36a9a1a4716b58",
 }
+
+# the same digest over the 2,790 tables the census's order-6 search completes
+# from the columns S_0 of theorems._first_columns(6), in yield order
+CENSUS_SEARCH_DIGEST_6 = "0d678274b5662b31bc6ab05a37ff384417eefad4c069c241e0083f384205cdca"
 
 
 def test_axiom_idempotence_witness():
@@ -191,6 +199,49 @@ def test_enumerator_yields_pinned_tables_in_a_pinned_order():
             assert isinstance(x, Q.Quandle) and x.provenance.kind == "enumerated"
             h.update(x.table.astype(np.int8).tobytes())
         assert h.hexdigest() == digest
+
+
+def test_census_search_yields_pinned_tables_in_a_pinned_order():
+    columns = Q._column_candidates(6)
+    h = hashlib.sha256()
+    count = 0
+    for s0, _ in T._first_columns(6):
+        for table in Q._tables_from(s0, columns):
+            h.update(table.astype(np.int8).tobytes())
+            count += 1
+    assert (count, h.hexdigest()) == (2790, CENSUS_SEARCH_DIGEST_6)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_column_ids_and_conjugation_table_match_tuple_composition(n):
+    columns = Q._column_candidates(n)
+    rows = list(itertools.permutations(range(n)))
+    assert columns.rows == rows and columns.perms.tolist() == [list(r) for r in rows]
+    assert columns.fixing == [[i for i, r in enumerate(rows) if r[x] == x] for x in range(n)]
+    ids = {r: i for i, r in enumerate(rows)}
+    conj = columns.conj
+    assert len(conj) == len(rows) ** 2
+    for c, sc in enumerate(rows):
+        sc_inv = Permutation(sc).inverse().images
+        for b, sb in enumerate(rows):
+            # conj[c, b] is S_c S_b S_c^-1: apply S_c^-1, then S_b, then S_c
+            want = tuple(sc[sb[sc_inv[y]]] for y in range(n))
+            assert conj[c * len(rows) + b] == ids[want]
+
+
+def test_column_search_refuses_order_8_before_it_allocates():
+    # at order 8 the conjugation table alone would take about 3.25 GB
+    tracemalloc.start()
+    try:
+        for build in (lambda: next(Q.enumerate_quandle_tables(8)), lambda: Q._column_candidates(8),
+                      lambda: T._quandle_classes(8), lambda: T.check_mccarron_bound(1, 8)):
+            with pytest.raises(ValueError):
+                build()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ValueError, match="must be positive"):
+        next(Q.enumerate_quandle_tables(0))
 
 
 def test_each_constructor_checks_its_quandle_once(monkeypatch, tmp_path):

@@ -378,8 +378,9 @@ def test_mccarron_check():
     assert rep.passed
     assert rep.annotations["classes[3]"] == 3
     assert rep.annotations["classes[4]"] == 7
+    assert [rep.annotations[f"completions[{n}]"] for n in range(1, 5)] == [1, 1, 5, 26]
     with pytest.raises(ValueError):
-        T.check_mccarron_bound(1, 7)
+        T.check_mccarron_bound(1, 8)
 
 
 def test_census_checks_each_class_against_the_axioms(monkeypatch):
@@ -403,7 +404,8 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_classes_match_the_full_enumeration(n):
     full = [x.table.astype(np.int8).tobytes() for x in Q.enumerate_quandle_tables(n)]
-    classes, weighted, relabeled = T._quandle_classes(n)
+    classes, weighted, relabeled, completions = T._quandle_classes(n)
+    assert completions == [1, 1, 5, 26, 218, 2790][n - 1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     orbits = {row.tobytes() for x in classes for row in T._relabelings(x.table, perms)}
     assert orbits == set(full)
