@@ -19,6 +19,7 @@ first line the order, then one row per line.
 """
 
 import itertools
+import warnings
 from math import gcd, prod
 
 import numpy as np
@@ -118,6 +119,25 @@ def _row_chunks(rows, width):
         yield slice(lo, min(lo + step, rows))
 
 
+def _first_witness(arr, sides):
+    """The lexicographically first (a, b, c) at which the two sides of a law
+    on the triples of the n x n table arr differ.
+
+    sides(rows) returns both sides as (k, n, n) arrays for the k table rows
+    a in rows.  The scan runs over a in order, starting with a single row
+    and doubling the chunk up to _CHUNK_ENTRIES // n^2 rows, so a first
+    defect in row a costs about a n^2 work plus one doubling, and memory
+    never exceeds one capped chunk.  Callers know a witness exists.
+    """
+    lo, step, cap = 0, 1, max(1, _CHUNK_ENTRIES // arr.size)
+    while lo < len(arr):
+        left, right = sides(arr[lo:lo + step])
+        if not np.array_equal(left, right):
+            a, b, c = (int(x) for x in np.argwhere(left != right)[0])
+            return a + lo, b, c
+        lo, step = lo + step, min(2 * step, cap)
+
+
 def _generators(n, times, identity=None):
     """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
 
@@ -160,7 +180,8 @@ def _validate_group_table(arr):
     generator g.  The g that pass are closed under the product, since
     (x (g h)) y = ((x g) h) y = (x g)(h y) = x (g (h y)) = x ((g h) y), so
     they hold the closure of the generators, which is every element.  When
-    a generator fails, the scan over every g names the first failing triple.
+    a generator fails, ``_first_witness`` names the first failing triple: a
+    defect first found in row x costs about x n^2 plus one doubling.
     """
     n = arr.shape[0]
     rng = np.arange(n)
@@ -171,14 +192,9 @@ def _validate_group_table(arr):
     gens = _generators(n, arr.item, identity=0)
     if all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         return gens
-    # a generator fails: scan every g, in row chunks of x, for the first witness
-    for s in _row_chunks(n, n * n):
-        chunk = arr[s]
-        left = arr[chunk]        # left[a,b,c]  = (a*b)*c  for a in the chunk
-        right = chunk[:, arr]    # right[a,b,c] = a*(b*c)
-        if not np.array_equal(left, right):
-            a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-            raise ValueError(f"associativity fails at ({a + s.start}, {b}, {c})")
+    # a generator fails: (a, b, c) -> (a*b)*c against a*(b*c) over every triple
+    a, b, c = _first_witness(arr, lambda rows: (arr[rows], rows[:, arr]))
+    raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
 
 def element_order(group, a):
@@ -655,18 +671,17 @@ def _square_table(table, kind):
 
 
 def _read_table(path, kind):
-    """The square table in a table file; kind names the file in errors."""
-    with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"{path}: empty {kind} file")
-    n = int(tokens[0])
-    if n < 1:
-        raise ValueError(f"{path}: order must be positive")
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise ValueError(f"{path}: expected {n * n} entries, found {len(body)}")
-    return np.array([int(t) for t in body], dtype=np.int64).reshape(n, n)
+    """The square table in a table file: the order n in 1.._TABLE_ORDER_BOUND,
+    checked before the body is read, then n lines of n integers."""
+    with open(path) as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused by shape
+        n = int(fh.readline())
+        if not 1 <= n <= _TABLE_ORDER_BOUND:
+            raise ValueError(f"{path}: {kind} order {n} is not in 1..{_TABLE_ORDER_BOUND}")
+        body = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    if body.shape != (n, n):
+        raise ValueError(f"{path}: expected {n} rows of {n} entries, found shape {body.shape}")
+    return body
 
 
 def save_group(group, path):

@@ -13,7 +13,8 @@ constructor checks them, and nothing skips or repeats that check.
 Axiom 3 needs checking only for c in a generating set: once the columns
 are permutations, S_{a*c} = S_c S_a S_c^-1 whenever S_c is an automorphism,
 so the c at which axiom 3 holds are closed under *.  Validation therefore
-costs n^2 k for k generators, not n^3.
+costs n^2 k for k generators, not n^3.  The witness of a defect first found
+in row a then costs about a n^2 plus one doubling, not a full chunk.
 
 Constructors cover the families built from a group G: conjugation
 a*b = b^-m a b^m, Takasaki a*b = 2b - a on abelian groups, Alexander
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _generators, _read_table, _row_chunks, _square_table, _table_text
+from .groups import _TABLE_ORDER_BOUND, _first_witness, _generators, _read_table, _square_table, _table_text
 from .groups import make_cyclic
 from .perms import Permutation
 
@@ -106,8 +107,9 @@ def _check_axioms(arr):
     axiom 3 at c says that S_c is an automorphism, and then
     S_{a*c} = S_c S_a S_c^-1.  So the c whose S_c is an automorphism are
     closed under *, and they hold the closure of the generators, which is
-    every element.  When a generator fails, the scan over every c names
-    the first failing triple.
+    every element.  When a generator fails, ``groups._first_witness`` names
+    the first failing triple: a defect first found in row a costs about
+    a n^2 plus one doubling.
     """
     n = arr.shape[0]
     rng = np.arange(n)
@@ -141,17 +143,9 @@ def _check_axioms(arr):
             break
     else:
         return
-    # a generator fails: scan every c, in row chunks of a, for the first witness
-    for s in _row_chunks(n, n * n):
-        chunk = arr[s]
-        left = arr[chunk]                         # (a,b,c) -> (a*b)*c
-        right = arr[chunk[:, None, :], arr[None, :, :]]   # (a,b,c) -> (a*c)*(b*c)
-        if not np.array_equal(left, right):
-            a, b, c = (int(x) for x in np.argwhere(left != right)[0])
-            a += s.start
-            raise QuandleAxiomError(
-                3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})"
-            )
+    # a generator fails: (a, b, c) -> (a*b)*c against (a*c)*(b*c) over every triple
+    a, b, c = _first_witness(arr, lambda rows: (arr[rows], arr[rows[:, None, :], arr[None, :, :]]))
+    raise QuandleAxiomError(3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})")
 
 
 def validate_axioms(table, provenance=None):

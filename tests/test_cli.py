@@ -133,6 +133,14 @@ def test_analyze_invalid_table(tmp_path, capsys):
     assert "not a quandle" in err
 
 
+def test_analyze_refuses_a_huge_order(tmp_path, capsys):
+    path = tmp_path / "huge.qnd"
+    path.write_text("100000\n")
+    code, _, err = run(["analyze", str(path)], capsys)
+    assert code == 2
+    assert "order 100000 is not in 1..1024" in err
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(["analyze", "does-not-exist.qnd"], capsys)
     assert code == 2

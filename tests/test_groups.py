@@ -6,6 +6,7 @@ counts for cyclic groups.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,36 @@ def test_associativity_witness_matches_all_triples(rest, m):
     with pytest.raises(ValueError) as exc:
         G.FiniteGroup(t)
     assert str(exc.value) == f"associativity fails at {witness}"
+
+
+def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
+    # Z/35 x LOOP5 with the loop coordinate slow: element l*35 + g.  Light's
+    # test fails only where the loop does, so rows 0..34 (loop element 0)
+    # are associative, and the first failing row, 35, lies past the first
+    # chunks of the scan, which start at one row and double up to the cap of
+    # 2^20 // 175^2 = 34 rows
+    m = 35
+    zm = G.make_cyclic(m).table
+    t = (np.array(LOOP5)[:, None, :, None] * m + zm[None, :, None, :]).reshape(5 * m, 5 * m)
+    t16 = t.astype(np.int16)
+    witness = tuple(int(v) for v in np.argwhere(t16[t16] != t16[:, t16])[0])    # (ab)c vs a(bc)
+    assert witness[0] == m
+    with pytest.raises(ValueError) as exc:
+        G.FiniteGroup(t)
+    assert str(exc.value) == f"associativity fails at {witness}"
+
+    def scan():
+        sizes = []
+
+        def sides(rows):
+            sizes.append(len(rows))
+            return t[rows], rows[:, t]
+
+        return G._first_witness(t, sides), sizes
+
+    assert scan() == (witness, [1, 2, 4, 8, 16, 32])
+    monkeypatch.setattr(G, "_CHUNK_ENTRIES", 4 * len(t) ** 2)
+    assert scan() == (witness, [1, 2] + [4] * 9)
 
 
 def _closure(rows, gens):
@@ -416,6 +447,82 @@ def test_group_file_round_trip(tmp_path):
     path.write_text("2\n0 1\n1 1\n")
     with pytest.raises(ValueError):
         G.load_group(path)
+
+
+def _file_quandles():
+    z5, z7, f9, q8 = (G.group_by_name(x) for x in ("z5", "z7", "3x3", "q8"))
+    return [
+        Q.trivial_quandle(1), Q.trivial_quandle(3), Q.trivial_quandle(6), Q.dihedral(3), Q.dihedral(5),
+        Q.dihedral(6), Q.dihedral(7), Q.conj_quandle(q8, 1), Q.conj_quandle(G.make_symmetric(3)),
+        Q.takasaki(z5), Q.alexander(z5, G.scalar_map(z5, 2)), Q.alexander(z7, G.scalar_map(z7, 3)),
+        Q.alexander(f9, G.scalar_map(f9, 2)), Q.gen_alexander(q8, G.automorphism_group(q8)[5]),
+        Q.gen_alexander(f9, G.matrix_map(f9, [[0, 1], [1, 1]])),
+    ]
+
+
+def test_table_files_round_trip(tmp_path):
+    # every catalog group of order <= 16 and every constructor the file tests use
+    path = tmp_path / "t.txt"
+    for g in G.catalog_groups(16):
+        G.save_group(g, path)
+        assert path.read_text() == G._table_text(g.table)
+        h = G.load_group(path)
+        assert h.table.dtype == np.int64 and np.array_equal(h.table, g.table), g.name
+    for x in _file_quandles():
+        Q.save_quandle(x, path)
+        assert path.read_text() == Q.quandle_to_text(x)
+        assert np.array_equal(Q.load_quandle(path).table, x.table), repr(x)
+
+
+# each body is malformed in one way; mended, it is the table of Z/2
+MALFORMED = {
+    "word": "2\n0 x\n1 0\n",
+    "float": "2\n0 1.0\n1 0\n",
+    "exponent": "2\n0 1e0\n1 0\n",
+    "hash token": "2\n0 #\n1 0\n",
+    "trailing comment": "2\n0 1 # comment\n1 0\n",
+    "comment line": "2\n# comment\n0 1\n1 0\n",
+    "negative": "2\n0 -1\n1 0\n",
+    "extra row": "2\n0 1\n1 0\n0 1\n",
+    "missing row": "2\n0 1\n",
+    "one long row": "2\n0 1 1 0\n",
+    "ragged": "2\n0 1\n1\n",
+    "ragged long": "2\n0 1\n1 0 0\n",
+    "empty body": "2\n",
+    "blank body": "2\n\n\n",
+    "empty file": "",
+    "order with the body": "2 0 1\n1 0\n",
+    "order zero": "0\n",
+    "negative order": "-2\n0 1\n1 0\n",
+}
+
+
+@pytest.mark.parametrize("body", MALFORMED.values(), ids=MALFORMED.keys())
+def test_table_files_refuse_malformed_bodies(tmp_path, body):
+    # refused by the parser or the table intake, before any axiom is checked
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    for load in (G.load_group, Q.load_quandle):
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert not isinstance(exc.value, Q.QuandleAxiomError)
+    path.write_text("2\n0 1\n1 0\n")
+    assert G.load_group(path).order == 2
+
+
+def test_table_files_refuse_a_huge_order_before_reading_the_body(tmp_path):
+    path = tmp_path / "huge.txt"
+    row = " ".join(["0"] * 1000) + "\n"
+    for order in (100000, G._TABLE_ORDER_BOUND + 1):
+        path.write_text(f"{order}\n" + row * 1000)    # about 2 MB of body
+        tracemalloc.start()
+        try:
+            for load in (G.load_group, Q.load_quandle):
+                with pytest.raises(ValueError, match=f"order {order} is not in 1..{G._TABLE_ORDER_BOUND}"):
+                    load(path)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
 
 
 def test_euler_phi():

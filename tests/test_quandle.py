@@ -77,6 +77,31 @@ def test_axiom_distributivity_witness_past_the_first_row_chunk():
     assert tuple(np.argwhere(left != right)[0]) == (100, 0, 1)
 
 
+def test_planted_order_289_file_fails_in_a_few_megabytes(tmp_path):
+    # Alex((Z/17)^2, 3) with two off-diagonal entries of column 42 swapped:
+    # its first axiom-3 witness lies in row 0, and the scan for it starts
+    # with that one row instead of a full chunk of 12 rows (about 16 MB)
+    f = G.make_abelian([17, 17])
+    t = Q.alexander(f, G.scalar_map(f, 3)).table.copy()
+    t[[5, 200], 42] = t[[200, 5], 42]
+    path = tmp_path / "a289bad.qnd"
+    path.write_text(G._table_text(t))
+    for a in range(len(t)):
+        bad = np.argwhere(t[t[a]] != t[t[a][None, :], t])    # (a*b)*c vs (a*c)*(b*c)
+        if len(bad):
+            witness = (a,) + tuple(int(v) for v in bad[0])
+            break
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuandleAxiomError) as exc:
+            Q.load_quandle(path)
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+    assert exc.value.axiom == 3 and exc.value.witness == witness
+    assert witness[0] == 0
+
+
 def test_trivial_quandle():
     x = Q.trivial_quandle(3)
     assert x.table.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
