@@ -30,8 +30,8 @@ _AUT_ORDER_BOUND = 64
 # Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
 _AUT_LIST_BOUND = 10 ** 6
 _BRUTE_FORCE_BOUND = 8
-# Largest order make_abelian and quandle.trivial_quandle build: the dihedral
-# quandle R_1024 takes about 0.25 s and 95 MB, R_2000 about 0.8 s and 290 MB.
+# Largest order make_abelian and quandle.trivial_quandle build and _read_table
+# loads: R_1024 takes about 0.25 s and 95 MB to build, R_2000 0.8 s and 290 MB.
 _TABLE_ORDER_BOUND = 1024
 _CHUNK_ENTRIES = 1 << 20
 
