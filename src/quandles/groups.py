@@ -24,7 +24,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .perms import _tinverse, table_automorphism_group
+from .perms import _generators, _tinverse, table_automorphism_group
 
 _AUT_ORDER_BOUND = 64
 # Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
@@ -136,40 +136,6 @@ def _first_witness(arr, sides):
             a, b, c = (int(x) for x in np.argwhere(left != right)[0])
             return a + lo, b, c
         lo, step = lo + step, min(2 * step, cap)
-
-
-def _generators(n, times, identity=None):
-    """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
-
-    times(x, g) is the product x*g, or -1 for a product outside the
-    structure.  Each element outside the closure of the generators so far
-    becomes the next generator, so the closure of the result is everything.
-    An identity, when given, counts as inside from the start and is never a
-    generator: in a finite group it is a power of any element.
-    The closure is the generators and the products x*g of its members x with
-    generators g.  It grows by a frontier that multiplies each member by
-    each generator once: n k products for k generators.  For a group or a
-    quandle it is the subgroup or subquandle the generators make.  A law
-    that holds at x*g whenever it holds at x and at g therefore holds
-    everywhere once it holds at the generators.
-    """
-    inside = [False] * n
-    members, gens = [], []
-    if identity is not None:
-        inside[identity] = True
-        members.append(identity)
-    for g in range(n):
-        if inside[g]:
-            continue
-        gens.append(g)
-        frontier = [times(x, g) for x in members] + [g]
-        while frontier:
-            x = frontier.pop()
-            if x >= 0 and not inside[x]:
-                inside[x] = True
-                members.append(x)
-                frontier += [times(x, h) for h in gens]
-    return np.array(gens, dtype=np.int64)
 
 
 def _validate_group_table(arr):
@@ -672,16 +638,41 @@ def _square_table(table, kind):
 
 def _read_table(path, kind):
     """The square table in a table file: the order n in 1.._TABLE_ORDER_BOUND,
-    checked before the body is read, then n lines of n integers."""
+    checked before the body is read, then n lines of n integers.  A parse
+    error names the file and the line, counted from the file's first line."""
     with open(path) as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused by shape
-        n = int(fh.readline())
+        first = fh.readline()
+        try:
+            n = int(first)
+        except ValueError:
+            raise ValueError(f"{path}: line 1: the order {first.strip()!r} is not an integer") from None
         if not 1 <= n <= _TABLE_ORDER_BOUND:
             raise ValueError(f"{path}: {kind} order {n} is not in 1..{_TABLE_ORDER_BOUND}")
-        body = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        try:
+            body = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError as exc:
+            fh.seek(0)
+            raise ValueError(f"{path}: {_bad_line(fh.readlines(), n) or exc}") from None
     if body.shape != (n, n):
         raise ValueError(f"{path}: expected {n} rows of {n} entries, found shape {body.shape}")
     return body
+
+
+def _bad_line(lines, n):
+    """"line k: why" for the first body line of a table file of order n that
+    cannot parse, or None; lines[0] holds the order."""
+    for number, line in enumerate(lines[1:], start=2):
+        tokens = line.split()
+        for tok in tokens:
+            try:
+                if abs(int(tok)) >= 1 << 63:
+                    return f"line {number}: {tok!r} does not fit in 64 bits"
+            except ValueError:
+                return f"line {number}: {tok!r} is not an integer"
+        if tokens and len(tokens) != n:
+            return f"line {number}: expected {n} entries, found {len(tokens)}"
+    return None
 
 
 def save_group(group, path):

@@ -22,14 +22,18 @@ full for every i < k) are its public reads.  ``brute_force_closure`` and
 ``brute_force_k_transitive`` are oracles that never touch the chain.
 
 ``table_automorphism_group`` is the one backtracking search of the package:
-it finds the automorphism group of any square binary table, so it decides
+it finds the automorphism group of a group or quandle table, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
-depth-first step also decides quandle isomorphism.  It hands back its own
-stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
+depth-first step also decides quandle isomorphism.  Its work follows the
+table's structure: a point may map only to points of its colour
+(``_colours``), and an assignment propagates through the generator columns
+of the table only (``_assign``).  It hands back its own stabilizer chain,
+and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
 """
 
-import itertools
+from itertools import chain
 from math import prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -37,8 +41,10 @@ _ELEMENT_CAP = 1 << 26     # most entries (order x degree) element_array builds
 
 
 def _tcompose(p, q):
-    # apply p, then q
-    return tuple(q[x] for x in p)
+    # apply p, then q; itemgetter returns a bare item, not a tuple, below two
+    if len(p) < 2:
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def _tinverse(p):
@@ -54,7 +60,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        imgs = tuple(int(x) for x in images)
+        imgs = tuple(map(int, images))
         if sorted(imgs) != list(range(len(imgs))):
             raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs}")
         self.images = imgs
@@ -110,13 +116,6 @@ class Permutation:
             cur = _tcompose(cur, self.images)
             k += 1
         return k
-
-    def to_line(self):
-        return " ".join(str(x) for x in self.images)
-
-    @classmethod
-    def from_line(cls, line):
-        return cls(int(tok) for tok in line.split())
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
@@ -363,52 +362,185 @@ class PermGroup:
         """Every element once, in the row order of element_array()."""
         return (Permutation(row.tolist()) for row in self.element_array())
 
-    # -- serialization ----------------------------------------------------
-
-    def to_lines(self):
-        return [str(self.degree)] + [" ".join(map(str, g.images)) for g in self.generators]
-
-    @classmethod
-    def from_lines(cls, lines):
-        lines = [ln for ln in lines if ln.strip()]
-        if not lines:
-            raise ValueError("empty permutation group serialization")
-        degree = int(lines[0].split()[0])
-        gens = [Permutation.from_line(ln) for ln in lines[1:]]
-        return cls(gens, degree=degree)
-
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order()})"
 
 
-# -- automorphisms of a binary table ---------------------------------------------
+# -- automorphisms of a group or quandle table -----------------------------------
 
 
-def _assign(tsrc, ttgt, img, rev, assigned, a, b):
-    """Set img[a] = b and chase consequences; False on any contradiction.
+def _generators(n, times, identity=None):
+    """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
 
-    Every pair (a, x) with both points assigned closes two products, whose
-    images are forced; forced assignments are queued and processed the same
-    way, so the final map respects every fully assigned pair.
+    times(x, g) is the product x*g, or -1 for a product outside the
+    structure.  Each element outside the closure of the generators so far
+    becomes the next generator, so the closure of the result is everything.
+    An identity, when given, counts as inside from the start and is never a
+    generator: in a finite group it is a power of any element.
+    The closure is the generators and the products x*g of its members x with
+    generators g.  It grows by a frontier that multiplies each member by
+    each generator once: n k products for k generators.  For a group or a
+    quandle it is the subgroup or subquandle the generators make.  A law
+    that holds at x*g whenever it holds at x and at g therefore holds
+    everywhere once it holds at the generators.
     """
-    queue = [(a, b)]
-    while queue:
-        a, b = queue.pop()
-        cur = img[a]
-        if cur != -1:
-            if cur != b:
-                return False
+    inside = [False] * n
+    members, gens = [], []
+    if identity is not None:
+        inside[identity] = True
+        members.append(identity)
+    for g in range(n):
+        if inside[g]:
             continue
-        if rev[b] != -1:
-            return False
-        img[a] = b
-        rev[b] = a
-        assigned.append(a)
-        ta, tb = tsrc[a], ttgt[b]
-        for x in assigned:
-            ix = img[x]
-            queue.append((ta[x], tb[ix]))
-            queue.append((tsrc[x][a], ttgt[ix][b]))
+        gens.append(g)
+        frontier = [times(x, g) for x in members] + [g]
+        while frontier:
+            x = frontier.pop()
+            if x >= 0 and not inside[x]:
+                inside[x] = True
+                members.append(x)
+                frontier += [times(x, h) for h in gens]
+    return np.array(gens, dtype=np.int64)
+
+
+def _colour_seeds(table):
+    """One row of invariants per point a of a group or quandle table: the
+    sorted fibre sizes of the row map x -> a*x, its number of fixed points,
+    and the sorted lengths of the cycles through each point of the column
+    map x -> x*a, which is a bijection.
+
+    Each entry is defined without reference to the labels, so an isomorphism
+    keeps it.  A cycle's length is the number of points sharing its least
+    point, found by pointer doubling: log2(n) gathers over all columns.
+    """
+    n = len(table)
+    rng = np.arange(n)
+    flat = rng[:, None] * n
+    fibres = np.bincount((flat + table).ravel(), minlength=n * n).reshape(n, n)
+    fixed = (table == rng).sum(axis=1, keepdims=True)
+    # as flat indices, step[a, x] is a n + S^(2^i)(x) for the column map S of a,
+    # and low[a, x] is the least of x, S(x), ..., S^(2^i - 1)(x)
+    step, low = flat + table.T, np.tile(rng, (n, 1))
+    for _ in range((n - 1).bit_length()):
+        low = np.minimum(low, low.take(step))
+        step = step.take(step)
+    sizes = np.bincount((flat + low).ravel(), minlength=n * n)
+    return np.hstack([np.sort(fibres, axis=1), fixed, np.sort(sizes.take(flat + low), axis=1)])
+
+
+def _mix(x):
+    """splitmix64 on each entry, as uint64: fixed pseudo-random weights, so
+    that a weighted sum of a row's entries hashes the row."""
+    x = np.asarray(x).astype(np.uint64) + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def _names(keys):
+    """Colours named in common, and how many there are: each key's rank among
+    the distinct keys of all the tables, cut back into one array per table."""
+    distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+    inverse, n = inverse.reshape(-1), len(keys[0])
+    return [inverse[i * n:(i + 1) * n] for i in range(len(keys))], len(distinct)
+
+
+def _colours(*tables):
+    """Colours of the points of group or quandle tables of one order, named
+    in common, so that an isomorphism between two of them keeps colours and
+    an automorphism of one permutes each colour class.
+
+    The seeds are the rows of ``_colour_seeds``.  Refinement is
+    1-dimensional Weisfeiler-Leman: a point's next colour is its colour and
+    the multiset, over every b, of (colour b, colour a*b, colour b*a), held
+    as a sorted row; it stops when no class splits.  Rows are hashed to 64
+    bits by a weighted sum (``_mix``) and names are ranks of hashes, so no
+    label enters; a hash collision could only merge classes, which keeps
+    the colours invariant.
+    """
+    tables = [np.asarray(t, dtype=np.int64) for t in tables]
+    n = len(tables[0])
+    seeds = [_colour_seeds(t).astype(np.uint64) for t in tables]
+    weights = _mix(np.arange(max(seeds[0].shape[1], n + 1)))
+    colours, k = _names([s @ weights[:s.shape[1]] for s in seeds])
+    while k > 1:            # one class cannot split: every triple is (0, 0, 0)
+        finer, count = _names([np.sort((c * k + c[t]) * k + c[t.T], axis=1).astype(np.uint64) @ weights[:n]
+                               + c.astype(np.uint64) * weights[n] for t, c in zip(tables, colours)])
+        if count == k:
+            break
+        colours, k = finer, count
+    return colours
+
+
+class _Search:
+    """What one search from the table src to the table tgt (the same table
+    for automorphisms) fixes before it starts: which source points are
+    generators (``_generators``), and for each source point its candidate
+    images, the target points of its colour in increasing order.  nodes
+    counts the calls of ``_dfs_first``."""
+
+    __slots__ = ("src", "tgt", "is_gen", "candidates", "nodes")
+
+    def __init__(self, src, tgt, src_colours, tgt_colours):
+        n = len(src)
+        self.src, self.tgt = src, tgt
+        self.is_gen = [False] * n
+        for g in _generators(n, lambda x, g: src[x][g]).tolist():
+            self.is_gen[g] = True
+        classes = {}
+        for b, c in enumerate(tgt_colours.tolist()):
+            classes.setdefault(c, []).append(b)
+        self.candidates = [classes.get(c, []) for c in src_colours.tolist()]
+        self.nodes = 0
+
+
+def _start(n):
+    """The empty partial map: (img, rev, assigned, agens), see ``_assign``."""
+    return [-1] * n, [-1] * n, [], []
+
+
+def _copy(state):
+    img, rev, assigned, agens = state
+    return img[:], rev[:], assigned[:], agens[:]
+
+
+def _assign(search, state, a, b):
+    """Set img[a] = b for an unassigned a and chase what it forces; False on
+    any contradiction.
+
+    For every assigned x and every assigned generator g of the source, the
+    image of x*g is forced to be img[x]*img[g].  A forced pair is checked as
+    it is found: it must match the image already there, or else keep the
+    map injective.  A newly assigned point is queued on ``assigned``, whose
+    points are processed in order; each pair (x, g) is closed once, when the
+    later of x and g is processed, and agens lists the generators processed
+    so far.  So a completed map costs n k checks for k generators.
+    """
+    src, tgt, is_gen = search.src, search.tgt, search.is_gen
+    img, rev, assigned, agens = state
+    if rev[b] != -1:
+        return False
+    img[a], rev[b] = b, a
+    i = len(assigned)
+    assigned.append(a)
+    while i < len(assigned):
+        a = assigned[i]
+        fa = img[a]
+        row, image_row = src[a], tgt[fa]
+        forced = ((row[g], image_row[img[g]]) for g in agens)     # agens read lazily, so with a
+        if is_gen[a]:
+            agens.append(a)
+            forced = chain(forced, ((src[x][a], tgt[img[x]][fa]) for x in assigned[:i]))
+        for y, z in forced:
+            w = img[y]
+            if w == -1:
+                if rev[z] != -1:
+                    return False
+                img[y], rev[z] = z, y
+                assigned.append(y)
+            elif w != z:
+                return False
+        i += 1
     return True
 
 
@@ -416,74 +548,84 @@ def _assign(tsrc, ttgt, img, rev, assigned, a, b):
 _SEARCH_BUDGET = 200_000
 
 
-def _dfs_first(tsrc, ttgt, img, rev, assigned, nodes):
-    """First completion of the partial map to a full isomorphism, or None;
-    nodes[0] counts the calls of the whole search."""
-    nodes[0] += 1
-    if nodes[0] > _SEARCH_BUDGET:
+def _dfs_first(search, state):
+    """The first completion of the partial map in state to an isomorphism,
+    or None.  The least unassigned point takes its candidates in increasing
+    order, so this is the completion least in lexicographic order."""
+    search.nodes += 1
+    if search.nodes > _SEARCH_BUDGET:
         raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} nodes")
-    n = len(img)
-    a = next((i for i in range(n) if img[i] == -1), -1)
-    if a == -1:
+    img, rev = state[0], state[1]
+    if -1 not in img:
         return tuple(img)
-    for b in range(n):
-        if rev[b] != -1:
-            continue
-        img2, rev2, as2 = img[:], rev[:], assigned[:]
-        if _assign(tsrc, ttgt, img2, rev2, as2, a, b):
-            res = _dfs_first(tsrc, ttgt, img2, rev2, as2, nodes)
-            if res is not None:
-                return res
+    a = img.index(-1)
+    for b in search.candidates[a]:
+        if rev[b] == -1:
+            trial = _copy(state)
+            if _assign(search, trial, a, b):
+                found = _dfs_first(search, trial)
+                if found is not None:
+                    return found
     return None
 
 
 def table_automorphism_group(rows):
-    """Bijections f with f(a*b) = f(a)*f(b) for the square table rows[a][b] = a*b.
+    """Bijections f with f(a*b) = f(a)*f(b) for a group or quandle table
+    rows[a][b] = a*b.
 
-    Backtracking assigns images of points in increasing order, tries
-    candidate images in increasing order, and propagates every newly closed
-    pair through the table, so a partial map dies as soon as it contradicts
-    the table or injectivity.  Rather than enumerating all automorphisms, the
-    search builds a strong generating set: levels run over the points in
-    decreasing order, level k looking for automorphisms fixing 0..k-1
-    pointwise.  For each image c of point k not already in the orbit of k
-    under the generators found so far, one depth-first search either
-    produces a coset representative or proves the coset empty.  Tables with
-    enormous automorphism groups (all of Sym(n) for a trivial quandle) stay
-    cheap.  Works for group Cayley tables and quandle tables alike.
+    Backtracking assigns images of points in increasing order and tries
+    candidate images in increasing order, among the points of the same
+    colour (``_colours``) only.  Each assignment is propagated through the
+    generator columns of the table (``_assign``): f(x*g) = f(x)*f(g) for
+    every assigned x and assigned generator g.  A bijection that passes on
+    the generator columns is an automorphism, because the c with
+    f(a*c) = f(a)*f(c) for every a are closed under the product:
+      - in a group by associativity, f(a(cd)) = f((ac)d) = f(a)f(c)f(d);
+      - in a quandle by axioms 2 and 3: with a = a'*d,
+        a*(c*d) = (a'*c)*d, so f(a*(c*d)) = (f(a')*f(c))*f(d)
+        = (f(a')*f(d))*(f(c)*f(d)) = f(a)*f(c*d).
+    So the closure of the generators, everything, passes.  Any sound
+    propagation leaves the lexicographically least completion first, so the
+    generators found do not depend on how much the propagation prunes.
+
+    Rather than enumerating all automorphisms, the search builds a strong
+    generating set: levels run over the points in decreasing order, level k
+    looking for automorphisms fixing 0..k-1 pointwise.  For each image c of
+    point k of k's colour and not already in the orbit of k under the
+    generators found so far, one depth-first search either produces a coset
+    representative or proves the coset empty.  Tables with enormous
+    automorphism groups (all of Sym(n) for a trivial quandle) stay cheap.
     The orbit of k under the generators found so far, when level k ends, is
     level k of a stabilizer chain; the group comes back with that chain, so
     it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET nodes.
     """
     n = len(rows)
+    colours = _colours(rows)[0]
+    search = _Search(rows, rows, colours, colours)
     # states[k]: partial map with the identity forced on points 0..k-1
-    img = [-1] * n
-    rev = [-1] * n
-    assigned = []
-    states = [(img[:], rev[:], assigned[:])]
+    state = _start(n)
+    states = [_copy(state)]
     for k in range(n):
-        if img[k] == -1:
-            if not _assign(rows, rows, img, rev, assigned, k, k):
-                raise RuntimeError("identity map rejected; malformed table")
-        states.append((img[:], rev[:], assigned[:]))
+        if state[0][k] == -1 and not _assign(search, state, k, k):
+            raise RuntimeError("identity map rejected; malformed table")
+        states.append(_copy(state))
 
     gens = []
     ident = tuple(range(n))
-    nodes = [0]
     levels = [{k: ident} for k in range(n - 1)]   # fixing 0..n-2 fixes n-1
     for k in range(n - 2, -1, -1):
-        img_k, rev_k, as_k = states[k]
-        if img_k[k] != -1:
+        start = states[k]
+        if start[0][k] != -1:
             # image of k already forced by the identity prefix: trivial level
             continue
         orbit = _orbit(gens, k, ident)
-        for c in range(n):
+        for c in search.candidates[k]:
             if c in orbit:
                 continue
-            img2, rev2, as2 = img_k[:], rev_k[:], as_k[:]
-            if not _assign(rows, rows, img2, rev2, as2, k, c):
+            trial = _copy(start)
+            if not _assign(search, trial, k, c):
                 continue
-            found = _dfs_first(rows, rows, img2, rev2, as2, nodes)
+            found = _dfs_first(search, trial)
             if found is None:
                 continue
             gens.append(found)
@@ -540,7 +682,3 @@ def brute_force_k_transitive(generators, degree, k):
                 queue.append(nxt)
     return len(seen) == prod(range(degree - k + 1, degree + 1))
 
-
-def all_permutations(degree):
-    """Every permutation of the given degree, lexicographic by image tuple."""
-    return [Permutation(p) for p in itertools.permutations(range(degree))]

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _first_witness, _generators, _read_table, _square_table, _table_text
+from .groups import _TABLE_ORDER_BOUND, _first_witness, _read_table, _square_table, _table_text
 from .groups import make_cyclic
-from .perms import Permutation
+from .perms import Permutation, _generators
 
 
 class QuandleAxiomError(ValueError):
@@ -91,7 +91,7 @@ class Quandle:
         return self._rows
 
     def column(self, b):
-        return tuple(int(x) for x in self.table[:, b])
+        return tuple(self.table[:, b].tolist())
 
     def __repr__(self):
         tag = self.provenance.describe() if self.provenance else "table"
@@ -103,7 +103,7 @@ def _check_axioms(arr):
     lexicographically first witness.
 
     Axiom 3 is checked only for c in a generating set of the table
-    (``groups._generators``).  Once every column is a permutation,
+    (``perms._generators``).  Once every column is a permutation,
     axiom 3 at c says that S_c is an automorphism, and then
     S_{a*c} = S_c S_a S_c^-1.  So the c whose S_c is an automorphism are
     closed under *, and they hold the closure of the generators, which is
@@ -117,17 +117,17 @@ def _check_axioms(arr):
     if not np.array_equal(diag, rng):
         a = int(np.nonzero(diag != rng)[0][0])
         raise QuandleAxiomError(1, (a,), f"a*a != a at a = {a}")
-    if not (np.sort(arr, axis=0) == rng[:, None]).all():
-        for b in range(n):
-            col = arr[:, b]
-            if len(set(int(x) for x in col)) != n:
-                seen = set()
-                for a in range(n):
-                    if int(col[a]) in seen:
-                        raise QuandleAxiomError(
-                            2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}"
-                        )
-                    seen.add(int(col[a]))
+    bad = (np.sort(arr, axis=0) != rng[:, None]).any(axis=0)
+    if bad.any():
+        # entries lie in 0..n-1, so the first unsorted column is the first that
+        # repeats a value; its witness is the first row that is not the first
+        # occurrence of its value
+        b = int(bad.argmax())
+        col = arr[:, b]
+        repeat = np.ones(n, dtype=bool)
+        repeat[np.unique(col, return_index=True)[1]] = False
+        a = int(repeat.argmax())
+        raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}")
     # one n x n slab per generator c, in buffers reused for every c and in the
     # smallest dtype that holds the entries, so a table whose every element
     # is a generator costs less than the scan below

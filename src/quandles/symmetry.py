@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation, PermGroup, _dfs_first, _tinverse, table_automorphism_group
-from .quandle import Quandle, inner_translation
+from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, _start, _tinverse, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
 
@@ -94,23 +93,20 @@ def aut_is_doubly_transitive(quandle):
 # -- isomorphism ----------------------------------------------------------------
 
 
-def _column_profile(quandle):
-    return tuple(sorted(inner_translation(quandle, x).cycle_type() for x in range(quandle.order)))
-
-
 def quandle_isomorphic(x, y):
     """An isomorphism x -> y as a Permutation, or None.
 
     The depth-first step of the automorphism search, with source and target
-    tables distinct; a cheap column cycle-type profile screens out
-    most non-isomorphic pairs first.
+    tables distinct.  Both tables are coloured with shared names
+    (``perms._colours``): unequal colour histograms refuse at once, and
+    otherwise each point of x may go only to the points of y of its colour.
     """
     if x.order != y.order:
         return None
-    if _column_profile(x) != _column_profile(y):
+    cx, cy = _colours(x.table, y.table)
+    if not np.array_equal(np.sort(cx), np.sort(cy)):
         return None
-    n = x.order
-    res = _dfs_first(x.rows(), y.rows(), [-1] * n, [-1] * n, [], [0])
+    res = _dfs_first(_Search(x.rows(), y.rows(), cx, cy), _start(x.order))
     return Permutation(res) if res is not None else None
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import groups as G
 from . import quandle as Q
 from . import symmetry as sym
-from .perms import PermGroup, Permutation, brute_force_k_transitive
+from .perms import PermGroup, Permutation, _generators, brute_force_k_transitive
 
 
 @dataclass
@@ -118,7 +118,7 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     the m = |center| |maps| images are distinct; and the embedding E obeys
     the product law E(x g) = E(x) E(g), with x g in the list, for every x
     and every g in a generating set: the pairs (z, id) for generators z of
-    the center and (0, f) for generators f of maps (``G._generators``, the
+    the center and (0, f) for generators f of maps (``perms._generators``, the
     identity (0, id) left out).  The product is
     (a1, f1)(a2, f2) = (a1 f1(a2), f1 f2).  Induction on the length of a
     word in the generators then gives the law on all m^2 pairs, and closes
@@ -149,8 +149,8 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     if zero < 0 or ident < 0:
         rep.fail(f"{tag}: the identity (0, {tuple(range(group.order))}) is not in the list")
         return m
-    zgens = G._generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]), identity=zero)
-    fgens = G._generators(k, lambda x, g: int(find(maps[x][maps[g]])), identity=ident)
+    zgens = _generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]), identity=zero)
+    fgens = _generators(k, lambda x, g: int(find(maps[x][maps[g]])), identity=ident)
     gens = np.sort(np.concatenate([zgens * k + ident, zero * k + fgens]))
     outside, bad = [], []
     for s in G._row_chunks(m, max(len(gens), 1) * group.order):

@@ -510,6 +510,21 @@ def test_table_files_refuse_malformed_bodies(tmp_path, body):
     assert G.load_group(path).order == 2
 
 
+@pytest.mark.parametrize("body, where", [
+    ("3\n0 x 2\n1 1 1\n2 2 2\n", "line 2: 'x' is not an integer"),
+    ("3\n0 1 2\n\n1 1 1\n2 2\n", "line 5: expected 3 entries, found 2"),
+    ("three\n", "line 1: the order 'three' is not an integer"),
+])
+def test_table_file_errors_name_the_file_and_line(tmp_path, body, where):
+    # lines count from the first line of the file, the order's, blank lines included
+    path = tmp_path / "t.qnd"
+    path.write_text(body)
+    for load in (G.load_group, Q.load_quandle):
+        with pytest.raises(ValueError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: {where}"
+
+
 def test_table_files_refuse_a_huge_order_before_reading_the_body(tmp_path):
     path = tmp_path / "huge.txt"
     row = " ".join(["0"] * 1000) + "\n"

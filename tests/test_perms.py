@@ -16,19 +16,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandles.groups import catalog_groups, make_symmetric
+import quandles.perms as perms
+from quandles.groups import (
+    catalog_groups,
+    direct_product,
+    make_abelian,
+    make_cyclic,
+    make_dicyclic,
+    make_dihedral_group,
+    make_quaternion8,
+    make_symmetric,
+    scalar_map,
+)
 from quandles.perms import (
     _ELEMENT_CAP,
     PermGroup,
     Permutation,
-    all_permutations,
+    _dfs_first,
+    _Search,
+    _start,
     brute_force_closure,
     brute_force_k_transitive,
     compose,
     group_from_generators,
     table_automorphism_group,
 )
-from quandles.quandle import conj_quandle, enumerate_quandle_tables, trivial_quandle
+from quandles.quandle import (
+    Quandle,
+    alexander,
+    conj_quandle,
+    dihedral,
+    enumerate_quandle_tables,
+    takasaki,
+    trivial_quandle,
+)
+from quandles.symmetry import brute_force_aut, quandle_isomorphic
 
 
 def hillar_rhea_aut_order(factors):
@@ -95,11 +117,6 @@ def test_call_and_validation():
         Permutation([0, 0, 1])
     with pytest.raises(ValueError):
         Permutation([0, 2])
-
-
-def test_line_round_trip():
-    p = Permutation([3, 1, 0, 2])
-    assert Permutation.from_line(p.to_line()) == p
 
 
 @settings(max_examples=60)
@@ -281,13 +298,6 @@ def test_degree_mismatch_rejected():
         PermGroup([Permutation([1, 0]), Permutation([0, 1, 2])])
 
 
-def test_line_serialization_round_trip():
-    g = PermGroup(_symmetric_gens(5))
-    h = PermGroup.from_lines(g.to_lines())
-    assert h.order() == g.order()
-    assert all(g.contains(p) for p in h.generators)
-
-
 def test_base_points_increase():
     for gens in ([_symmetric_gens(6)[0]], _symmetric_gens(5), [Permutation([0, 1, 3, 4, 2])]):
         base = PermGroup(gens).base()
@@ -299,10 +309,6 @@ def test_group_from_generators_helper():
     g = group_from_generators([[1, 2, 0]])
     assert g.order() == 3
     assert g.degree == 3
-
-
-def test_all_permutations_count():
-    assert len(list(all_permutations(4))) == 24
 
 
 @settings(max_examples=30)
@@ -379,3 +385,102 @@ def test_search_chain_matches_an_independent_rebuild():
             assert aut.contains(outside) == rebuilt.contains(outside)
             assert aut.contains(inside) and rebuilt.contains(inside)
     assert tables == 447 + 55 + 3
+
+
+# -- gates of the table search ----------------------------------------------------
+#
+# The search prunes by colour and propagates through generator columns only;
+# these gates compare it with oracles that share neither.
+
+
+def _relabeled(table, sigma):
+    """The same table under the relabeling a -> sigma[a]."""
+    moved = np.empty_like(table)
+    moved[sigma[:, None], sigma[None, :]] = sigma[table]
+    return moved
+
+
+def test_search_finds_every_automorphism_of_every_quandle_up_to_order_5():
+    # element sets against brute_force_aut, which filters all n! bijections
+    tables = 0
+    for n in range(1, 6):
+        for x in enumerate_quandle_tables(n):
+            tables += 1
+            found = set(map(tuple, table_automorphism_group(x.rows()).element_array().tolist()))
+            assert found == {p.images for p in brute_force_aut(x)}, x.table.tolist()
+    assert tables == 447
+
+
+def test_search_keeps_the_aut_order_of_conj_s4_on_any_labeling():
+    table = conj_quandle(make_symmetric(4), 1).table
+    rng = np.random.default_rng(4)
+    for sigma in [np.arange(24)] + [rng.permutation(24) for _ in range(3)]:
+        assert table_automorphism_group(_relabeled(table, sigma).tolist()).order() == 24
+
+
+def _plain_first_isomorphism(x, y):
+    """The depth-first step with one colour: every point of y is a candidate."""
+    one = np.zeros(x.order, dtype=np.int64)
+    return _dfs_first(_Search(x.rows(), y.rows(), one, one), _start(x.order))
+
+
+def test_isomorphism_agrees_with_the_plain_search_on_relabeled_pairs():
+    # both return the least isomorphism in lexicographic order, or None
+    rng = np.random.default_rng(16)
+    z7, f9 = make_cyclic(7), make_abelian([3, 3])
+    pool = [
+        dihedral(6), dihedral(7), dihedral(8), trivial_quandle(6), conj_quandle(make_symmetric(3)),
+        conj_quandle(make_quaternion8()), conj_quandle(make_dihedral_group(4)),
+        alexander(z7, scalar_map(z7, 2)), alexander(z7, scalar_map(z7, 3)),
+        takasaki(f9), alexander(f9, scalar_map(f9, 2)), *enumerate_quandle_tables(4),
+    ]
+    found = refused = 0
+    for x in pool:
+        for y in pool:
+            if x.order != y.order:
+                continue
+            y = Quandle(_relabeled(y.table, rng.permutation(y.order)))
+            iso = quandle_isomorphic(x, y)
+            assert (iso and iso.images) == _plain_first_isomorphism(x, y)
+            if iso is None:
+                refused += 1
+                continue
+            found += 1
+            f = np.array(iso.images)
+            assert np.array_equal(f[x.table], y.table[f[:, None], f[None, :]])
+    assert found > 100 and refused > 1000
+
+
+def _row_walk_lengths(table):
+    """Not an invariant: per row map x -> a*x, the lengths of the chains a walk
+    visits from each unseen point in label order.  A quandle's row map need
+    not be a bijection, so these chains depend on the labels."""
+    n = len(table)
+    out = []
+    for row in np.asarray(table).tolist():
+        seen, lengths = [False] * n, []
+        for x in range(n):
+            length = 0
+            while not seen[x]:
+                seen[x], length, x = True, length + 1, row[x]
+            lengths.append(length)
+        out.append(sorted(lengths))
+    return np.array(out)
+
+
+def test_a_seed_that_is_not_invariant_breaks_the_search(monkeypatch):
+    # the gates must be able to fail: seeding with the row "cycle type" loses
+    # automorphisms of Conj(D8), whose |Aut| is 256
+    rows = conj_quandle(make_dihedral_group(8), 1).rows()
+    assert table_automorphism_group(rows).order() == 256
+    seeds = perms._colour_seeds
+    monkeypatch.setattr(perms, "_colour_seeds", lambda t: np.hstack([seeds(t), _row_walk_lengths(t)]))
+    assert table_automorphism_group(rows).order() != 256
+
+
+def test_hard_conjugation_tables_take_under_a_thousand_nodes(monkeypatch):
+    # 191,339 and 93,326 nodes before colours pruned the candidates
+    monkeypatch.setattr(perms, "_SEARCH_BUDGET", 1000)
+    d4z2 = direct_product(make_dihedral_group(4), make_cyclic(2))
+    for group, order in ((d4z2, 73_728), (make_dicyclic(4), 256), (make_dihedral_group(8), 256)):
+        assert table_automorphism_group(conj_quandle(group, 1).rows()).order() == order

@@ -52,6 +52,42 @@ def test_axiom_column_witness():
     assert exc.value.axiom == 2
 
 
+def _first_repeat(t):
+    # the lexicographically first (row, column) whose value is already in its column above it
+    for b in range(len(t)):
+        seen = set()
+        for a in range(len(t)):
+            if t[a][b] in seen:
+                return a, b
+            seen.add(t[a][b])
+
+
+def test_axiom_column_witness_is_the_first_repeat():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        t = rng.integers(0, n, size=(n, n))
+        t[np.arange(n), np.arange(n)] = np.arange(n)
+        witness = _first_repeat(t.tolist())
+        if witness is None:
+            continue
+        with pytest.raises(QuandleAxiomError) as exc:
+            Q.validate_axioms(t)
+        a, b = witness
+        assert (exc.value.axiom, exc.value.witness) == (2, witness)
+        assert str(exc.value) == f"column {b} repeats value {t[a, b]} at row {a}"
+
+
+def test_axiom_column_witness_at_order_1024():
+    # the trivial quandle of order 1024 with one repeated value in its last column
+    t = np.tile(np.arange(1024)[:, None], (1, 1024))
+    t[1000, 1023] = 999
+    with pytest.raises(QuandleAxiomError) as exc:
+        Q.validate_axioms(t)
+    assert (exc.value.axiom, exc.value.witness) == (2, (1000, 1023))
+    assert str(exc.value) == "column 1023 repeats value 999 at row 1000"
+
+
 def test_axiom_distributivity_witness():
     with pytest.raises(QuandleAxiomError) as exc:
         Q.validate_axioms(NOT_SELF_DISTRIBUTIVE)
