@@ -304,13 +304,29 @@ def _column_candidates(n):
     return _Columns(perms, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
 
 
-def _tables_from(s0, columns):
+def _tables_from(s0, columns, centralizer=()):
     """Yield the int8 (n, n) table of every labeled quandle whose column S_0
     is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``;
-    columns comes from ``_column_candidates``."""
+    columns comes from ``_column_candidates``.
+
+    The tables come in lexicographic order of their column ids (S_0, S_1,
+    ...): two leaves part at the node where they take different candidates
+    for its first free column, and candidates are tried in ascending order.
+
+    centralizer holds ids of permutations p that fix 0 and commute with s0
+    (the identity left out).  Relabeling by such a p keeps S_0 and sends the
+    column S_b to p S_b p^-1 at the point p(b), so the relabeled column ids
+    are (p.cols)[y] = conj[id(p) n! + cols[p^-1(y)]].  A node is pruned when,
+    for some p, p.cols is smaller than cols at the first point from 1 upward
+    where they differ, and both are assigned up to that point: every
+    completion T below it then has p.T < T.  So only the lexicographically
+    least table of each orbit is yielded, once, at the place it holds in
+    the unpruned stream.
+    """
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
     n_perms = len(rows)
+    leaders = [(p * n_perms, Permutation(rows[p]).inverse().images) for p in centralizer]
 
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""
@@ -340,7 +356,23 @@ def _tables_from(s0, columns):
                     return False
         return True
 
+    def least(cols):
+        """False when some p makes p.cols smaller than cols where both are assigned."""
+        for base, inv in leaders:
+            for y in range(1, n):
+                a, x = cols[y], cols[inv[y]]
+                if a is None or x is None:
+                    break
+                b = conj[base + x]
+                if b != a:
+                    if b < a:
+                        return False
+                    break
+        return True
+
     def dfs(cols):
+        if not least(cols):
+            return
         if None not in cols:
             yield columns.perms[cols].T.copy()     # cols[b] is the id of S_b, and a*b = S_b(a)
             return

@@ -35,7 +35,8 @@ ENUMERATION_DIGESTS = {
 }
 
 # the same digest over the 2,790 tables the census's order-6 search completes
-# from the columns S_0 of theorems._first_columns(6), in yield order
+# from the columns S_0 of theorems._first_columns(6) without centralizer
+# pruning, in yield order
 CENSUS_SEARCH_DIGEST_6 = "0d678274b5662b31bc6ab05a37ff384417eefad4c069c241e0083f384205cdca"
 
 

@@ -378,7 +378,7 @@ def test_mccarron_check():
     assert rep.passed
     assert rep.annotations["classes[3]"] == 3
     assert rep.annotations["classes[4]"] == 7
-    assert [rep.annotations[f"completions[{n}]"] for n in range(1, 5)] == [1, 1, 5, 26]
+    assert [rep.annotations[f"completions[{n}]"] for n in range(1, 5)] == [1, 1, 4, 12]
     with pytest.raises(ValueError):
         T.check_mccarron_bound(1, 8)
 
@@ -389,10 +389,10 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
     bad[[1, 2], 0] = bad[[2, 1], 0]
     tables_from = Q._tables_from
 
-    def planted(s0, candidates):
+    def planted(s0, candidates, centralizer=()):
         if len(s0) == 4:
             yield bad
-        yield from tables_from(s0, candidates)
+        yield from tables_from(s0, candidates, centralizer)
 
     monkeypatch.setattr(Q, "_tables_from", planted)
     assert T.check_mccarron_bound(1, 3).passed
@@ -405,7 +405,7 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
 def test_census_classes_match_the_full_enumeration(n):
     full = [x.table.astype(np.int8).tobytes() for x in Q.enumerate_quandle_tables(n)]
     classes, weighted, relabeled, completions = T._quandle_classes(n)
-    assert completions == [1, 1, 5, 26, 218, 2790][n - 1]
+    assert completions == [1, 1, 4, 12, 46, 187][n - 1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     orbits = {row.tobytes() for x in classes for row in T._relabelings(x.table, perms)}
     assert orbits == set(full)
@@ -417,6 +417,34 @@ def test_census_classes_match_the_full_enumeration(n):
     assert len(types) == len(set(types)) == [1, 1, 2, 3, 5, 7][n - 1]
     assert all(s0[0] == 0 for s0, _ in firsts)
     assert sum(w for _, w in firsts) == math.factorial(n - 1)
+    # |C(s0)| in S_{n-1} times the size of s0's conjugacy class is (n-1)!
+    assert all(len(T._centralizer(s0, perms)) * w == math.factorial(n - 1) for s0, w in firsts)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_completes_one_table_per_centralizer_orbit(n):
+    # the unpruned search from each S_0, deduplicated by plain relabeling loops
+    def relabel(t, p):
+        inv = sorted(range(n), key=p.__getitem__)
+        return tuple(tuple(p[t[inv[x]][inv[y]]] for y in range(n)) for x in range(n))
+
+    perms = list(itertools.permutations(range(n)))
+    columns = Q._column_candidates(n)
+    orbits, seen, firsts = 0, set(), []
+    for s0, _ in T._first_columns(n):
+        centralizer = [p for p in perms if p[0] == 0 and all(p[s0[y]] == s0[p[y]] for y in range(n))]
+        in_orbits = set()
+        for table in Q._tables_from(s0, columns):
+            t = tuple(map(tuple, table.tolist()))
+            if t not in in_orbits:
+                orbits += 1
+                in_orbits.update(relabel(t, p) for p in centralizer)
+            if t not in seen:
+                firsts.append(table.tobytes())
+                seen.update(relabel(t, p) for p in perms)
+    classes, _, _, completions = T._quandle_classes(n)
+    assert completions == orbits
+    assert [x.table.astype(np.int8).tobytes() for x in classes] == firsts
 
 
 def test_census_fails_when_the_two_labeled_counts_differ(monkeypatch):
