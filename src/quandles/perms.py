@@ -405,9 +405,8 @@ def _generators(n, times, identity=None):
 
 def _colour_seeds(table):
     """One row of invariants per point a of a group or quandle table: the
-    sorted fibre sizes of the row map x -> a*x, its number of fixed points,
-    and the sorted lengths of the cycles through each point of the column
-    map x -> x*a, which is a bijection.
+    sorted fibre sizes of the row map x -> a*x and the sorted lengths of the
+    cycles through each point of the column map x -> x*a, a bijection.
 
     Each entry is defined without reference to the labels, so an isomorphism
     keeps it.  A cycle's length is the number of points sharing its least
@@ -417,7 +416,6 @@ def _colour_seeds(table):
     rng = np.arange(n)
     flat = rng[:, None] * n
     fibres = np.bincount((flat + table).ravel(), minlength=n * n).reshape(n, n)
-    fixed = (table == rng).sum(axis=1, keepdims=True)
     # as flat indices, step[a, x] is a n + S^(2^i)(x) for the column map S of a,
     # and low[a, x] is the least of x, S(x), ..., S^(2^i - 1)(x)
     step, low = flat + table.T, np.tile(rng, (n, 1))
@@ -425,7 +423,7 @@ def _colour_seeds(table):
         low = np.minimum(low, low.take(step))
         step = step.take(step)
     sizes = np.bincount((flat + low).ravel(), minlength=n * n)
-    return np.hstack([np.sort(fibres, axis=1), fixed, np.sort(sizes.take(flat + low), axis=1)])
+    return np.hstack([np.sort(fibres, axis=1), np.sort(sizes.take(flat + low), axis=1)])
 
 
 def _mix(x):
@@ -578,15 +576,10 @@ def table_automorphism_group(rows):
     colour (``_colours``) only.  Each assignment is propagated through the
     generator columns of the table (``_assign``): f(x*g) = f(x)*f(g) for
     every assigned x and assigned generator g.  A bijection that passes on
-    the generator columns is an automorphism, because the c with
-    f(a*c) = f(a)*f(c) for every a are closed under the product:
-      - in a group by associativity, f(a(cd)) = f((ac)d) = f(a)f(c)f(d);
-      - in a quandle by axioms 2 and 3: with a = a'*d,
-        a*(c*d) = (a'*c)*d, so f(a*(c*d)) = (f(a')*f(c))*f(d)
-        = (f(a')*f(d))*(f(c)*f(d)) = f(a)*f(c*d).
-    So the closure of the generators, everything, passes.  Any sound
-    propagation leaves the lexicographically least completion first, so the
-    generators found do not depend on how much the propagation prunes.
+    the generator columns is an automorphism, by the closure argument in
+    ``groups._homomorphism_mask``.  Any sound propagation leaves the
+    lexicographically least completion first, so the generators found do
+    not depend on how much the propagation prunes.
 
     Rather than enumerating all automorphisms, the search builds a strong
     generating set: levels run over the points in decreasing order, level k

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _first_witness, _read_table, _square_table, _table_text
+from .groups import _TABLE_ORDER_BOUND, _first_equal_rows, _first_witness, _read_table, _square_table, _table_text
 from .groups import make_cyclic
 from .perms import Permutation, _generators
 
@@ -102,14 +102,9 @@ def _check_axioms(arr):
     """Raise QuandleAxiomError for the first broken axiom, with its
     lexicographically first witness.
 
-    Axiom 3 is checked only for c in a generating set of the table
-    (``perms._generators``).  Once every column is a permutation,
-    axiom 3 at c says that S_c is an automorphism, and then
-    S_{a*c} = S_c S_a S_c^-1.  So the c whose S_c is an automorphism are
-    closed under *, and they hold the closure of the generators, which is
-    every element.  When a generator fails, ``groups._first_witness`` names
-    the first failing triple: a defect first found in row a costs about
-    a n^2 plus one doubling.
+    Axiom 3 is checked only for c in a generating set, by the closure
+    argument in the module docstring.  When a generator fails,
+    ``groups._first_witness`` names the first failing triple.
     """
     n = arr.shape[0]
     rng = np.arange(n)
@@ -124,9 +119,7 @@ def _check_axioms(arr):
         # occurrence of its value
         b = int(bad.argmax())
         col = arr[:, b]
-        repeat = np.ones(n, dtype=bool)
-        repeat[np.unique(col, return_index=True)[1]] = False
-        a = int(repeat.argmax())
+        a = int((_first_equal_rows(col[:, None]) != rng).argmax())
         raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}")
     # one n x n slab per generator c, in buffers reused for every c and in the
     # smallest dtype that holds the entries, so a table whose every element
@@ -275,6 +268,7 @@ class _Columns:
     lexicographic order, which is ``itertools.permutations`` order."""
 
     perms: np.ndarray    # (n!, n) int8: row i is the permutation with id i
+    inverse: np.ndarray  # (n!, n) int8: row i is the inverse of the permutation with id i
     rows: list           # the same rows as tuples, sorted, so bisect finds an id
     fixing: list         # fixing[x]: the ids of the permutations fixing x, ascending
     conj: memoryview     # flat uint16: conj[c * n! + b] = id(S_c S_b S_c^-1)
@@ -301,7 +295,8 @@ def _column_candidates(n):
     for c, sc in enumerate(perms):
         conj[c] = ids[sc[perms] @ weights[sc]]
     fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
-    return _Columns(perms, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
+    inverse = np.argsort(perms, axis=1).astype(np.int8)
+    return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
 
 
 def _tables_from(s0, columns, centralizer=()):
@@ -326,7 +321,7 @@ def _tables_from(s0, columns, centralizer=()):
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
     n_perms = len(rows)
-    leaders = [(p * n_perms, Permutation(rows[p]).inverse().images) for p in centralizer]
+    leaders = [(p * n_perms, columns.inverse[p].tolist()) for p in centralizer]
 
     def propagate(cols, c):
         """Push consequences of newly assigned column c; False on clash."""

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, _start, _tinverse, table_automorphism_group
+from .groups import _first_equal_rows, _row_chunks
+from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, _start, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
 
@@ -136,29 +137,22 @@ class EmbeddingReport:
 
 def embed_in_conj_inn(quandle):
     n = quandle.order
-    t = quandle.rows()
-    cols = [quandle.column(x) for x in range(n)]
-    inv_cols = [_tinverse(col) for col in cols]
+    t = quandle.table
+    cols = t.T
+    rng = np.arange(n)
     hom_witness = None
-    for a in range(n):
-        for b in range(n):
-            sa, sb, sb_inv = cols[a], cols[b], inv_cols[b]
-            target = cols[t[a][b]]
-            conj = tuple(sb[sa[sb_inv[y]]] for y in range(n))
-            if tuple(target) != conj:
-                hom_witness = (a, b)
-                break
-        if hom_witness:
+    for s in _row_chunks(n, n * n):
+        # bad[a, b, x]: (x*b)*(a*b) != (x*a)*b, so S_{a*b} != S_b^-1 ; S_a ; S_b at x*b
+        bad = t[cols[None], t[s, :, None]] != t[cols[s, None, :], rng[:, None]]
+        if bad.any():
+            a, b, _ = np.argwhere(bad)[0]
+            hom_witness = (int(a) + s.start, int(b))
             break
-    inj_witness = None
-    seen = {}
-    for a in range(n):
-        if cols[a] in seen:
-            inj_witness = (seen[cols[a]], a)
-            break
-        seen[cols[a]] = a
+    earlier = _first_equal_rows(cols)
+    repeats = np.flatnonzero(earlier != rng)
+    inj_witness = (int(earlier[repeats[0]]), int(repeats[0])) if len(repeats) else None
     return EmbeddingReport(
-        translations=[Permutation(c) for c in cols],
+        translations=[Permutation(c) for c in cols.tolist()],
         inn_order=inner_group(quandle).order(),
         is_homomorphism=hom_witness is None,
         homomorphism_witness=hom_witness,

@@ -76,14 +76,11 @@ class TheoremReport:
         return out
 
 
-def _check_preserved(rep, t, group, translations, maps, tag):
+def _check_preserved(rep, x, group, translations, maps, tag):
     """Fail for each right translation b -> b*a (a in translations) and each
-    image row of maps that is not an automorphism of the quandle table t."""
+    image row of maps that is not an automorphism of the quandle x."""
     perms = np.concatenate([group.table[:, translations].T, maps])
-    ok = np.empty(len(perms), dtype=bool)
-    for s in G._row_chunks(len(perms), t.size):
-        p = perms[s]
-        ok[s] = (p[:, t] == t[p[:, :, None], p[:, None, :]]).all(axis=(1, 2))
+    ok = G._homomorphism_mask(x.table, x.table, _generators(x.order, x.table.item), perms)
     for i in np.nonzero(~ok)[0]:
         if i < len(translations):
             rep.fail(f"{tag}: translation t_{translations[i]} is not a quandle automorphism")
@@ -108,9 +105,9 @@ def _row_lookup(rows):
     return find
 
 
-def _check_semidirect_embedding(rep, group, table, center, maps, tag):
+def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     """Check that (a, f) -> (b -> f(b) a) embeds center x| maps into the
-    automorphisms of a quandle table, where center lists the elements of the
+    automorphisms of the quandle x, where center lists the elements of the
     group's center and maps are image rows of group automorphisms, the
     identity among them.
 
@@ -127,7 +124,7 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     pairs as (a, images of f), the first three per clause.  Returns m.
     """
     tbl, center = group.table, np.asarray(center)
-    _check_preserved(rep, table, group, center, maps, tag)
+    _check_preserved(rep, x, group, center, maps, tag)
     k = len(maps)
     elem_a = np.repeat(center, k)                                # pair i is (elem_a[i], maps[i % k])
     elem_f = np.tile(maps, (len(center), 1))
@@ -137,8 +134,7 @@ def _check_semidirect_embedding(rep, group, table, center, maps, tag):
     def name(i):
         return f"({int(elem_a[i])}, {tuple(maps[i % k].tolist())})"
 
-    _, first, inverse = np.unique(emb, axis=0, return_index=True, return_inverse=True)
-    earlier = first[inverse.reshape(-1)]
+    earlier = G._first_equal_rows(emb)
     for i in np.nonzero(earlier != np.arange(m))[0][:3]:
         rep.fail(f"{tag}: not injective, {name(i)} collides with {name(earlier[i])}")
 
@@ -203,7 +199,7 @@ def _check_split(rep, group, x, maps, inn_order, tag):
     (``_check_factorization``); and |Inn(x)| = inn_order.  Returns |Aut|.
     """
     aut = sym.automorphism_group_backtrack(x)
-    _check_preserved(rep, x.table, group, range(group.order), maps, tag)
+    _check_preserved(rep, x, group, range(group.order), maps, tag)
     stab = aut.stabilizer(0).element_array()
     if not np.array_equal(stab[np.lexsort(stab.T[::-1])], maps):
         rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
@@ -237,7 +233,7 @@ def check_prop_embedding_zg_caut(group, phi):
 
 def _embedding_one(group, images):
     rep = TheoremReport("alexander-embedding")
-    x = Q._alexander_tables(group, images[None])[0]
+    x = Q._alexander_quandle(group, images, "gen_alexander")
     cent = G._centralizer_rows(group, images)
     tag = f"{group.name}, {_phi_name(images)}"
     rep.instances_tested = _check_semidirect_embedding(rep, group, x, G.center(group), cent, tag)
@@ -311,7 +307,7 @@ def check_prop_conj_embedding(group):
     zc = G.center(group)
     auts_g = G.automorphism_array(group)
     tag = group.name
-    rep.instances_tested = _check_semidirect_embedding(rep, group, x.table, zc, auts_g, tag)
+    rep.instances_tested = _check_semidirect_embedding(rep, group, x, zc, auts_g, tag)
 
     inn = sym.inner_group(x)
     if inn.order() != n // len(zc):
@@ -361,16 +357,11 @@ def _central_one(group):
     phis = G.automorphism_array(group)
     central = phis[G._central(group, phis)]
     tw = G._twisted_rows(group, central)
-    tbl = group.table
     tag = group.name
-    hom = np.empty(len(tw), dtype=bool)
-    for s in G._row_chunks(len(tw), group.order ** 2):
-        t = tw[s]
-        hom[s] = (t[:, tbl] == tbl[t[:, :, None], t[:, None, :]]).all(axis=(1, 2))
+    hom = G._homomorphism_mask(group.table, group.table, group.generators(), tw)
     for i in np.flatnonzero(~hom)[:3]:
         rep.fail(f"{tag}, {_phi_name(central[i])}: twisted map is not a homomorphism")
-    _, first, inverse = np.unique(tw, axis=0, return_index=True, return_inverse=True)
-    earlier = first[inverse.reshape(-1)]
+    earlier = G._first_equal_rows(tw)
     for i in np.flatnonzero(earlier != np.arange(len(tw)))[:3]:
         rep.fail(f"{tag}: twisted maps collide for {_phi_name(central[i])} and {_phi_name(central[earlier[i]])}")
     if not group.is_abelian():
@@ -511,13 +502,13 @@ def _first_columns(n):
     return out
 
 
-def _relabelings(table, perms):
-    """The relabelings of table by each row p of perms, as int8 rows of n*n:
-    moved[p(a), p(b)] = p(a*b)."""
+def _relabelings(table, columns):
+    """The relabelings of table by each row p of ``columns.perms``, as int8
+    rows of n*n: moved[p(a), p(b)] = p(a*b)."""
+    perms, inv = columns.perms, columns.inverse
     k, n = perms.shape
-    inv = np.argsort(perms, axis=1)
     pre = table[inv[:, :, None], inv[:, None, :]]          # a*b at a = p^-1(x), b = p^-1(y)
-    return np.take_along_axis(perms, pre.reshape(k, n * n), axis=1).astype(np.int8)
+    return np.take_along_axis(perms, pre.reshape(k, n * n), axis=1)
 
 
 def _centralizer(s0, perms):
@@ -559,12 +550,12 @@ def _quandle_classes(order):
         members = perms[ids]
         for table in Q._tables_from(s0, columns, ids[1:].tolist()):
             completions += 1
-            # p keeps table exactly when it is an automorphism: p(a*b) = p(a)*p(b)
-            fixed = (members[:, table] == table[members[:, :, None], members[:, None, :]]).all(axis=(1, 2))
-            weighted += weight * len(ids) // int(np.count_nonzero(fixed))
             if table.tobytes() not in seen:
                 classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
-                seen.update(_relabelings(table, perms).view(key).ravel().tolist())
+                seen.update(_relabelings(table, columns).view(key).ravel().tolist())
+            # p keeps this checked quandle table, or relabeling of one, exactly when p is an automorphism
+            fixed = G._homomorphism_mask(table, table, _generators(order, table.item), members)
+            weighted += weight * len(ids) // int(np.count_nonzero(fixed))
     return classes, weighted, len(seen), completions
 
 
@@ -734,9 +725,12 @@ def suite_aut_transitive(max_order=16):
     return TheoremReport.merge("aut-transitive", [_aut_transitive_one(g) for g in groups])
 
 
-def suite_doubly_transitive(cases=((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2))):
+_DOUBLY_TRANSITIVE_CASES = ((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2))    # (p, n, u): Alex((Z/p)^n, u)
+
+
+def suite_doubly_transitive():
     return TheoremReport.merge(
-        "doubly-transitive", [check_thm_fnt(p, n, u) for p, n, u in cases]
+        "doubly-transitive", [check_thm_fnt(p, n, u) for p, n, u in _DOUBLY_TRANSITIVE_CASES]
     )
 
 
@@ -745,9 +739,9 @@ def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
 
 
 # the largest value of each bound a suite takes; run_suite refuses a bound
-# past it before any suite runs.  At 16, alexander-embedding's centralizers
-# of all 20,160 automorphisms of (Z/2)^4 take about 43 s, and conj-embedding's
-# Aut(Conj(G)) searches on the non-abelian groups about 10 s.
+# past it before any suite runs.  At 16, (Z/2)^4's 20,160 automorphisms take
+# alexander-embedding about 90 s (centralizers and generator closures) and
+# conj-embedding about 5 s (the generator closure in _check_semidirect_embedding).
 suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
 suite_alexander_embedding.ceilings = suite_conj_embedding.ceilings = {"max_order": 15}
 

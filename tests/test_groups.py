@@ -244,6 +244,57 @@ def test_homomorphism_check_matches_all_pairs(name, pick, i, j):
         assert G.map_from_images(g, images).is_automorphism
 
 
+def _homomorphic_at_all_pairs(table, maps):
+    """Reference for the mask: f(a*b) = f(a)*f(b) at every pair (a, b)."""
+    t, n = table.tolist(), len(table)
+    return [all(f[t[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(n)) for f in maps.tolist()]
+
+
+def _partial_homomorphisms(g, rng):
+    """Maps of the group g that pass the first j generators and so usually
+    fail the next one, for each j below the number k of generators: the
+    identity on the subgroup H of the first j, and x h -> c h on every other
+    coset x H, its least element x and c random."""
+    gens, t, n = g.generators(), g.table, g.order
+    out = []
+    for j in range(1, len(gens)):
+        sub = np.array(sorted(_closure(t.tolist(), gens[:j]) | {0}))
+        f = np.full(n, -1)
+        for x in range(n):
+            if f[x] == -1:
+                f[t[x, sub]] = t[0 if x == 0 else rng.integers(n), sub]
+        out.append(f)
+    return out
+
+
+def _mask_cases():
+    """(table, generators, image rows): every labeled quandle of order <= 4
+    with every map of its points, and every catalog group of order <= 12
+    with its automorphisms, power maps, partial homomorphisms, constant
+    maps and random maps, so bijections and non-bijections both pass and
+    fail."""
+    cases = []
+    for n in range(1, 5):
+        every = np.array(list(itertools.product(range(n), repeat=n)))
+        cases += [(x.table, G._generators(n, x.table.item), every) for x in Q.enumerate_quandle_tables(n)]
+    rng = np.random.default_rng(18)
+    for g in G.catalog_groups(12):
+        n = g.order
+        maps = [G.automorphism_array(g), [[g.power(x, k) for x in range(n)] for k in range(4)],
+                _partial_homomorphisms(g, rng), np.tile(np.arange(n)[:, None], n), rng.integers(n, size=(40, n))]
+        cases.append((g.table, g.generators(), np.vstack([np.reshape(m, (-1, n)) for m in maps if len(m)])))
+    return cases
+
+
+def test_homomorphism_mask_matches_all_pairs():
+    outcomes = []
+    for table, gens, maps in _mask_cases():
+        mask = G._homomorphism_mask(table, table, gens, maps)
+        assert mask.tolist() == _homomorphic_at_all_pairs(table, maps), table.tolist()
+        outcomes += mask.tolist()
+    assert outcomes.count(True) > 1000 and outcomes.count(False) > 5000
+
+
 def _ordered_factor_lists(bound):
     """Every list of factors >= 2 with product <= bound, in every order."""
     out, todo = [], [[]]

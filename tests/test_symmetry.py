@@ -247,6 +247,44 @@ def test_embedding_homomorphism_holds_beyond_involutory_quandles():
         assert rep.is_homomorphism, rep.homomorphism_witness
 
 
+class _ColumnTable:
+    """A table whose columns are permutations, read the way embed_in_conj_inn
+    reads a quandle but never checked against the axioms."""
+
+    def __init__(self, table):
+        self.table, self.order, self._cache = table, len(table), {}
+
+    def column(self, b):
+        return tuple(self.table[:, b].tolist())
+
+
+def _embedding_witnesses_by_loop(t):
+    """Reference: the first (a, b) with S_{a*b} != S_b^-1 ; S_a ; S_b and the
+    first (earlier, a) with S_a equal to an earlier column, or None."""
+    n = len(t)
+    cols = [tuple(t[:, x].tolist()) for x in range(n)]
+    inv_cols = [tuple(np.argsort(c).tolist()) for c in cols]
+    hom = next(((a, b) for a in range(n) for b in range(n)
+                if cols[t[a][b]] != tuple(cols[b][cols[a][inv_cols[b][y]]] for y in range(n))), None)
+    inj = next(((cols.index(cols[a]), a) for a in range(n) if cols.index(cols[a]) < a), None)
+    return hom, inj
+
+
+def test_embedding_witnesses_match_the_loop_off_the_axioms():
+    rng = np.random.default_rng(7)
+    found = [0, 0]
+    for n in range(1, 8):
+        for _ in range(40):
+            t = np.array([rng.permutation(n) for _ in range(n)]).T      # columns are permutations
+            if rng.random() < 0.5:
+                t[:, rng.integers(n)] = t[:, rng.integers(n)]           # a column repeated
+            rep = sym.embed_in_conj_inn(_ColumnTable(t))
+            hom, inj = _embedding_witnesses_by_loop(t)
+            assert (rep.homomorphism_witness, rep.injectivity_witness) == (hom, inj)
+            found = [found[0] + (hom is not None), found[1] + (inj is not None)]
+    assert min(found) > 50
+
+
 def test_analysis_fields():
     info = sym.analyze_quandle(Q.dihedral(7))
     assert (info.order, info.inn_order, info.aut_order) == (7, 14, 42)
