@@ -31,7 +31,7 @@ _AUT_ORDER_BOUND = 64
 _AUT_LIST_BOUND = 10 ** 6
 _BRUTE_FORCE_BOUND = 8
 # Largest order make_abelian and quandle.trivial_quandle build and _read_table
-# loads: R_1024 takes about 0.25 s and 95 MB to build, R_2000 0.8 s and 290 MB.
+# loads: R_1024 takes about 0.2 s and 77 MB to build, R_2000 0.6 s and 210 MB.
 _TABLE_ORDER_BOUND = 1024
 _CHUNK_ENTRIES = 1 << 20
 
@@ -62,14 +62,13 @@ class FiniteGroup:
         inv = (arr == 0).argmax(axis=1)
         inv.setflags(write=False)
         self._inv = inv
-        self._rows = [tuple(int(x) for x in row) for row in arr]
         self._is_abelian = None
         self._center = None
         self._orders = None
-        self._aut_cache = {}
+        self._cache = {}
 
     def mul(self, a, b):
-        return self._rows[a][b]
+        return self.table.item(a, b)
 
     def inv(self, a):
         return int(self._inv[a])
@@ -97,8 +96,8 @@ class FiniteGroup:
         base = a
         while k:
             if k & 1:
-                out = self._rows[out][base]
-            base = self._rows[base][base]
+                out = self.table.item(out, base)
+            base = self.table.item(base, base)
             k >>= 1
         return out
 
@@ -365,8 +364,8 @@ def automorphism_array(group):
     _AUT_LIST_BOUND automorphisms, as counted by the table search."""
     if group.order > _AUT_ORDER_BOUND:
         raise ValueError(f"order {group.order} exceeds bound {_AUT_ORDER_BOUND}")
-    if "aut_array" not in group._aut_cache:
-        aut = table_automorphism_group(group._rows)
+    if "aut_array" not in group._cache:
+        aut = table_automorphism_group(group)
         count = aut.order()
         if count > _AUT_LIST_BOUND:
             raise ValueError(
@@ -375,8 +374,8 @@ def automorphism_array(group):
         arr = aut.element_array()
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
-        group._aut_cache["aut_array"] = arr
-    return group._aut_cache["aut_array"]
+        group._cache["aut_array"] = arr
+    return group._cache["aut_array"]
 
 
 def _maps(group, rows):
@@ -393,7 +392,7 @@ def brute_force_group_automorphisms(group, max_order=_BRUTE_FORCE_BOUND):
     n = group.order
     if n > max_order:
         raise ValueError(f"brute force capped at order {max_order}, got {n}")
-    rows = group._rows
+    rows = group.table.tolist()
     out = []
     for rest in itertools.permutations(range(1, n)):
         img = (0,) + rest

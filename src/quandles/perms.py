@@ -22,13 +22,13 @@ full for every i < k) are its public reads.  ``brute_force_closure`` and
 ``brute_force_k_transitive`` are oracles that never touch the chain.
 
 ``table_automorphism_group`` is the one backtracking search of the package:
-it finds the automorphism group of a group or quandle table, so it decides
+it finds the automorphism group of a FiniteGroup or a Quandle, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
 depth-first step also decides quandle isomorphism.  Its work follows the
 table's structure: a point may map only to points of its colour
-(``_colours``), and an assignment propagates through the generator columns
-of the table only (``_assign``).  It hands back its own stabilizer chain,
-and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
+(``_colours``), and an assignment propagates only through the columns of
+the generators its constructor found (``_assign``).  It hands back its own
+stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
 """
 
 from itertools import chain
@@ -471,71 +471,77 @@ def _colours(*tables):
 
 
 class _Search:
-    """What one search from the table src to the table tgt (the same table
-    for automorphisms) fixes before it starts: which source points are
-    generators (``_generators``), and for each source point its candidate
-    images, the target points of its colour in increasing order.  nodes
-    counts the calls of ``_dfs_first``."""
+    """One search from the group or quandle src to the one tgt (the same
+    object for automorphisms): both tables as nested lists, which source
+    points are generators (``src.generators()``), each source point's
+    candidates (the target points of its colour, ascending), and the one
+    partial map: img and its inverse rev (-1 where unset), the trail of
+    assigned points in order and agens, the generators processed so far
+    (``_assign``); ``_undo`` takes it back.  nodes counts ``_dfs_first``."""
 
-    __slots__ = ("src", "tgt", "is_gen", "candidates", "nodes")
+    __slots__ = ("src", "tgt", "is_gen", "candidates", "img", "rev", "trail", "agens", "nodes")
 
     def __init__(self, src, tgt, src_colours, tgt_colours):
-        n = len(src)
-        self.src, self.tgt = src, tgt
+        n = src.order
+        self.src = src.table.tolist()
+        self.tgt = self.src if tgt is src else tgt.table.tolist()
         self.is_gen = [False] * n
-        for g in _generators(n, lambda x, g: src[x][g]).tolist():
+        for g in src.generators().tolist():
             self.is_gen[g] = True
         classes = {}
         for b, c in enumerate(tgt_colours.tolist()):
             classes.setdefault(c, []).append(b)
         self.candidates = [classes.get(c, []) for c in src_colours.tolist()]
+        self.img, self.rev, self.trail, self.agens = [-1] * n, [-1] * n, [], []
         self.nodes = 0
 
 
-def _start(n):
-    """The empty partial map: (img, rev, assigned, agens), see ``_assign``."""
-    return [-1] * n, [-1] * n, [], []
+def _undo(search, mark):
+    """Unassign the points of the trail past its first mark.  agens follows
+    the trail's order, so the generators among them are its tail."""
+    img, rev, agens = search.img, search.rev, search.agens
+    for a in search.trail[mark:]:
+        rev[img[a]] = -1
+        img[a] = -1
+    del search.trail[mark:]
+    while agens and img[agens[-1]] == -1:
+        agens.pop()
 
 
-def _copy(state):
-    img, rev, assigned, agens = state
-    return img[:], rev[:], assigned[:], agens[:]
-
-
-def _assign(search, state, a, b):
+def _assign(search, a, b):
     """Set img[a] = b for an unassigned a and chase what it forces; False on
-    any contradiction.
+    any contradiction, leaving the map for ``_undo`` to take back.
 
     For every assigned x and every assigned generator g of the source, the
     image of x*g is forced to be img[x]*img[g].  A forced pair is checked as
     it is found: it must match the image already there, or else keep the
-    map injective.  A newly assigned point is queued on ``assigned``, whose
-    points are processed in order; each pair (x, g) is closed once, when the
-    later of x and g is processed, and agens lists the generators processed
-    so far.  So a completed map costs n k checks for k generators.
+    map injective.  A newly assigned point goes on the trail, whose points
+    are processed in order; each pair (x, g) is closed once, when the later
+    of x and g is processed, and agens lists the generators processed so
+    far.  So a completed map costs n k checks for k generators.
     """
     src, tgt, is_gen = search.src, search.tgt, search.is_gen
-    img, rev, assigned, agens = state
+    img, rev, trail, agens = search.img, search.rev, search.trail, search.agens
     if rev[b] != -1:
         return False
     img[a], rev[b] = b, a
-    i = len(assigned)
-    assigned.append(a)
-    while i < len(assigned):
-        a = assigned[i]
+    i = len(trail)
+    trail.append(a)
+    while i < len(trail):
+        a = trail[i]
         fa = img[a]
         row, image_row = src[a], tgt[fa]
         forced = ((row[g], image_row[img[g]]) for g in agens)     # agens read lazily, so with a
         if is_gen[a]:
             agens.append(a)
-            forced = chain(forced, ((src[x][a], tgt[img[x]][fa]) for x in assigned[:i]))
+            forced = chain(forced, ((src[x][a], tgt[img[x]][fa]) for x in trail[:i]))
         for y, z in forced:
             w = img[y]
             if w == -1:
                 if rev[z] != -1:
                     return False
                 img[y], rev[z] = z, y
-                assigned.append(y)
+                trail.append(y)
             elif w != z:
                 return False
         i += 1
@@ -546,30 +552,29 @@ def _assign(search, state, a, b):
 _SEARCH_BUDGET = 200_000
 
 
-def _dfs_first(search, state):
-    """The first completion of the partial map in state to an isomorphism,
-    or None.  The least unassigned point takes its candidates in increasing
-    order, so this is the completion least in lexicographic order."""
+def _dfs_first(search):
+    """The first completion of the search's partial map to an isomorphism,
+    or None with the map as it was.  The least unassigned point takes its
+    candidates in increasing order, so this is the lexicographically least."""
     search.nodes += 1
     if search.nodes > _SEARCH_BUDGET:
         raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} nodes")
-    img, rev = state[0], state[1]
+    img, rev = search.img, search.rev
     if -1 not in img:
         return tuple(img)
     a = img.index(-1)
+    mark = len(search.trail)
     for b in search.candidates[a]:
         if rev[b] == -1:
-            trial = _copy(state)
-            if _assign(search, trial, a, b):
-                found = _dfs_first(search, trial)
-                if found is not None:
-                    return found
+            found = _assign(search, a, b) and _dfs_first(search)
+            if found:
+                return found
+            _undo(search, mark)
     return None
 
 
-def table_automorphism_group(rows):
-    """Bijections f with f(a*b) = f(a)*f(b) for a group or quandle table
-    rows[a][b] = a*b.
+def table_automorphism_group(t):
+    """Bijections f with f(a*b) = f(a)*f(b) of the FiniteGroup or Quandle t.
 
     Backtracking assigns images of points in increasing order and tries
     candidate images in increasing order, among the points of the same
@@ -592,37 +597,33 @@ def table_automorphism_group(rows):
     level k of a stabilizer chain; the group comes back with that chain, so
     it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET nodes.
     """
-    n = len(rows)
-    colours = _colours(rows)[0]
-    search = _Search(rows, rows, colours, colours)
-    # states[k]: partial map with the identity forced on points 0..k-1
-    state = _start(n)
-    states = [_copy(state)]
+    n = t.order
+    colours = _colours(t.table)[0]
+    search = _Search(t, t, colours, colours)
+    # marks[k]: the trail's length with the identity forced on points 0..k-1
+    marks = []
     for k in range(n):
-        if state[0][k] == -1 and not _assign(search, state, k, k):
+        marks.append(len(search.trail))
+        if search.img[k] == -1 and not _assign(search, k, k):
             raise RuntimeError("identity map rejected; malformed table")
-        states.append(_copy(state))
 
     gens = []
     ident = tuple(range(n))
     levels = [{k: ident} for k in range(n - 1)]   # fixing 0..n-2 fixes n-1
     for k in range(n - 2, -1, -1):
-        start = states[k]
-        if start[0][k] != -1:
+        _undo(search, marks[k])
+        if search.img[k] != -1:
             # image of k already forced by the identity prefix: trivial level
             continue
         orbit = _orbit(gens, k, ident)
         for c in search.candidates[k]:
             if c in orbit:
                 continue
-            trial = _copy(start)
-            if not _assign(search, trial, k, c):
-                continue
-            found = _dfs_first(search, trial)
-            if found is None:
-                continue
-            gens.append(found)
-            orbit = _orbit(gens, k, ident)
+            found = _assign(search, k, c) and _dfs_first(search)
+            _undo(search, marks[k])
+            if found:
+                gens.append(found)
+                orbit = _orbit(gens, k, ident)
         levels[k] = orbit
     group = PermGroup(gens, degree=n)
     group._chain = (levels, gens)

@@ -13,8 +13,9 @@ constructor checks them, and nothing skips or repeats that check.
 Axiom 3 needs checking only for c in a generating set: once the columns
 are permutations, S_{a*c} = S_c S_a S_c^-1 whenever S_c is an automorphism,
 so the c at which axiom 3 holds are closed under *.  Validation therefore
-costs n^2 k for k generators, not n^3.  The witness of a defect first found
-in row a then costs about a n^2 plus one doubling, not a full chunk.
+costs n^2 k for k generators, not n^3; the Quandle keeps them for the table
+search and the map checks (``generators()``).  The witness of a defect first
+found in row a then costs about a n^2 plus one doubling, not a full chunk.
 
 Constructors cover the families built from a group G: conjugation
 a*b = b^-m a b^m, Takasaki a*b = 2b - a on abelian groups, Alexander
@@ -73,22 +74,19 @@ class Quandle:
 
     def __init__(self, table, provenance=None):
         arr = _square_table(table, "quandle")
-        _check_axioms(arr)
+        self._gens = _check_axioms(arr)
         arr.setflags(write=False)
         self.table = arr
         self.order = arr.shape[0]
         self.provenance = provenance
-        self._rows = None
         self._cache = {}
 
     def op(self, a, b):
-        return self.rows()[a][b]
+        return self.table.item(a, b)
 
-    def rows(self):
-        """Table as nested lists, cheap to index in tight loops; built on first use."""
-        if self._rows is None:
-            self._rows = self.table.tolist()
-        return self._rows
+    def generators(self):
+        """The greedy generating set (``_generators``) the axiom check found."""
+        return self._gens
 
     def column(self, b):
         return tuple(self.table[:, b].tolist())
@@ -100,7 +98,7 @@ class Quandle:
 
 def _check_axioms(arr):
     """Raise QuandleAxiomError for the first broken axiom, with its
-    lexicographically first witness.
+    lexicographically first witness; return the generators it checked.
 
     Axiom 3 is checked only for c in a generating set, by the closure
     argument in the module docstring.  When a generator fails,
@@ -128,14 +126,15 @@ def _check_axioms(arr):
     cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
     values, col_values = arr.astype(small), cols.astype(small)
     left, rows, right = np.empty((3, n, n), dtype=small)
-    for c in _generators(n, arr.item):
+    gens = _generators(n, arr.item)
+    for c in gens:
         np.take(col_values[c], arr, out=left)             # (a,b) -> (a*b)*c
         np.take(values, cols[c], axis=0, out=rows)
         np.take(rows, cols[c], axis=1, out=right)         # (a,b) -> (a*c)*(b*c)
         if not np.array_equal(left, right):
             break
     else:
-        return
+        return gens
     # a generator fails: (a, b, c) -> (a*b)*c against (a*c)*(b*c) over every triple
     a, b, c = _first_witness(arr, lambda rows: (arr[rows], arr[rows[:, None, :], arr[None, :, :]]))
     raise QuandleAxiomError(3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})")

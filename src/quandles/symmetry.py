@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _first_equal_rows, _row_chunks
-from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, _start, table_automorphism_group
+from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
 
@@ -38,7 +38,7 @@ def automorphism_group_backtrack(quandle):
     """Aut(X) as a PermGroup with exact order, by the shared table search."""
     cache = quandle._cache
     if "aut" not in cache:
-        cache["aut"] = table_automorphism_group(quandle.rows())
+        cache["aut"] = table_automorphism_group(quandle)
     return cache["aut"]
 
 
@@ -47,7 +47,7 @@ def brute_force_aut(quandle):
     n = quandle.order
     if n > _BRUTE_FORCE_BOUND:
         raise ValueError(f"brute force capped at order {_BRUTE_FORCE_BOUND}, got {n}")
-    t = quandle.rows()
+    t = quandle.table.tolist()
     out = []
     pairs = [(a, b) for a in range(n) for b in range(n)]
     for p in itertools.permutations(range(n)):
@@ -107,7 +107,7 @@ def quandle_isomorphic(x, y):
     cx, cy = _colours(x.table, y.table)
     if not np.array_equal(np.sort(cx), np.sort(cy)):
         return None
-    res = _dfs_first(_Search(x.rows(), y.rows(), cx, cy), _start(x.order))
+    res = _dfs_first(_Search(x, y, cx, cy))
     return Permutation(res) if res is not None else None
 
 

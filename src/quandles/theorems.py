@@ -80,7 +80,7 @@ def _check_preserved(rep, x, group, translations, maps, tag):
     """Fail for each right translation b -> b*a (a in translations) and each
     image row of maps that is not an automorphism of the quandle x."""
     perms = np.concatenate([group.table[:, translations].T, maps])
-    ok = G._homomorphism_mask(x.table, x.table, _generators(x.order, x.table.item), perms)
+    ok = G._homomorphism_mask(x.table, x.table, x.generators(), perms)
     for i in np.nonzero(~ok)[0]:
         if i < len(translations):
             rep.fail(f"{tag}: translation t_{translations[i]} is not a quandle automorphism")

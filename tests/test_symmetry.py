@@ -15,6 +15,7 @@ import quandles.groups as G
 import quandles.quandle as Q
 import quandles.perms as perms
 import quandles.symmetry as sym
+import quandles.theorems as T
 from quandles import cli
 from quandles.perms import Permutation, brute_force_closure
 
@@ -216,6 +217,34 @@ def test_isomorphism_rejects():
     # distinct scalars give distinct classes: order 5 has three connected quandles
     assert sym.quandle_isomorphic(a, b) is None
     assert sym.quandle_isomorphic(a, a) is not None
+
+
+def test_each_table_finds_its_generators_once(monkeypatch):
+    # the constructor's check finds a table's generating set; the searches and
+    # the preservation check read it back instead of finding it again
+    find, calls = perms._generators, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return find(*args, **kwargs)
+
+    patched = [mod for mod in (perms, G, Q, sym, T, cli) if getattr(mod, "_generators", None) is find]
+    for mod in patched:
+        monkeypatch.setattr(mod, "_generators", counted)
+    assert patched
+    z7 = G.make_cyclic(7)
+    maps = G.automorphism_array(z7)
+    calls.clear()
+    x = Q.takasaki(z7)
+    assert sym.automorphism_group_backtrack(x).order() == 42
+    assert sym.quandle_isomorphic(x, x).is_identity()
+    rep = T.TheoremReport("generators")
+    T._check_preserved(rep, x, z7, range(7), maps, "T(Z7)")
+    assert rep.passed and calls == [7]
+    calls.clear()
+    g = G.make_dihedral_group(6)
+    assert len(G.automorphism_array(g)) == 12       # n phi(n) for D_n, n = 6
+    assert calls == [12]
 
 
 def test_embedding_report_odd():
