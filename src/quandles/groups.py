@@ -7,12 +7,12 @@ from cyclic factors carry their factor list and per-element coordinate
 tuples, which is what scalar and matrix automorphisms act on.
 
 A group automorphism is exactly a bijection preserving the Cayley table, so
-Aut(G) comes from the same backtracking table search that computes quandle
-automorphism groups (``quandles.perms.table_automorphism_group``): it yields
-a PermGroup with exact order, listed, when that order is small enough, as
-one cached array of image rows (``automorphism_array``), the only form of
-Aut(G) the package computes with.  A separate brute-force search over all
-bijections exists as an oracle for tiny orders.
+Aut(G) comes from the table search for quandle automorphism groups
+(``quandles.perms.table_automorphism_group``), bounded by that search's
+budget of forced checks, not by the order of G.  Its exact order, when at
+most _AUT_LIST_BOUND, is listed as one cached array of image rows
+(``automorphism_array``), the only form of Aut(G) the package computes
+with.  A brute-force search over all bijections is an oracle for tiny orders.
 
 Tables are read and written in one plain-text format shared with quandles:
 first line the order, then one row per line.
@@ -26,7 +26,6 @@ import numpy as np
 
 from .perms import _generators, _tinverse, table_automorphism_group
 
-_AUT_ORDER_BOUND = 64
 # Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
 _AUT_LIST_BOUND = 10 ** 6
 _BRUTE_FORCE_BOUND = 8
@@ -181,7 +180,7 @@ def _validate_group_table(arr):
         raise ValueError("element 0 is not a two-sided identity")
     if not (np.sort(arr, axis=1) == rng).all() or not (np.sort(arr, axis=0) == rng[:, None]).all():
         raise ValueError("table rows/columns are not permutations (not a Latin square)")
-    gens = _generators(n, arr.item, identity=0)
+    gens = _generators(n, lambda g: arr[:, g].tolist(), identity=0)
     if all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         return gens
     # a generator fails: (a, b, c) -> (a*b)*c against a*(b*c) over every triple
@@ -360,10 +359,8 @@ def matrix_map(group, rows):
 
 def automorphism_array(group):
     """Aut(G) as one cached, read-only (m, n) array of image rows, lexsorted.
-    ValueError, before any row is built, above order _AUT_ORDER_BOUND or past
-    _AUT_LIST_BOUND automorphisms, as counted by the table search."""
-    if group.order > _AUT_ORDER_BOUND:
-        raise ValueError(f"order {group.order} exceeds bound {_AUT_ORDER_BOUND}")
+    ValueError past the search's budget (``perms._SEARCH_BUDGET``) or, before
+    any row is built, past _AUT_LIST_BOUND automorphisms, as it counts them."""
     if "aut_array" not in group._cache:
         aut = table_automorphism_group(group)
         count = aut.order()

@@ -28,7 +28,7 @@ depth-first step also decides quandle isomorphism.  Its work follows the
 table's structure: a point may map only to points of its colour
 (``_colours``), and an assignment propagates only through the columns of
 the generators its constructor found (``_assign``).  It hands back its own
-stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` nodes.
+stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
 from itertools import chain
@@ -369,12 +369,13 @@ class PermGroup:
 # -- automorphisms of a group or quandle table -----------------------------------
 
 
-def _generators(n, times, identity=None):
+def _generators(n, column, identity=None):
     """Greedy generating set of a finite structure on 0..n-1, as a sorted array.
 
-    times(x, g) is the product x*g, or -1 for a product outside the
-    structure.  Each element outside the closure of the generators so far
-    becomes the next generator, so the closure of the result is everything.
+    column(g) lists the products x*g over x in 0..n-1, -1 for a product
+    outside the structure; it is asked once per generator.  Each element
+    outside the closure of the generators so far becomes the next
+    generator, so the closure of the result is everything.
     An identity, when given, counts as inside from the start and is never a
     generator: in a finite group it is a power of any element.
     The closure is the generators and the products x*g of its members x with
@@ -385,22 +386,22 @@ def _generators(n, times, identity=None):
     everywhere once it holds at the generators.
     """
     inside = [False] * n
-    members, gens = [], []
+    members, columns = [], {}               # columns: generator -> its column
     if identity is not None:
         inside[identity] = True
         members.append(identity)
     for g in range(n):
         if inside[g]:
             continue
-        gens.append(g)
-        frontier = [times(x, g) for x in members] + [g]
+        columns[g] = column(g)
+        frontier = [columns[g][x] for x in members] + [g]
         while frontier:
             x = frontier.pop()
             if x >= 0 and not inside[x]:
                 inside[x] = True
                 members.append(x)
-                frontier += [times(x, h) for h in gens]
-    return np.array(gens, dtype=np.int64)
+                frontier += [c[x] for c in columns.values()]
+    return np.array(list(columns), dtype=np.int64)
 
 
 def _colour_seeds(table):
@@ -477,9 +478,9 @@ class _Search:
     candidates (the target points of its colour, ascending), and the one
     partial map: img and its inverse rev (-1 where unset), the trail of
     assigned points in order and agens, the generators processed so far
-    (``_assign``); ``_undo`` takes it back.  nodes counts ``_dfs_first``."""
+    (``_assign``); ``_undo`` takes it back.  work counts ``_assign``'s checks."""
 
-    __slots__ = ("src", "tgt", "is_gen", "candidates", "img", "rev", "trail", "agens", "nodes")
+    __slots__ = ("src", "tgt", "is_gen", "candidates", "img", "rev", "trail", "agens", "work")
 
     def __init__(self, src, tgt, src_colours, tgt_colours):
         n = src.order
@@ -492,8 +493,7 @@ class _Search:
         for b, c in enumerate(tgt_colours.tolist()):
             classes.setdefault(c, []).append(b)
         self.candidates = [classes.get(c, []) for c in src_colours.tolist()]
-        self.img, self.rev, self.trail, self.agens = [-1] * n, [-1] * n, [], []
-        self.nodes = 0
+        self.img, self.rev, self.trail, self.agens, self.work = [-1] * n, [-1] * n, [], [], 0
 
 
 def _undo(search, mark):
@@ -508,6 +508,10 @@ def _undo(search, mark):
         agens.pop()
 
 
+# checks (``_assign``) one search may make before it is refused with ValueError
+_SEARCH_BUDGET = 3_000_000
+
+
 def _assign(search, a, b):
     """Set img[a] = b for an unassigned a and chase what it forces; False on
     any contradiction, leaving the map for ``_undo`` to take back.
@@ -518,7 +522,8 @@ def _assign(search, a, b):
     map injective.  A newly assigned point goes on the trail, whose points
     are processed in order; each pair (x, g) is closed once, when the later
     of x and g is processed, and agens lists the generators processed so
-    far.  So a completed map costs n k checks for k generators.
+    far.  So a completed map costs n k checks for k generators, counted into
+    search.work per processed point; ValueError past _SEARCH_BUDGET checks.
     """
     src, tgt, is_gen = search.src, search.tgt, search.is_gen
     img, rev, trail, agens = search.img, search.rev, search.trail, search.agens
@@ -535,6 +540,9 @@ def _assign(search, a, b):
         if is_gen[a]:
             agens.append(a)
             forced = chain(forced, ((src[x][a], tgt[img[x]][fa]) for x in trail[:i]))
+        search.work += len(agens) + (i if is_gen[a] else 0)
+        if search.work > _SEARCH_BUDGET:
+            raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} forced checks")
         for y, z in forced:
             w = img[y]
             if w == -1:
@@ -548,17 +556,10 @@ def _assign(search, a, b):
     return True
 
 
-# calls of _dfs_first one search may make before it is refused with ValueError
-_SEARCH_BUDGET = 200_000
-
-
 def _dfs_first(search):
     """The first completion of the search's partial map to an isomorphism,
     or None with the map as it was.  The least unassigned point takes its
     candidates in increasing order, so this is the lexicographically least."""
-    search.nodes += 1
-    if search.nodes > _SEARCH_BUDGET:
-        raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} nodes")
     img, rev = search.img, search.rev
     if -1 not in img:
         return tuple(img)
@@ -595,7 +596,7 @@ def table_automorphism_group(t):
     automorphism groups (all of Sym(n) for a trivial quandle) stay cheap.
     The orbit of k under the generators found so far, when level k ends, is
     level k of a stabilizer chain; the group comes back with that chain, so
-    it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET nodes.
+    it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET checks.
     """
     n = t.order
     colours = _colours(t.table)[0]

@@ -126,7 +126,7 @@ def _check_axioms(arr):
     cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
     values, col_values = arr.astype(small), cols.astype(small)
     left, rows, right = np.empty((3, n, n), dtype=small)
-    gens = _generators(n, arr.item)
+    gens = _generators(n, lambda c: cols[c].tolist())
     for c in gens:
         np.take(col_values[c], arr, out=left)             # (a,b) -> (a*b)*c
         np.take(values, cols[c], axis=0, out=rows)

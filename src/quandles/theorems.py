@@ -145,8 +145,8 @@ def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     if zero < 0 or ident < 0:
         rep.fail(f"{tag}: the identity (0, {tuple(range(group.order))}) is not in the list")
         return m
-    zgens = _generators(len(center), lambda x, g: int(where[tbl[center[x], center[g]]]), identity=zero)
-    fgens = _generators(k, lambda x, g: int(find(maps[x][maps[g]])), identity=ident)
+    zgens = _generators(len(center), lambda g: where[tbl[center, center[g]]].tolist(), identity=zero)
+    fgens = _generators(k, lambda g: find(maps[:, maps[g]]).tolist(), identity=ident)
     gens = np.sort(np.concatenate([zgens * k + ident, zero * k + fgens]))
     outside, bad = [], []
     for s in G._row_chunks(m, max(len(gens), 1) * group.order):
@@ -554,7 +554,7 @@ def _quandle_classes(order):
                 classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
                 seen.update(_relabelings(table, columns).view(key).ravel().tolist())
             # p keeps this checked quandle table, or relabeling of one, exactly when p is an automorphism
-            fixed = G._homomorphism_mask(table, table, _generators(order, table.item), members)
+            fixed = G._homomorphism_mask(table, table, _generators(order, lambda g: table[:, g].tolist()), members)
             weighted += weight * len(ids) // int(np.count_nonzero(fixed))
     return classes, weighted, len(seen), completions
 
@@ -740,8 +740,7 @@ def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
 
 # the largest value of each bound a suite takes; run_suite refuses a bound
 # past it before any suite runs.  At 16, (Z/2)^4's 20,160 automorphisms take
-# alexander-embedding about 90 s (centralizers and generator closures) and
-# conj-embedding about 5 s (the generator closure in _check_semidirect_embedding).
+# alexander-embedding about 80 s and conj-embedding about 3 s (see README).
 suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
 suite_alexander_embedding.ceilings = suite_conj_embedding.ceilings = {"max_order": 15}
 
@@ -807,8 +806,8 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
 
     A given bound (max_order, ns) goes to each selected suite that names it
     as a keyword parameter.  ValueError, before any suite runs: an unknown
-    id, max_order < 1, an empty ns, a bound that no selected suite takes, or
-    one above a selected suite's declared ceiling.
+    id, max_order < 1, an empty ns or one with an even or non-positive n,
+    a bound no selected suite takes, or one above a suite's ceiling.
     """
     if theorem_ids is None:
         theorem_ids = list(THEOREM_SUITES)
@@ -819,6 +818,9 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     if ns is not None and not ns:
         raise ValueError("ns must list at least one dihedral order")
+    for n in ns or ():
+        if n < 1 or n % 2 == 0:
+            raise ValueError(f"a dihedral order in ns must be odd and positive, got {n}")
     bounds = {name: val for name, val in (("max_order", max_order), ("ns", ns)) if val is not None}
     suites = [THEOREM_SUITES[tid][0] for tid in theorem_ids]
     takes = [inspect.signature(fn).parameters for fn in suites]

@@ -252,6 +252,13 @@ def test_verify_refuses_an_embedding_past_order_15_before_it_runs(tid, no_suite_
     assert err == f"error: {tid} refuses max_order above 15, got 16\n" and out == ""
 
 
+@pytest.mark.parametrize("n", ["4", "-3", "0"])
+def test_verify_all_refuses_a_bad_dihedral_order_before_any_suite_runs(n, no_suite_runs, capsys):
+    code, out, err = run(["verify", "all", "--n", f"3,{n}"], capsys)
+    assert code == 2
+    assert err == f"error: a dihedral order in ns must be odd and positive, got {n}\n" and out == ""
+
+
 def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):
     code, out, _ = run(["verify", "all", "--max-order", "3", "--n", "3", "--json"], capsys)
     assert code == 0

@@ -198,7 +198,7 @@ def _generator_tables():
 @pytest.mark.parametrize("name, table, identity", _generator_tables(),
                          ids=lambda v: v if isinstance(v, str) else "")
 def test_generators_close_the_table_and_each_is_new(name, table, identity):
-    gens = G._generators(len(table), table.item, identity=identity)
+    gens = G._generators(len(table), lambda g: table[:, g].tolist(), identity=identity)
     rows = table.tolist()
     start = set() if identity is None else {identity}
     assert identity not in gens.tolist()
@@ -208,13 +208,13 @@ def test_generators_close_the_table_and_each_is_new(name, table, identity):
         assert g not in _closure(rows, gens[:i]) | start
     if identity is not None:
         # the identity would have been the first generator, and nothing else changes
-        assert G._generators(len(table), table.item).tolist() == [identity] + gens.tolist()
+        assert G._generators(len(table), lambda g: table[:, g].tolist()).tolist() == [identity] + gens.tolist()
 
 
 def test_group_generators_come_from_validation():
     g = G.make_symmetric(4)
     assert g.generators() is g.generators()
-    assert np.array_equal(g.generators(), G._generators(g.order, g.table.item, identity=0))
+    assert np.array_equal(g.generators(), G._generators(g.order, lambda h: g.table[:, h].tolist(), identity=0))
     assert G.make_cyclic(12).generators().tolist() == [1]
     assert G.make_cyclic(1).generators().tolist() == []
     G.GroupMap(G.make_cyclic(1), G.make_cyclic(3), (0,))
@@ -276,7 +276,7 @@ def _mask_cases():
     cases = []
     for n in range(1, 5):
         every = np.array(list(itertools.product(range(n), repeat=n)))
-        cases += [(x.table, G._generators(n, x.table.item), every) for x in Q.enumerate_quandle_tables(n)]
+        cases += [(x.table, x.generators(), every) for x in Q.enumerate_quandle_tables(n)]
     rng = np.random.default_rng(18)
     for g in G.catalog_groups(12):
         n = g.order
@@ -430,8 +430,8 @@ def test_automorphism_array_is_one_cached_read_only_sorted_array():
     rows = G.automorphism_array(g)
     assert G.automorphism_array(g) is rows and not rows.flags.writeable
     assert len(rows) == 8 and rows.tolist() == sorted(rows.tolist())
-    with pytest.raises(ValueError, match="exceeds bound 64"):
-        G.automorphism_array(G.make_cyclic(65))
+    # no bound on the order: Aut(Z/65) is its 48 units, found at once
+    assert len(G.automorphism_array(G.make_cyclic(65))) == 48
 
 
 def test_twisted_map():

@@ -65,15 +65,15 @@ def test_trivial_quandle_aut_is_everything():
 
 
 def test_aut_order_bound_respected(monkeypatch, tmp_path, capsys):
-    # the search is bounded by its node budget, not by the order of the table
+    # the search is bounded by its forced checks, not by the order of the table
     assert sym.automorphism_group_backtrack(Q.trivial_quandle(90)).order() == math.factorial(90)
-    monkeypatch.setattr(perms, "_SEARCH_BUDGET", 5)
-    with pytest.raises(ValueError, match="gave up after 5 nodes"):
-        sym.automorphism_group_backtrack(Q.trivial_quandle(6))   # needs 20 nodes
+    monkeypatch.setattr(perms, "_SEARCH_BUDGET", 100)
+    with pytest.raises(ValueError, match="gave up after 100 forced checks"):
+        sym.automorphism_group_backtrack(Q.trivial_quandle(6))   # needs 186
     path = tmp_path / "t6.qnd"
     Q.save_quandle(Q.trivial_quandle(6), path)
     assert cli.main(["analyze", str(path)]) == 2
-    assert "gave up after 5 nodes" in capsys.readouterr().err
+    assert "gave up after 100 forced checks" in capsys.readouterr().err
 
 
 def test_inner_generators_are_columns():
