@@ -18,6 +18,7 @@ Tables are read and written in one plain-text format shared with quandles:
 first line the order, then one row per line.
 """
 
+import functools
 import itertools
 import warnings
 from math import gcd, prod
@@ -577,35 +578,46 @@ def _abelian_factor_lists(order):
     return out
 
 
+@functools.cache
+def _catalog_abelian(factors):
+    return make_abelian(factors)
+
+
+@functools.cache
+def _catalog_nonabelian():
+    z2 = make_cyclic(2)
+    return (
+        make_symmetric(3),
+        make_dihedral_group(4),
+        make_quaternion8(),
+        make_dihedral_group(5),
+        make_dihedral_group(6),
+        make_dihedral_group(7),
+        make_dihedral_group(8),
+        make_dicyclic(4),
+        direct_product(make_dihedral_group(4), z2),
+        direct_product(make_quaternion8(), z2),
+        make_symmetric(4),
+    )
+
+
 def catalog_groups(max_order, include_nonabelian=True, include_abelian=True):
     """Small-order group catalog used by the exhaustive theorem checks.
 
     Every abelian group up to max_order (one per isomorphism class), plus a
     fixed non-abelian family list: symmetric, dihedral, dicyclic and direct
     products with Z2.  The list is deterministic and sorted by order.
+
+    Each group is built once per process and shared by every call, so its
+    cached ``automorphism_array`` serves every later sweep: treat the groups
+    as read-only.  The list itself is new on each call.
     """
     groups = []
     if include_abelian:
         for n in range(1, max_order + 1):
-            for factors in _abelian_factor_lists(n):
-                groups.append(make_abelian(factors))
+            groups += [_catalog_abelian(tuple(factors)) for factors in _abelian_factor_lists(n)]
     if include_nonabelian:
-        z2 = make_cyclic(2)
-        nonabelian = [
-            make_symmetric(3),
-            make_dihedral_group(4),
-            make_quaternion8(),
-            make_dihedral_group(5),
-            make_dihedral_group(6),
-            make_dihedral_group(7),
-            make_dihedral_group(8),
-            make_dicyclic(4),
-            direct_product(make_dihedral_group(4), z2),
-            direct_product(make_quaternion8(), z2),
-        ]
-        if max_order >= 24:
-            nonabelian.append(make_symmetric(4))
-        groups.extend(g for g in nonabelian if g.order <= max_order)
+        groups += [g for g in _catalog_nonabelian() if g.order <= max_order]
     groups.sort(key=lambda g: (g.order, g.name))
     return groups
 

@@ -12,8 +12,10 @@ constructor checks them, and nothing skips or repeats that check.
 
 Axiom 3 needs checking only for c in a generating set: once the columns
 are permutations, S_{a*c} = S_c S_a S_c^-1 whenever S_c is an automorphism,
-so the c at which axiom 3 holds are closed under *.  Validation therefore
-costs n^2 k for k generators, not n^3; the Quandle keeps them for the table
+so the c at which axiom 3 holds are closed under *.  Axiom 3 at c depends
+on c only through S_c, so generators with equal columns are checked once.
+Validation therefore costs n^2 k for k distinct generator columns, not n^3
+(a trivial quandle has one); the Quandle keeps the generators for the table
 search and the map checks (``generators()``).  The witness of a defect first
 found in row a then costs about a n^2 plus one doubling, not a full chunk.
 
@@ -119,15 +121,20 @@ def _check_axioms(arr):
         col = arr[:, b]
         a = int((_first_equal_rows(col[:, None]) != rng).argmax())
         raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}")
-    # one n x n slab per generator c, in buffers reused for every c and in the
-    # smallest dtype that holds the entries, so a table whose every element
-    # is a generator costs less than the scan below
+    # one n x n slab per distinct generator column S_c, in buffers reused for
+    # every c and in the smallest dtype that holds the entries: axiom 3 at c
+    # depends on c only through S_c, so generators with equal columns share one
     small = np.min_scalar_type(n - 1)
     cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
     values, col_values = arr.astype(small), cols.astype(small)
     left, rows, right = np.empty((3, n, n), dtype=small)
     gens = _generators(n, lambda c: cols[c].tolist())
+    checked = set()
     for c in gens:
+        key = col_values[c].tobytes()
+        if key in checked:
+            continue
+        checked.add(key)
         np.take(col_values[c], arr, out=left)             # (a,b) -> (a*b)*c
         np.take(values, cols[c], axis=0, out=rows)
         np.take(rows, cols[c], axis=1, out=right)         # (a,b) -> (a*c)*(b*c)

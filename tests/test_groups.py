@@ -480,6 +480,16 @@ def test_catalog():
     assert any(not g.is_abelian() for g in cat)
 
 
+def test_catalog_groups_are_shared():
+    # each group is built once per process; every call returns a new list
+    small, large = G.catalog_groups(12), G.catalog_groups(16)
+    by_name = {g.name: g for g in large}
+    assert [g.name for g in small] == [g.name for g in large if g.order <= 12]
+    assert all(by_name[g.name] is g for g in small)
+    assert G.catalog_groups(12) is not small
+    assert [g.name for g in G.catalog_groups(24, include_abelian=False)][-1] == "S4"
+
+
 def test_group_by_name():
     assert G.group_by_name("z6").order == 6
     assert G.group_by_name("s3").order == 6

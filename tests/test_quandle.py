@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import quandles.groups as G
 import quandles.quandle as Q
 import quandles.theorems as T
-from quandles.perms import Permutation
+from quandles.perms import Permutation, _generators
 from quandles.quandle import QuandleAxiomError
 
 # passes idempotence and column bijectivity but breaks self-distributivity
@@ -112,6 +112,23 @@ def test_axiom_distributivity_witness_past_the_first_row_chunk():
     left = t[t]
     right = t[t[:, None, :], t[None, :, :]]
     assert tuple(np.argwhere(left != right)[0]) == (100, 0, 1)
+
+
+def test_axiom_3_on_repeated_columns_keeps_the_generators_and_the_witness():
+    # a trivial quandle of order 40 whose columns 20..22 are all (0 1) is still
+    # a quandle: its generators are the greedy ones, though the check reads
+    # only the two distinct columns among them.  Making column 25 (1 2) as
+    # well breaks axiom 3, at the first failing triple over all of them
+    t = np.tile(np.arange(40)[:, None], (1, 40))
+    t[[0, 1], 20:23] = [[1], [0]]
+    assert np.array_equal(Q.Quandle(t).generators(), _generators(40, lambda c: t[:, c].tolist()))
+    assert np.array_equal(Q.trivial_quandle(40).generators(), np.arange(40))
+    t[[1, 2], 25] = [2, 1]
+    bad = np.argwhere(t[t] != t[t[:, None, :], t[None, :, :]])
+    with pytest.raises(QuandleAxiomError) as exc:
+        Q.validate_axioms(t)
+    assert exc.value.axiom == 3
+    assert exc.value.witness == tuple(int(v) for v in bad[0])
 
 
 def test_planted_order_289_file_fails_in_a_few_megabytes(tmp_path):

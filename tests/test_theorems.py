@@ -18,7 +18,7 @@ import quandles.groups as G
 import quandles.quandle as Q
 import quandles.symmetry as sym
 from quandles import theorems as T
-from quandles.perms import Permutation
+from quandles.perms import PermGroup, Permutation
 
 
 def test_report_plumbing():
@@ -294,6 +294,108 @@ def test_split_check_names_each_planted_defect():
     assert failures(cent, inn_order=41) == ["Z7: |Inn| = 42 != 41"]
 
 
+def _with_and_without_chain(monkeypatch, run):
+    """run() twice: with the factorization decided from the stabilizer chain
+    where it can be, and with the element-by-element listing forced."""
+    fast = run()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_holds_translations", lambda group, aut: False)
+        slow = run()
+    return fast, slow
+
+
+def _split(group, x, maps, inn_order):
+    rep = T.TheoremReport("demo")
+    return T._check_split(rep, group, x, maps, inn_order, group.name), rep.failures
+
+
+def test_factorization_from_the_chain_agrees_with_the_listing(monkeypatch):
+    # every Takasaki check of the takasaki-aut sweep and every fixed-point-free
+    # phi of the fpf-structure sweep give the same report either way
+    for g in T._odd_abelian(27):
+        fast, slow = _with_and_without_chain(monkeypatch, lambda: T.check_thm_takasaki_aut(g).to_dict())
+        assert fast == slow and fast["passed"], g.name
+    count = 0
+    for g in G.catalog_groups(12, include_nonabelian=False):
+        phis = G.automorphism_array(g)
+        for phi in phis[G._fixed_point_free(phis)]:
+            fast, slow = _with_and_without_chain(monkeypatch, lambda: T._fpf_structure_one(g, phi).to_dict())
+            assert fast == slow and fast["passed"], (g.name, phi)
+            count += 1
+    assert count > 20
+
+
+def test_factorization_from_the_chain_agrees_on_planted_defects(monkeypatch):
+    # T(Z9): Aut_0 = the 6 units; t_3 and the units make a subgroup of Aut
+    # of order 18 that misses the translation by 1.  The swap s = (3 6)
+    # commutes with every unit, so s Aut s has order 54 and stabilizer Aut_0,
+    # but it misses t_1 and holds s t_1 s, which does not factor
+    g = G.make_cyclic(9)
+    x = Q.takasaki(g)
+    maps = G.automorphism_array(g)
+    aut = sym.automorphism_group_backtrack(x)
+    stab = aut.stabilizer(0)
+    partial = PermGroup([*stab.generators, Permutation(g.table[:, 3].tolist())], degree=9)
+    s = [0, 1, 2, 6, 4, 5, 3, 7, 8]
+    swapped = PermGroup([Permutation([s[p(s[v])] for v in range(9)]) for p in aut.generators], degree=9)
+    assert swapped.order() == 54 and not swapped.contains(g.table[:, 1].tolist())
+    not_a_map = np.array([[0, 2, 1, 3, 4, 5, 6, 7, 8]])             # bijective, not additive
+    with_extra = np.concatenate([maps, not_a_map])
+    planted = {
+        "dropped map": (aut, np.delete(maps, 2, axis=0), "does not factor"),
+        "extra row": (aut, with_extra[np.lexsort(with_extra.T[::-1])], "is not a quandle automorphism"),
+        "stabilizer as Aut": (stab, maps, "|Aut| = 6 != 9 * 6"),
+        "some translations": (partial, maps, "|Aut| = 18 != 9 * 6"),
+        "conjugated by a swap": (swapped, maps, "does not factor"),
+    }
+    for name, (fake, rows, expected) in planted.items():
+        with monkeypatch.context() as m:
+            m.setattr(T.sym, "automorphism_group_backtrack", lambda q: fake)
+            fast, slow = _with_and_without_chain(monkeypatch, lambda: _split(g, x, rows, 18))
+        assert fast == slow, name
+        assert any(expected in f for f in fast[1]), (name, fast)
+
+
+def test_factorization_needs_the_translation_by_every_generator(monkeypatch):
+    # on Z5 x Z5 (element 5a + b), s(a, b) = (a, b + [a = 1]) commutes with
+    # the translation by 1 = (0, 1) but not with the one by 5 = (1, 0).  The
+    # translations conjugated by s make a group that holds t_1, and whose
+    # stabilizer of 0 is trivial, but some of whose elements do not factor
+    g = G.make_abelian([5, 5])
+    assert g.generators().tolist() == [1, 5]
+    s = [5 * a + (b + (a == 1)) % 5 for a in range(5) for b in range(5)]
+    inv = np.argsort(s)
+    conj = PermGroup([Permutation([s[t[inv[v]]] for v in range(25)]) for t in g.table[:, [1, 5]].T], degree=25)
+    assert conj.contains(g.table[:, 1].tolist()) and not conj.contains(g.table[:, 5].tolist())
+    maps = G.automorphism_array(g)
+
+    def run():
+        rep = T.TheoremReport("demo")
+        return T._check_factorization(rep, g, conj, maps, "Z5xZ5"), rep.failures
+
+    fast, slow = _with_and_without_chain(monkeypatch, run)
+    assert fast == slow
+    assert fast[1][0] == "Z5xZ5: |Aut| = 25 != 25 * 480" and "does not factor" in fast[1][1]
+
+
+def test_a_passing_split_check_lists_no_more_than_the_maps(monkeypatch):
+    # T((Z/3)^3): |Aut| = 27 * 11,232 = 303,264, but the check builds no
+    # element array longer than the 11,232 maps of the stabilizer
+    g = G.make_abelian([3, 3, 3])
+    maps = G.automorphism_array(g)
+    real, shapes = PermGroup.element_array, []
+
+    def recorded(self):
+        out = real(self)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(PermGroup, "element_array", recorded)
+    rep = T.check_thm_takasaki_aut(g)
+    assert rep.passed and rep.annotations["aut_order[Z3xZ3xZ3]"] == 303_264
+    assert shapes and max(rows for rows, _ in shapes) == len(maps) == 11_232
+
+
 def _plant(monkeypatch, group, bad_rows):
     """Make automorphism_array hand out the group's rows with rows 1, 2, ...
     replaced by bad_rows."""
@@ -476,6 +578,19 @@ def test_run_suite_selection():
                           max_order=4, ns=(3,))
     assert [r.instances_tested for r in reports] == [5, 5, len(G.catalog_groups(4)) - 1]
     assert all(r.elapsed > 0 for r in reports)
+
+
+def test_run_suite_finds_each_catalog_aut_once(monkeypatch):
+    # four suites sweep the catalog to order 16; Aut(G) is searched once per group
+    G._catalog_abelian.cache_clear()
+    G._catalog_nonabelian.cache_clear()
+    search, searched = G.table_automorphism_group, []
+    monkeypatch.setattr(G, "table_automorphism_group", lambda g: searched.append(g) or search(g))
+    reports = T.run_suite(["commutativity", "central-lemma", "bae-choe", "aut-transitive"])
+    assert all(rep.passed for rep in reports)
+    catalog = G.catalog_groups(16)
+    assert len(searched) == len(catalog) == len({id(g) for g in searched})
+    assert {id(g) for g in searched} == {id(g) for g in catalog}
 
 
 def test_suite_registry_is_complete():
