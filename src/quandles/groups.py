@@ -140,9 +140,18 @@ def _homomorphism_mask(src, tgt, gens, maps):
 
 
 def _first_equal_rows(rows):
-    """For each row of a 2-D array, the index of the first row equal to it."""
-    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-    return first[inverse.reshape(-1)]
+    """For each row of a 2-D array, the index of the first row equal to it.
+
+    One stable lexsort puts equal rows next to each other in index order, so
+    each run of equal rows starts with the first index of its run.
+    """
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = np.empty(len(rows), dtype=np.intp)
+    first[order] = order[starts][np.cumsum(starts) - 1]
+    return first
 
 
 def _first_witness(arr, sides):

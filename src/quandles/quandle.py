@@ -278,31 +278,54 @@ class _Columns:
     rows: list           # the same rows as tuples, sorted, so bisect finds an id
     fixing: list         # fixing[x]: the ids of the permutations fixing x, ascending
     conj: memoryview     # flat uint16: conj[c * n! + b] = id(S_c S_b S_c^-1)
+    pairs: np.ndarray    # (n!, n*n) int32: pairs[p, x*n + y] = p*n*n + p^-1(x)*n + p^-1(y)
 
 
 def _column_candidates(n):
     """The ``_Columns`` of order n, for one search; ValueError for an order
     outside 1.._COLUMN_SEARCH_BOUND, before anything is built.
 
-    Row c of the conjugation table is one gather: S_c S_b S_c^-1 sends S_c(z)
-    to S_c(S_b(z)), so its base-n key sum_y p(y) n^(n-1-y) is
-    sum_z S_c(S_b(z)) n^(n-1-S_c(z)), and a lookup array indexed by key
-    turns keys into ids.
+    Conjugating by S_c S_t conjugates by S_t and then by S_c, so row c·t of
+    the conjugation table is row c gathered at row t.  The rows of the n-1
+    adjacent transpositions t come from the definition, through a lookup
+    array from base-n keys to ids; every other row is row c gathered at row
+    t for a permutation c one inversion shorter, breadth-first over S_n by
+    inversion count, one 2-D gather per (layer, transposition).
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > _COLUMN_SEARCH_BOUND:
         raise ValueError(f"order {n} exceeds the column search's bound {_COLUMN_SEARCH_BOUND}")
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+    k = len(perms)
     weights = n ** np.arange(n - 1, -1, -1)
     ids = np.zeros(n ** n, dtype=np.uint16)      # base-n key -> id, at most 7^7 entries
-    ids[perms @ weights] = np.arange(len(perms))
-    conj = np.empty((len(perms), len(perms)), dtype=np.uint16)
-    for c, sc in enumerate(perms):
-        conj[c] = ids[sc[perms] @ weights[sc]]
+    ids[perms @ weights] = np.arange(k)
+    steps = []                                   # per transposition t: id(c·t) for every c, and row t
+    for j in range(n - 1):
+        t = np.arange(n)
+        t[[j, j + 1]] = j + 1, j
+        steps.append((ids[perms[:, t] @ weights], ids[t[perms][:, t] @ weights].astype(np.intp)))
+    conj = np.empty((k, k), dtype=np.uint16)
+    conj[0] = np.arange(k)
+    built = np.zeros(k, dtype=bool)
+    built[0] = True
+    layer = np.zeros(1, dtype=np.intp)
+    for _ in range(n * (n - 1) // 2):            # the longest permutation has n(n-1)/2 inversions
+        grown = []
+        for right, row in steps:
+            src = layer[~built[right[layer]]]
+            dst = right[src]
+            conj[dst] = conj[src][:, row]
+            built[dst] = True
+            grown.append(dst)
+        layer = np.concatenate(grown)
     fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
     inverse = np.argsort(perms, axis=1).astype(np.int8)
-    return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
+    inv = inverse.astype(np.int32)
+    pairs = np.arange(k, dtype=np.int32)[:, None, None] * (n * n) + inv[:, :, None] * n + inv[:, None, :]
+    return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)),
+                    pairs.reshape(k, n * n))
 
 
 def _tables_from(s0, columns, centralizer=()):

@@ -220,6 +220,14 @@ def test_k_transitivity_matches_tuple_bfs_on_random_groups(gen_images):
     _assert_chain_read_matches_tuple_bfs(PermGroup(gen_images, degree=6))
 
 
+def test_an_intransitive_group_is_refused_before_any_chain_is_built():
+    # <(0 1), (2 3 4)> on 5 points: orbits {0, 1} and {2, 3, 4}
+    g = PermGroup([[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]])
+    assert [g.is_k_transitive(k) for k in (1, 2, 3)] == [False, False, False]
+    assert g._chain is None
+    assert g.order() == 6 and g._chain is not None
+
+
 def test_transitivity_degree_is_divisible():
     # |G| is divisible by n(n-1)...(n-k+1) when G is k-transitive
     g = PermGroup(_symmetric_gens(6))

@@ -290,21 +290,43 @@ def test_census_search_yields_pinned_tables_in_a_pinned_order():
     assert (count, h.hexdigest()) == (2790, CENSUS_SEARCH_DIGEST_6)
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+def _assert_conjugation_rows(columns, rows, sample):
+    ids = {r: i for i, r in enumerate(rows)}
+    conj = columns.conj
+    assert len(conj) == len(rows) ** 2
+    n = len(rows[0])
+    for c in sample:
+        sc = rows[c]
+        sc_inv = Permutation(sc).inverse().images
+        # conj[c, b] is S_c S_b S_c^-1: apply S_c^-1, then S_b, then S_c
+        want = [ids[tuple(sc[sb[sc_inv[y]]] for y in range(n))] for sb in rows]
+        assert conj[c * len(rows):(c + 1) * len(rows)].tolist() == want, c
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_column_ids_and_conjugation_table_match_tuple_composition(n):
     columns = Q._column_candidates(n)
     rows = list(itertools.permutations(range(n)))
     assert columns.rows == rows and columns.perms.tolist() == [list(r) for r in rows]
     assert columns.fixing == [[i for i, r in enumerate(rows) if r[x] == x] for x in range(n)]
-    ids = {r: i for i, r in enumerate(rows)}
-    conj = columns.conj
-    assert len(conj) == len(rows) ** 2
-    for c, sc in enumerate(rows):
-        sc_inv = Permutation(sc).inverse().images
-        for b, sb in enumerate(rows):
-            # conj[c, b] is S_c S_b S_c^-1: apply S_c^-1, then S_b, then S_c
-            want = tuple(sc[sb[sc_inv[y]]] for y in range(n))
-            assert conj[c * len(rows) + b] == ids[want]
+    _assert_conjugation_rows(columns, rows, range(len(rows)))
+
+
+# sha256 of the order-7 conjugation table's bytes, as the row-by-row build gave them
+CONJ_DIGEST_7 = "6becc1659259831f0ddf9e29aef52ccb9cc6946aa0898bfa1e5dee258176956f"
+
+
+def test_order_7_conjugation_table_matches_tuple_composition_on_a_sample_and_its_pinned_digest():
+    columns = Q._column_candidates(7)
+    rows = list(itertools.permutations(range(7)))
+    assert columns.rows == rows
+    # the identity, the adjacent transpositions the build starts from, the
+    # longest permutation, and a deterministic spread of the rest
+    sample = sorted({0, len(rows) - 1, *range(1, len(rows), 97),
+                     *(rows.index(tuple(j + 1 if y == j else j if y == j + 1 else y for y in range(7)))
+                       for j in range(6))})
+    _assert_conjugation_rows(columns, rows, sample)
+    assert hashlib.sha256(columns.conj).hexdigest() == CONJ_DIGEST_7
 
 
 def test_column_search_refuses_order_8_before_it_allocates():

@@ -502,6 +502,21 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
     assert exc.value.axiom == 3
 
 
+def test_relabelings_move_every_entry_of_every_class_table_to_order_5():
+    for n in range(1, 6):
+        columns = Q._column_candidates(n)
+        for x in T._quandle_classes(n)[0]:
+            t = x.table.tolist()
+            moved = T._relabelings(x.table, columns)
+            assert moved.shape == (len(columns.rows), n * n)
+            for p, row in zip(columns.rows, moved.tolist()):
+                want = [0] * (n * n)
+                for a in range(n):
+                    for b in range(n):
+                        want[p[a] * n + p[b]] = p[t[a][b]]    # moved[p(a), p(b)] = p(a*b)
+                assert row == want
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_classes_match_the_full_enumeration(n):
     full = [x.table.astype(np.int8).tobytes() for x in Q.enumerate_quandle_tables(n)]
