@@ -329,16 +329,16 @@ class PermGroup:
         points for i < k, and level i holds at most the n - i points outside
         0..i-1, so the group is k-transitive exactly when each of those levels
         is full.  Fixing 0..n-2 fixes n - 1, so k = n asks no more than n - 1.
-        A group whose orbit of 0 misses a point is not even transitive, and
-        the walk over the generators says so before any chain is built.
+        Before a chain exists, a group whose orbit of 0 misses a point is
+        refused by a walk over the generators, without building one: it is
+        not even transitive.
         """
         n = self.degree
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         if k > n:
             raise ValueError(f"k = {k} exceeds degree {n}")
-        ident = tuple(range(n))
-        if len(_orbit([g.images for g in self.generators], 0, ident)) < n:
+        if self._chain is None and len(_orbit([g.images for g in self.generators], 0, tuple(range(n)))) < n:
             return False
         levels, _ = self._ensure_chain()
         return all(len(levels[i]) == n - i for i in range(min(k, n - 1)))

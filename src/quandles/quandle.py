@@ -323,7 +323,8 @@ def _column_candidates(n):
     fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
     inverse = np.argsort(perms, axis=1).astype(np.int8)
     inv = inverse.astype(np.int32)
-    pairs = np.arange(k, dtype=np.int32)[:, None, None] * (n * n) + inv[:, :, None] * n + inv[:, None, :]
+    pairs = inv[:, :, None] * n + inv[:, None, :]
+    pairs += np.arange(k, dtype=np.int32)[:, None, None] * (n * n)
     return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)),
                     pairs.reshape(k, n * n))
 
