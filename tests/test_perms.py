@@ -226,6 +226,7 @@ def test_an_intransitive_group_is_refused_before_any_chain_is_built():
     assert [g.is_k_transitive(k) for k in (1, 2, 3)] == [False, False, False]
     assert g._chain is None
     assert g.order() == 6 and g._chain is not None
+    assert not g.is_k_transitive(1)                    # read off the chain now
 
 
 def test_transitivity_degree_is_divisible():
