@@ -264,7 +264,7 @@ def enumerate_quandle_tables(n):
     """
     columns = _column_candidates(n)
     for i in columns.fixing[0]:
-        for table in _tables_from(columns.rows[i], columns):
+        for table, _ in _tables_from(columns.rows[i], columns):
             yield Quandle(table, Provenance("enumerated"))
 
 
@@ -330,23 +330,30 @@ def _column_candidates(n):
 
 
 def _tables_from(s0, columns, centralizer=()):
-    """Yield the int8 (n, n) table of every labeled quandle whose column S_0
-    is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``;
-    columns comes from ``_column_candidates``.
+    """Yield (table, |Stab_C(table)|) for every labeled quandle whose column
+    S_0 is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``,
+    each table int8 (n, n); columns comes from ``_column_candidates``.
 
     The tables come in lexicographic order of their column ids (S_0, S_1,
     ...): two leaves part at the node where they take different candidates
     for its first free column, and candidates are tried in ascending order.
 
     centralizer holds ids of permutations p that fix 0 and commute with s0
-    (the identity left out).  Relabeling by such a p keeps S_0 and sends the
-    column S_b to p S_b p^-1 at the point p(b), so the relabeled column ids
-    are (p.cols)[y] = conj[id(p) n! + cols[p^-1(y)]].  A node is pruned when,
-    for some p, p.cols is smaller than cols at the first point from 1 upward
-    where they differ, and both are assigned up to that point: every
-    completion T below it then has p.T < T.  So only the lexicographically
-    least table of each orbit is yielded, once, at the place it holds in
-    the unpruned stream.
+    (the identity left out); with the identity they form C.  Relabeling by
+    such a p keeps S_0 and sends the column S_b to p S_b p^-1 at the point
+    p(b), so the relabeled column ids are (p.cols)[y] = conj[id(p) n! +
+    cols[p^-1(y)]].  A node is pruned when, for some p, p.cols is smaller
+    than cols at the first point from 1 upward where they differ, and both
+    are assigned up to that point: every completion T below it then has
+    p.T < T.  So only the lexicographically least table of each orbit is
+    yielded, once, at the place it holds in the unpruned stream.
+
+    Assigned columns never change below a node, so the comparison resumes:
+    each node hands its children the leaders p still undecided, each with
+    the first point not compared yet.  A leader whose p.cols is larger at
+    that point can never prune below, and is dropped.  At a leaf every
+    point is assigned, so the leaders left are those with p.T = T, and
+    with the identity they count Stab_C(T).
     """
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
@@ -381,36 +388,43 @@ def _tables_from(s0, columns, centralizer=()):
                     return False
         return True
 
-    def least(cols):
-        """False when some p makes p.cols smaller than cols where both are assigned."""
-        for base, inv in leaders:
-            for y in range(1, n):
-                a, x = cols[y], cols[inv[y]]
-                if a is None or x is None:
-                    break
-                b = conj[base + x]
+    def least(cols, pending):
+        """pending's leaders still tied on cols, resumed: flat pairs k, y (a
+        tuple per leader and node cost about 1 MB of peak RSS) of an index
+        into leaders and the first point not compared yet; None when some p
+        makes p.cols smaller than cols where both are assigned."""
+        kept = []
+        for j in range(0, len(pending), 2):
+            k, y = pending[j], pending[j + 1]
+            base, inv = leaders[k]
+            while y < n and cols[y] is not None and cols[inv[y]] is not None:
+                a, b = cols[y], conj[base + cols[inv[y]]]
                 if b != a:
                     if b < a:
-                        return False
+                        return None
                     break
-        return True
+                y += 1
+            else:
+                kept += k, y
+        return kept
 
-    def dfs(cols):
-        if not least(cols):
+    def dfs(cols, pending):
+        pending = least(cols, pending)
+        if pending is None:
             return
         if None not in cols:
-            yield columns.perms[cols].T.copy()     # cols[b] is the id of S_b, and a*b = S_b(a)
+            yield columns.perms[cols].T.copy(), len(pending) // 2 + 1     # cols[b] is the id of S_b, a*b = S_b(a)
             return
         free = cols.index(None)
         for cand in fixing[free]:
             trial = list(cols)
             trial[free] = cand
             if propagate(trial, free):
-                yield from dfs(trial)
+                yield from dfs(trial, pending)
 
     cols = [bisect.bisect_left(rows, s0)] + [None] * (n - 1)
     if propagate(cols, 0):
-        yield from dfs(cols)
+        yield from dfs(cols, [x for k in range(len(leaders)) for x in (k, 1)])
 
 
 # -- file format ---------------------------------------------------------------

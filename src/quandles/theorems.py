@@ -503,7 +503,7 @@ def check_thm_fnt(p, n, u):
 
 
 # the census runs to order 6 unless asked for more, and takes at most the
-# column search's bound, 7 (about 1.5 s and 105 MB peak RSS)
+# column search's bound, 7 (about 1 s and 105 MB peak RSS)
 _CENSUS_DEFAULT_ORDER = 6
 _CENSUS_CEILING = Q._COLUMN_SEARCH_BOUND
 
@@ -553,32 +553,27 @@ def _quandle_classes(order):
     own C-orbit: it is kept, and it starts its class at the same place as
     before.  By orbit-stabilizer each completion T stands for |C|/|Stab_C(T)|
     tables with S_0 = s, and weighting that by the size of s's conjugacy
-    class counts the labeled tables.  A completion outside every relabeling
-    orbit seen so far starts a new class and adds its whole orbit, under the
-    search's own permutation list, to the set, whose size counts the labeled
-    tables again, by orbit closure.  Only such a table becomes a Quandle, and
-    so is checked against the axioms.
+    class counts the labeled tables; the search yields |Stab_C(T)| with T,
+    the elements of C whose relabeled columns tie with T's at every point.
+    A completion outside every relabeling orbit seen so far starts a new
+    class and adds its whole orbit, under the search's own permutation
+    list, to the set, whose size counts the labeled tables again, by orbit
+    closure.  Only such a table becomes a Quandle, and so is checked
+    against the axioms.
     """
     columns = Q._column_candidates(order)
-    perms = columns.perms
     key = np.dtype((np.void, order * order))
-    points = np.arange(order)
     seen = set()
     classes = []
     weighted = completions = 0
     for s0, weight in _first_columns(order):
-        ids = _centralizer(s0, perms)
-        members = perms[ids]
-        for table in Q._tables_from(s0, columns, ids[1:].tolist()):
+        ids = _centralizer(s0, columns.perms)
+        for table, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
             completions += 1
             if table.tobytes() not in seen:
                 classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
                 seen.update(_relabelings(table, columns).view(key).ravel().tolist())
-            # p keeps the table exactly when p(a*b) = p(a)*p(b) for every a and b: with
-            # every point as a generator the mask checks just that, the definition of an
-            # automorphism, so no closure argument (nor a checked Quandle) is needed
-            fixed = G._homomorphism_mask(table, table, points, members)
-            weighted += weight * len(ids) // int(np.count_nonzero(fixed))
+            weighted += weight * len(ids) // fixed
     return classes, weighted, len(seen), completions
 
 
@@ -594,9 +589,11 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     yields tables in lexicographic order, the class tables and their order
     are those of the unpruned search.  ``labeled[n]`` counts the labeled
     tables by orbit-stabilizer, |C|/|Stab_C(T)| for each completion T times
-    its cycle-type weight, and ``relabeled[n]`` by the size of the union of
-    the orbits; the report fails where the two differ.  ``completions[n]``
-    counts the tables the column search completed, one per C-orbit.
+    its cycle-type weight, with |Stab_C(T)| read off the search's leader
+    test at T, and ``relabeled[n]`` by the size of the union of the orbits,
+    built from the relabelings themselves; the report fails where the two
+    differ.  ``completions[n]`` counts the tables the column search
+    completed, one per C-orbit.
     """
     rep = TheoremReport("mccarron")
     if not 1 <= min_order <= max_order <= _CENSUS_CEILING:

@@ -284,7 +284,7 @@ def test_census_search_yields_pinned_tables_in_a_pinned_order():
     h = hashlib.sha256()
     count = 0
     for s0, _ in T._first_columns(6):
-        for table in Q._tables_from(s0, columns):
+        for table, _ in Q._tables_from(s0, columns):
             h.update(table.astype(np.int8).tobytes())
             count += 1
     assert (count, h.hexdigest()) == (2790, CENSUS_SEARCH_DIGEST_6)

@@ -492,7 +492,7 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
 
     def planted(s0, candidates, centralizer=()):
         if len(s0) == 4:
-            yield bad
+            yield bad, 1
         yield from tables_from(s0, candidates, centralizer)
 
     monkeypatch.setattr(Q, "_tables_from", planted)
@@ -551,7 +551,7 @@ def test_census_completes_one_table_per_centralizer_orbit(n):
     for s0, _ in T._first_columns(n):
         centralizer = [p for p in perms if p[0] == 0 and all(p[s0[y]] == s0[p[y]] for y in range(n))]
         in_orbits = set()
-        for table in Q._tables_from(s0, columns):
+        for table, _ in Q._tables_from(s0, columns):
             t = tuple(map(tuple, table.tolist()))
             if t not in in_orbits:
                 orbits += 1
@@ -562,6 +562,19 @@ def test_census_completes_one_table_per_centralizer_orbit(n):
     classes, _, _, completions = T._quandle_classes(n)
     assert completions == orbits
     assert [x.table.astype(np.int8).tobytes() for x in classes] == firsts
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_search_counts_each_completions_stabilizer_by_the_definition(n):
+    columns = Q._column_candidates(n)
+    for s0, _ in T._first_columns(n):
+        ids = T._centralizer(s0, columns.perms)
+        for table, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
+            # p keeps the table exactly when p(a*b) = p(a)*p(b) for every a and b: with
+            # every point as a generator the mask checks just that, the definition of an
+            # automorphism, so no closure argument (nor a checked Quandle) is needed
+            mask = G._homomorphism_mask(table, table, np.arange(n), columns.perms[ids])
+            assert fixed == np.count_nonzero(mask), (s0, table.tolist())
 
 
 def test_census_fails_when_the_two_labeled_counts_differ(monkeypatch):
