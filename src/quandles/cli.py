@@ -161,11 +161,12 @@ def _yesno(value):
 def cmd_analyze(args):
     x = Q.load_quandle(args.path)
     info = sym.analyze_quandle(x)
+    translations = [Q.inner_translation(x, b) for b in range(x.order)] if args.generators else []
     if args.json:
         doc = {"schema": SCHEMA}
         doc.update(info.to_dict())
         if args.generators:
-            doc["inner_generators"] = [list(p.images) for p in sym.inner_group(x).generators]
+            doc["inner_generators"] = [list(p.images) for p in translations]
             doc["automorphism_generators"] = [
                 list(p.images) for p in sym.automorphism_group_backtrack(x).generators
             ]
@@ -182,7 +183,7 @@ def cmd_analyze(args):
     print(f"involutory: {_yesno(info.involutory)}")
     if args.generators:
         print("inner generators:")
-        for p in sym.inner_group(x).generators:
+        for p in translations:
             print(f"  {_cycle_text(p)}")
         print("automorphism generators:")
         for p in sym.automorphism_group_backtrack(x).generators:

@@ -11,13 +11,14 @@ Chain levels hold raw image tuples; the ``Permutation`` wrapper exists for
 the public surface.  Elements come out as one numpy array, one gather per
 level (``PermGroup.element_array``).  There is one point-orbit walk,
 ``_orbit``, which returns the orbit together with its transversal, and one
-Schreier-Sims sift, ``_sift``: orbits, stabilizers, chain levels, membership
-tests and the orbit bookkeeping of the table search go through them.
+Schreier-Sims sift, ``_sift``: chain levels, membership tests, the
+transitivity refusal before a chain exists and the orbit bookkeeping of the
+table search go through them.
 
 The chain runs over the fixed base 0..n-2, so it is a list of transversals:
 level i maps each point of the orbit of i under the pointwise stabilizer of
 0..i-1 to a rep carrying i there.  Only this module reads it; orders,
-membership, elements, ``stabilizer(0)`` and ``is_k_transitive`` (level i
+membership, elements, ``stabilizer()`` and ``is_k_transitive`` (level i
 full for every i < k) are its public reads.  ``brute_force_closure`` and
 ``brute_force_k_transitive`` are oracles that never touch the chain.
 
@@ -180,9 +181,9 @@ def _sift(levels, t, start):
 class PermGroup:
     """Group generated by permutations, with a deterministic stabilizer chain.
 
-    The chain runs over the fixed base 0..n-2 in increasing order (base()
-    reports the points with a nontrivial orbit).  table_automorphism_group
-    and stabilizer(0) set it; otherwise Schreier-Sims builds it on first use.
+    The chain runs over the fixed base 0..n-2 in increasing order.
+    table_automorphism_group and stabilizer() set it; otherwise
+    Schreier-Sims builds it on first use.
     Orbits are traversed in FIFO order with generators in a fixed order, so
     every derived quantity (order, element iteration, transversals) is
     reproducible.
@@ -269,10 +270,6 @@ class PermGroup:
         self._chain = (levels, sgens)
         return self._chain
 
-    def base(self):
-        levels, _ = self._ensure_chain()
-        return [i for i, tr in enumerate(levels) if len(tr) > 1]
-
     def order(self):
         levels, _ = self._ensure_chain()
         return prod(len(tr) for tr in levels)
@@ -285,41 +282,14 @@ class PermGroup:
         levels, _ = self._ensure_chain()
         return _sift(levels, p.images, 0)[0] is None
 
-    # -- orbits and transitivity -----------------------------------------
+    # -- stabilizer and transitivity -----------------------------------------
 
-    def orbit(self, x):
-        """Sorted closure of {x} under the generators."""
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} outside 0..{self.degree - 1}")
-        gens = [g.images for g in self.generators]
-        return sorted(_orbit(gens, x, tuple(range(self.degree))))
-
-    def stabilizer(self, x):
-        """Subgroup fixing the point x: levels 1.. of the chain when x = 0,
-        else via Schreier generators."""
-        if not 0 <= x < self.degree:
-            raise ValueError(f"point {x} outside 0..{self.degree - 1}")
-        ident = tuple(range(self.degree))
-        if x == 0:
-            levels, sgens = self._ensure_chain()
-            fixing = [g for g in sgens if g[0] == 0]
-            sub = PermGroup(fixing, degree=self.degree)
-            sub._chain = ([{0: ident}] + levels[1:] if levels else [], fixing)
-            return sub
-        gens = [g.images for g in self.generators if not g.is_identity()]
-        tr = _orbit(gens, x, ident)
-        schreier = []
-        seen = set()
-        for p in sorted(tr):
-            up = tr[p]
-            for s in gens:
-                t = _tcompose(_tcompose(up, s), _tinverse(tr[s[p]]))
-                if t != ident and t not in seen:
-                    seen.add(t)
-                    schreier.append(Permutation(t))
-        sub = PermGroup(schreier, degree=self.degree)
-        if sub.order() * len(tr) != self.order():
-            raise RuntimeError("orbit-stabilizer mismatch; stabilizer chain is broken")
+    def stabilizer(self):
+        """Subgroup fixing the point 0: levels 1.. of the chain."""
+        levels, sgens = self._ensure_chain()
+        fixing = [g for g in sgens if g[0] == 0]
+        sub = PermGroup(fixing, degree=self.degree)
+        sub._chain = ([{0: tuple(range(self.degree))}] + levels[1:] if levels else [], fixing)
         return sub
 
     def is_k_transitive(self, k):
@@ -634,11 +604,6 @@ def table_automorphism_group(t):
     group = PermGroup(gens, degree=n)
     group._chain = (levels, gens)
     return group
-
-
-def group_from_generators(generators, degree=None):
-    """Build a PermGroup; degree is inferred from the generators if omitted."""
-    return PermGroup(generators, degree=degree)
 
 
 def brute_force_closure(generators, degree):

@@ -12,11 +12,12 @@ constructor checks them, and nothing skips or repeats that check.
 
 Axiom 3 needs checking only for c in a generating set: once the columns
 are permutations, S_{a*c} = S_c S_a S_c^-1 whenever S_c is an automorphism,
-so the c at which axiom 3 holds are closed under *.  Axiom 3 at c depends
-on c only through S_c, so generators with equal columns are checked once.
-Validation therefore costs n^2 k for k distinct generator columns, not n^3
-(a trivial quandle has one); the Quandle keeps the generators for the table
-search and the map checks (``generators()``).  The witness of a defect first
+so the c at which axiom 3 holds are closed under * (and in a quandle the
+generator columns generate every column).  Axiom 3 at c depends on c only
+through S_c, so generators with equal columns are checked once.  Validation
+therefore costs n^2 k for k distinct generator columns, not n^3 (a trivial
+quandle has one); the Quandle keeps the generators for the table search,
+the map checks and Inn (``generators()``).  The witness of a defect first
 found in row a then costs about a n^2 plus one doubling, not a full chunk.
 
 Constructors cover the families built from a group G: conjugation

@@ -1,7 +1,8 @@
 """Symmetry groups of finite quandles.
 
-The inner group Inn(X) is generated by the right translations S_x; the full
-automorphism group Aut(X) comes from the backtracking table search in
+The inner group Inn(X) is built from the right translations S_g of the
+generators g of X alone, which generate every S_x; the full automorphism
+group Aut(X) comes from the backtracking table search in
 ``quandles.perms``, the same search that computes Aut(G) from a Cayley
 table, and isomorphism tests run its depth-first step between two tables.
 Aut(X) carries the search's own stabilizer chain and Inn(X) a Schreier-Sims
@@ -26,10 +27,11 @@ _BRUTE_FORCE_BOUND = 7
 
 
 def inner_group(quandle):
-    """Group generated by the right translations S_x, x in X."""
+    """Inn(X) from the columns of ``quandle.generators()``, which generate
+    every column by the closure argument of ``quandles.quandle``."""
     cache = quandle._cache
     if "inn" not in cache:
-        gens = [Permutation(quandle.column(x)) for x in range(quandle.order)]
+        gens = [Permutation(quandle.column(x)) for x in quandle.generators().tolist()]
         cache["inn"] = PermGroup(gens, degree=quandle.order)
     return cache["inn"]
 

@@ -193,7 +193,7 @@ def _check_factorization(rep, group, aut, maps, tag):
     m = aut.order()
     if m != n * len(maps):
         rep.fail(f"{tag}: |Aut| = {m} != {n} * {len(maps)}")
-    stab = aut.stabilizer(0).element_array()
+    stab = aut.stabilizer().element_array()
     find = _row_lookup(np.asarray(maps, dtype=stab.dtype).reshape(-1, n))
     if _holds_translations(group, aut) and (find(stab) >= 0).all():
         return m
@@ -221,7 +221,7 @@ def _check_split(rep, group, x, maps, inn_order, tag):
     """
     aut = sym.automorphism_group_backtrack(x)
     _check_preserved(rep, x, group, range(group.order), maps, tag)
-    stab = aut.stabilizer(0).element_array()
+    stab = aut.stabilizer().element_array()
     if not np.array_equal(stab[np.lexsort(stab.T[::-1])], maps):
         rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
     m = _check_factorization(rep, group, aut, maps, tag)

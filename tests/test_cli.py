@@ -2,11 +2,9 @@
 
 import functools
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -128,20 +126,11 @@ def test_analyze_generators(tmp_path, capsys):
 STREAM_ROUND_DIGEST = "333a3ea36b891aa2f361bd21b061a1b5a6205aba5e658cf60faefc8d8b728b8d"
 
 
-def _benchmark_inputs():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_analyze_generators_are_pinned_on_a_stream_round(tmp_path, capsys):
-    inputs = _benchmark_inputs()
+def test_analyze_generators_are_pinned_on_a_stream_round(tmp_path, capsys, bench_inputs):
     path = tmp_path / "t.qnd"
     h = hashlib.sha256()
-    for name, _, table in inputs.stream_rounds(1401, 1)[0]:
-        path.write_text(inputs.to_text(table))
+    for name, _, table in bench_inputs.stream_rounds(1401, 1)[0]:
+        path.write_text(bench_inputs.to_text(table))
         code, out, _ = run(["analyze", str(path), "--generators", "--json"], capsys)
         assert code == 0
         doc = json.loads(out)

@@ -79,8 +79,27 @@ def test_aut_order_bound_respected(monkeypatch, tmp_path, capsys):
 def test_inner_generators_are_columns():
     x = Q.dihedral(5)
     inn = sym.inner_group(x)
-    cols = {x.column(c) for c in range(5)}
-    assert {p.images for p in inn.generators} == cols
+    assert [p.images for p in inn.generators] == [x.column(g) for g in x.generators().tolist()]
+    assert all(inn.contains(x.column(c)) for c in range(5))
+
+
+def test_inner_chain_from_generator_columns_equals_the_chain_from_every_column(bench_inputs):
+    # each non-generator column lies in the group of the generator columns
+    # before it, so it sifts to the identity where Schreier-Sims over all n
+    # columns met it: the two chains agree level by level, in insertion order
+    tables = [x for n in range(1, 6) for x in Q.enumerate_quandle_tables(n)]
+    tables += [Q.Quandle(t) for _, _, t in bench_inputs.stream_rounds(1401, 1)[0]]
+    tables += [Q.takasaki(G.make_abelian([3, 3, 3])), Q.dihedral(343),
+               Q.conj_quandle(G.make_symmetric(4), 1)]
+    for x in tables:
+        n = x.order
+        inn = sym.inner_group(x)
+        assert [p.images for p in inn.generators] == [x.column(g) for g in x.generators().tolist()]
+        levels, sgens = inn._ensure_chain()
+        want_levels, want_sgens = perms.PermGroup([x.column(c) for c in range(n)], degree=n)._ensure_chain()
+        assert [list(tr.items()) for tr in levels] == [list(tr.items()) for tr in want_levels]
+        assert sgens == want_sgens
+    assert len(tables) == 447 + 70 + 3
 
 
 def test_inner_is_normal_in_aut():
@@ -97,8 +116,8 @@ def test_inner_is_normal_in_aut():
 def test_every_inner_map_is_an_automorphism():
     for x in _samples_up_to_6():
         aut = sym.automorphism_group_backtrack(x)
-        for s in sym.inner_group(x).generators:
-            assert aut.contains(s)
+        for c in range(x.order):
+            assert aut.contains(x.column(c))
 
 
 def test_connectivity():
@@ -285,6 +304,9 @@ class _ColumnTable:
 
     def column(self, b):
         return tuple(self.table[:, b].tolist())
+
+    def generators(self):
+        return np.arange(self.order)
 
 
 def _embedding_witnesses_by_loop(t):

@@ -334,7 +334,7 @@ def test_factorization_from_the_chain_agrees_on_planted_defects(monkeypatch):
     x = Q.takasaki(g)
     maps = G.automorphism_array(g)
     aut = sym.automorphism_group_backtrack(x)
-    stab = aut.stabilizer(0)
+    stab = aut.stabilizer()
     partial = PermGroup([*stab.generators, Permutation(g.table[:, 3].tolist())], degree=9)
     s = [0, 1, 2, 6, 4, 5, 3, 7, 8]
     swapped = PermGroup([Permutation([s[p(s[v])] for v in range(9)]) for p in aut.generators], degree=9)
