@@ -33,7 +33,14 @@ _BRUTE_FORCE_BOUND = 8
 # Largest order make_abelian and quandle.trivial_quandle build and _read_table
 # loads: R_1024 takes about 0.2 s and 77 MB to build, R_2000 0.6 s and 210 MB.
 _TABLE_ORDER_BOUND = 1024
-_CHUNK_ENTRIES = 1 << 20
+# Bytes the live temporaries of one chunk of a bulk kernel may take
+# (_row_chunks, _first_witness).  Gathers are built in the smallest dtype
+# (_smallest), and numpy casts a fancy index to intp in small buffers, not as
+# a whole copy, so a gathered entry costs its output dtype's bytes.  3 MiB
+# keeps the witness scan at 2^20 // n^2 rows per chunk for uint8 sides (two
+# sides and a mask, 3 bytes an entry).  Budgets of 2 to 5 MiB moved the peak
+# RSS of `quandles verify all` by about 1 MB and its time not measurably.
+_CHUNK_BYTES = 3 << 20
 
 
 class FiniteGroup:
@@ -110,10 +117,17 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _row_chunks(rows, width):
-    """Slices cutting range(rows) so that rows of the given width hold
-    about _CHUNK_ENTRIES entries per slice."""
-    step = max(1, _CHUNK_ENTRIES // width)
+def _smallest(arr, n):
+    """arr, whose entries lie in 0..n-1, in the smallest unsigned dtype that
+    holds n - 1; arr itself when it already has that dtype.  Unsigned values
+    below n order, compare and index exactly as int64 ones do."""
+    return arr.astype(np.min_scalar_type(n - 1), copy=False)
+
+
+def _row_chunks(rows, row_bytes):
+    """Slices cutting range(rows) so that the live temporaries of a slice,
+    row_bytes per row, take about _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // row_bytes)
     for lo in range(0, rows, step):
         yield slice(lo, min(lo + step, rows))
 
@@ -132,8 +146,10 @@ def _homomorphism_mask(src, tgt, gens, maps):
     f(x*(c*d)) = f((y*c)*d) = (f(y)*f(c))*f(d) = (f(y)*f(d))*(f(c)*f(d)).
     """
     gens = np.asarray(gens, dtype=np.int64)
+    tgt, maps = _smallest(tgt, len(tgt)), _smallest(maps, len(tgt))
     ok = np.empty(len(maps), dtype=bool)
-    for s in _row_chunks(len(maps), src.shape[0] * max(len(gens), 1)):
+    # per row: both sides, (n, k) each, and their mask
+    for s in _row_chunks(len(maps), src.shape[0] * max(len(gens), 1) * (maps.itemsize + tgt.itemsize + 1)):
         f = maps[s]
         ok[s] = (f[:, src[:, gens]] == tgt[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2))
     return ok
@@ -158,13 +174,15 @@ def _first_witness(arr, sides):
     """The lexicographically first (a, b, c) at which the two sides of a law
     on the triples of the n x n table arr differ.
 
-    sides(rows) returns both sides as (k, n, n) arrays for the k table rows
-    a in rows.  The scan runs over a in order, starting with a single row
-    and doubling the chunk up to _CHUNK_ENTRIES // n^2 rows, so a first
-    defect in row a costs about a n^2 work plus one doubling, and memory
-    never exceeds one capped chunk.  Callers know a witness exists.
+    arr is in its smallest dtype (``_smallest``), and sides(rows) returns
+    both sides as (k, n, n) arrays of arr's dtype for the k table rows a in
+    rows.  The scan runs over a in order, starting with a single row and
+    doubling the chunk up to the rows whose two sides and mask take
+    _CHUNK_BYTES, so a first defect in row a costs about a n^2 work plus one
+    doubling, and memory never exceeds one capped chunk.  Callers know a
+    witness exists.
     """
-    lo, step, cap = 0, 1, max(1, _CHUNK_ENTRIES // arr.size)
+    lo, step, cap = 0, 1, max(1, _CHUNK_BYTES // (arr.size * (2 * arr.itemsize + 1)))
     while lo < len(arr):
         left, right = sides(arr[lo:lo + step])
         if not np.array_equal(left, right):
@@ -194,7 +212,8 @@ def _validate_group_table(arr):
     if all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
         return gens
     # a generator fails: (a, b, c) -> (a*b)*c against a*(b*c) over every triple
-    a, b, c = _first_witness(arr, lambda rows: (arr[rows], rows[:, arr]))
+    small = _smallest(arr, n)
+    a, b, c = _first_witness(small, lambda rows: (small[rows], rows[:, small]))
     raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
 
@@ -368,9 +387,10 @@ def matrix_map(group, rows):
 
 
 def automorphism_array(group):
-    """Aut(G) as one cached, read-only (m, n) array of image rows, lexsorted.
-    ValueError past the search's budget (``perms._SEARCH_BUDGET``) or, before
-    any row is built, past _AUT_LIST_BOUND automorphisms, as it counts them."""
+    """Aut(G) as one cached, read-only (m, n) array of image rows in the
+    smallest dtype (``_smallest``), lexsorted.  ValueError past the search's
+    budget (``perms._SEARCH_BUDGET``) or, before any row is built, past
+    _AUT_LIST_BOUND automorphisms, as it counts them."""
     if "aut_array" not in group._cache:
         aut = table_automorphism_group(group)
         count = aut.order()
@@ -378,7 +398,7 @@ def automorphism_array(group):
             raise ValueError(
                 f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
             )
-        arr = aut.element_array()
+        arr = _smallest(aut.element_array(), group.order)
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
         group._cache["aut_array"] = arr
@@ -428,8 +448,9 @@ def _fixed_point_free(rows):
 
 
 def _twisted_rows(group, rows):
-    """Row i is the twisted map a -> a^-1 phi(a) of the image row phi = rows[i]."""
-    return group.table[group.inverse_array(), rows]
+    """Row i is the twisted map a -> a^-1 phi(a) of the image row phi = rows[i],
+    in the smallest dtype."""
+    return _smallest(group.table, group.order)[group.inverse_array(), rows]
 
 
 def _central(group, rows):

@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _first_equal_rows, _first_witness, _read_table, _square_table, _table_text
-from .groups import make_cyclic
+from .groups import _TABLE_ORDER_BOUND, _first_equal_rows, _first_witness, _read_table, _smallest, _square_table
+from .groups import _table_text, make_cyclic
 from .perms import Permutation, _generators
 
 
@@ -125,10 +125,9 @@ def _check_axioms(arr):
     # one n x n slab per distinct generator column S_c, in buffers reused for
     # every c and in the smallest dtype that holds the entries: axiom 3 at c
     # depends on c only through S_c, so generators with equal columns share one
-    small = np.min_scalar_type(n - 1)
     cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
-    values, col_values = arr.astype(small), cols.astype(small)
-    left, rows, right = np.empty((3, n, n), dtype=small)
+    values, col_values = _smallest(arr, n), _smallest(cols, n)
+    left, rows, right = np.empty((3, n, n), dtype=values.dtype)
     gens = _generators(n, lambda c: cols[c].tolist())
     checked = set()
     for c in gens:
@@ -144,7 +143,7 @@ def _check_axioms(arr):
     else:
         return gens
     # a generator fails: (a, b, c) -> (a*b)*c against (a*c)*(b*c) over every triple
-    a, b, c = _first_witness(arr, lambda rows: (arr[rows], arr[rows[:, None, :], arr[None, :, :]]))
+    a, b, c = _first_witness(values, lambda rows: (values[rows], values[rows[:, None, :], values[None, :, :]]))
     raise QuandleAxiomError(3, (a, b, c), f"({a}*{b})*{c} != ({a}*{c})*({b}*{c})")
 
 
@@ -204,9 +203,10 @@ def _alexander_quandle(group, images, kind):
 
 def _alexander_tables(group, rows):
     """The tables of Alex(G, phi), a*b = phi(a b^-1) b, for each image row
-    phi of rows, as one (k, n, n) array."""
+    phi of rows, as one (k, n, n) array in the smallest dtype."""
+    n = group.order
     quotients = group.table[:, group.inverse_array()]          # a b^-1
-    return group.table[rows[:, quotients], np.arange(group.order)]
+    return _smallest(group.table, n)[_smallest(rows, n)[:, quotients], np.arange(n)]
 
 
 def dihedral(n):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _first_equal_rows, _row_chunks
+from .groups import _first_equal_rows, _row_chunks, _smallest
 from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
@@ -139,11 +139,11 @@ class EmbeddingReport:
 
 def embed_in_conj_inn(quandle):
     n = quandle.order
-    t = quandle.table
+    t = _smallest(quandle.table, n)
     cols = t.T
     rng = np.arange(n)
     hom_witness = None
-    for s in _row_chunks(n, n * n):
+    for s in _row_chunks(n, n * n * (2 * t.itemsize + 1)):       # per a: both sides and their mask
         # bad[a, b, x]: (x*b)*(a*b) != (x*a)*b, so S_{a*b} != S_b^-1 ; S_a ; S_b at x*b
         bad = t[cols[None], t[s, :, None]] != t[cols[s, None, :], rng[:, None]]
         if bad.any():

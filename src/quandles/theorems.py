@@ -82,7 +82,7 @@ class TheoremReport:
 def _check_preserved(rep, x, group, translations, maps, tag):
     """Fail for each right translation b -> b*a (a in translations) and each
     image row of maps that is not an automorphism of the quandle x."""
-    perms = np.concatenate([group.table[:, translations].T, maps])
+    perms = np.concatenate([G._smallest(group.table, group.order)[:, translations].T, maps])
     ok = G._homomorphism_mask(x.table, x.table, x.generators(), perms)
     for i in np.nonzero(~ok)[0]:
         if i < len(translations):
@@ -126,38 +126,40 @@ def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     so it fails before the product law is checked.  Failures name their
     pairs as (a, images of f), the first three per clause.  Returns m.
     """
-    tbl, center = group.table, np.asarray(center)
+    n, center = group.order, np.asarray(center)
+    tbl, maps = G._smallest(group.table, n), G._smallest(maps, n)
     _check_preserved(rep, x, group, center, maps, tag)
     k = len(maps)
-    elem_a = np.repeat(center, k)                                # pair i is (elem_a[i], maps[i % k])
-    elem_f = np.tile(maps, (len(center), 1))
-    emb = tbl[elem_f, elem_a[:, None]]                           # emb[i, b] = f(b) a
-    m = len(emb)
+    emb = tbl.T[center][:, maps].reshape(-1, n)                  # pair i is (center[i // k], maps[i % k])
+    m = len(emb)                                                 # emb[i, b] = f(b) a
 
     def name(i):
-        return f"({int(elem_a[i])}, {tuple(maps[i % k].tolist())})"
+        return f"({int(center[i // k])}, {tuple(maps[i % k].tolist())})"
 
     earlier = G._first_equal_rows(emb)
     for i in np.nonzero(earlier != np.arange(m))[0][:3]:
         rep.fail(f"{tag}: not injective, {name(i)} collides with {name(earlier[i])}")
 
-    where = np.full(group.order, -1)
+    where = np.full(n, -1)
     where[center] = np.arange(len(center))                       # position in center, -1 outside
     find = _row_lookup(maps)
-    zero, ident = where[0], find(np.arange(group.order)[None])[0]
+    zero, ident = where[0], find(np.arange(n)[None])[0]
     if zero < 0 or ident < 0:
-        rep.fail(f"{tag}: the identity (0, {tuple(range(group.order))}) is not in the list")
+        rep.fail(f"{tag}: the identity (0, {tuple(range(n))}) is not in the list")
         return m
     zgens = _generators(len(center), lambda g: where[tbl[center, center[g]]].tolist(), identity=zero)
     fgens = _generators(k, lambda g: find(maps[:, maps[g]]).tolist(), identity=ident)
     gens = np.sort(np.concatenate([zgens * k + ident, zero * k + fgens]))
+    a2, f2, emb2 = center[gens // k], maps[gens % k], emb[gens]
     outside, bad = [], []
-    for s in G._row_chunks(m, max(len(gens), 1) * group.order):
-        f1 = elem_f[s]
-        prod_a = tbl[elem_a[s, None], f1[:, elem_a[gens]]]       # a1 f1(a2)
-        prod_f = f1[:, elem_f[gens]]                             # f1 f2
+    # per pair: f1 f2, both sides of the law and their mask, (len(gens), n) each
+    for s in G._row_chunks(m, max(len(gens), 1) * n * (3 * tbl.itemsize + 1)):
+        i = np.arange(s.start, s.stop)
+        a1, f1 = center[i // k], maps[i % k]
+        prod_a = tbl[a1[:, None], f1[:, a2]]                     # a1 f1(a2)
+        prod_f = f1[:, f2]                                       # f1 f2
         lhs = tbl[prod_f, prod_a[:, :, None]]                    # E(x g) = f1 f2 (b) a1 f1(a2)
-        rhs = emb[s][:, emb[gens]]                               # E(x) E(g): E(g) first
+        rhs = emb[s][:, emb2]                                    # E(x) E(g): E(g) first
         rows, cols = np.nonzero((where[prod_a] < 0) | (find(prod_f) < 0))
         outside.extend(zip(rows[:3] + s.start, gens[cols[:3]]))
         rows, cols = np.nonzero((lhs != rhs).any(axis=2))
@@ -199,7 +201,9 @@ def _check_factorization(rep, group, aut, maps, tag):
         return m
     elems = aut.element_array()
     tbl, inv = group.table.astype(elems.dtype), group.inverse_array()
-    for s in G._row_chunks(m, n):
+    # per element: h and the key the lookup meets, n entries each, and the
+    # lookup's four intp indices
+    for s in G._row_chunks(m, 2 * n * elems.itemsize + 32):
         block = elems[s]
         bad = np.flatnonzero(find(tbl[block, inv[block[:, :1]]]) < 0)   # h = f - f(0)
         if len(bad):
@@ -344,8 +348,10 @@ def check_prop_conj_embedding(group):
 
 def _alexander_mask(group, phis, test):
     """Mask over image rows phi: test on (k, n, n) blocks of Alex(G, phi) tables, k per _row_chunks slice."""
-    out = np.empty(len(phis), dtype=bool)
-    for s in G._row_chunks(len(phis), group.order ** 2):
+    n, out = group.order, np.empty(len(phis), dtype=bool)
+    phis = G._smallest(phis, n)
+    # per table: the gathered phi(a b^-1), the table, and the test's mask
+    for s in G._row_chunks(len(phis), n * n * (2 * phis.itemsize + 1)):
         out[s] = test(Q._alexander_tables(group, phis[s]))
     return out
 
@@ -760,9 +766,11 @@ def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
 
 # the largest value of each bound a suite takes; run_suite refuses a bound
 # past it before any suite runs.  At 16, (Z/2)^4's 20,160 automorphisms take
-# alexander-embedding about 80 s and conj-embedding about 3 s (see README).
+# alexander-embedding about 64 s, one Alex(G, phi) per phi; conj-embedding
+# checks their 322,560 pairs with the center at once (see README).
 suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
-suite_alexander_embedding.ceilings = suite_conj_embedding.ceilings = {"max_order": 15}
+suite_alexander_embedding.ceilings = {"max_order": 15}
+suite_conj_embedding.ceilings = {"max_order": 16}
 
 
 THEOREM_SUITES = {

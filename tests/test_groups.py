@@ -146,7 +146,7 @@ def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
     # test fails only where the loop does, so rows 0..34 (loop element 0)
     # are associative, and the first failing row, 35, lies past the first
     # chunks of the scan, which start at one row and double up to the cap of
-    # 2^20 // 175^2 = 34 rows
+    # 3 MiB // (3 * 175^2) = 34 rows: two uint8 sides and their mask
     m = 35
     zm = G.make_cyclic(m).table
     t = (np.array(LOOP5)[:, None, :, None] * m + zm[None, :, None, :]).reshape(5 * m, 5 * m)
@@ -157,17 +157,19 @@ def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
         G.FiniteGroup(t)
     assert str(exc.value) == f"associativity fails at {witness}"
 
+    small = G._smallest(t, len(t))
+
     def scan():
         sizes = []
 
         def sides(rows):
             sizes.append(len(rows))
-            return t[rows], rows[:, t]
+            return small[rows], rows[:, small]
 
-        return G._first_witness(t, sides), sizes
+        return G._first_witness(small, sides), sizes
 
     assert scan() == (witness, [1, 2, 4, 8, 16, 32])
-    monkeypatch.setattr(G, "_CHUNK_ENTRIES", 4 * len(t) ** 2)
+    monkeypatch.setattr(G, "_CHUNK_BYTES", 4 * 3 * len(t) ** 2)
     assert scan() == (witness, [1, 2] + [4] * 9)
 
 
@@ -423,6 +425,43 @@ def test_aut_gathers_match_per_element_definitions():
                 f for f in auts if tuple(pim[x] for x in f.images) == tuple(f.images[x] for x in pim)
             ]
             assert G.centralizer_in_aut(g, phi) == commuting, (g.name, phi)
+
+
+def _int64_kernels(group, rows, maps):
+    """The Alexander tables and twisted rows of the image rows and the
+    homomorphism mask of the maps, by their definitions in int64."""
+    tbl, inv, n = group.table.astype(np.int64), group.inverse_array(), group.order
+    rows, maps, gens = rows.astype(np.int64), maps.astype(np.int64), np.asarray(group.generators())
+    tables = tbl[rows[:, tbl[:, inv]], np.arange(n)]                  # phi(a b^-1) b
+    mask = (maps[:, tbl[:, gens]] == tbl[maps[:, :, None], maps[:, None, gens]]).all(axis=(1, 2))
+    return tables, tbl[inv, rows], mask
+
+
+def _small_dtype_cases():
+    """Z/255, Z/256 and Z/257, where uint8 turns into uint16, with phi = -1 and
+    phi = 3 (and x -> x^2 among the maps, which is no homomorphism), and every
+    catalog group of order <= 8 with every phi (and the twisted maps among the
+    maps, which are homomorphisms exactly for central phi)."""
+    for n in (255, 256, 257):
+        x = np.arange(n)
+        rows = np.array([-x % n, 3 * x % n])
+        yield G.make_cyclic(n), rows, np.vstack([rows, x * x % n])
+    for g in G.catalog_groups(8):
+        rows = G.automorphism_array(g)
+        yield g, rows, np.vstack([rows, G._twisted_rows(g, rows)])
+
+
+def test_small_dtype_kernels_equal_their_int64_definitions():
+    masks = []
+    for g, rows, maps in _small_dtype_cases():
+        small = np.min_scalar_type(g.order - 1)
+        got = (Q._alexander_tables(g, rows), G._twisted_rows(g, rows),
+               G._homomorphism_mask(g.table, g.table, g.generators(), maps))
+        for kernel, want in zip(got, _int64_kernels(g, rows, maps)):
+            assert np.array_equal(kernel, want), g.name
+        assert got[0].dtype == got[1].dtype == small, g.name
+        masks += got[2].tolist()
+    assert masks.count(True) > 100 and masks.count(False) > 10
 
 
 def test_automorphism_array_is_one_cached_read_only_sorted_array():

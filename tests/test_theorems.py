@@ -10,6 +10,7 @@ import ast
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,7 +157,7 @@ def test_factorization_runs_in_chunks_and_names_the_first_witness(monkeypatch):
     aut = sym.automorphism_group_backtrack(Q.takasaki(g))
     elems = aut.element_array()
     assert elems.shape == (303_264, 27)
-    assert len(list(G._row_chunks(*elems.shape))) > 1
+    assert elems.nbytes > G._CHUNK_BYTES          # listed in more than one chunk
     maps = [h.images for h in G.automorphism_group(g)]
     rep = T.TheoremReport("demo")
     assert T._check_factorization(rep, g, aut, maps, "T27") == 303_264
@@ -175,14 +176,29 @@ def test_factorization_runs_in_chunks_and_names_the_first_witness(monkeypatch):
     # once with the default chunks, once with chunks small enough that the
     # witness lies past the first one
     assert first[latest] >= 1000
-    for chunk_entries in (G._CHUNK_ENTRIES, 27 * 1000):
-        monkeypatch.setattr(G, "_CHUNK_ENTRIES", chunk_entries)
+    for chunk_bytes in (G._CHUNK_BYTES, 27 * 1000):
+        monkeypatch.setattr(G, "_CHUNK_BYTES", chunk_bytes)
         rep = T.TheoremReport("demo")
         T._check_factorization(rep, g, aut, maps, "T27")
         assert rep.failures[0] == "T27: |Aut| = 303264 != 27 * 11231"
         assert len(rep.failures) == 2
         witness = re.search(r"automorphism (\(.*\)) does not factor", rep.failures[1]).group(1)
         assert ast.literal_eval(witness) == want
+
+@pytest.mark.parametrize("suite, bound", [(T.suite_takasaki, 27), (T.suite_central, 16),
+                                          (T.suite_commutativity, 16), (T.suite_bae_choe, 16)],
+                         ids=["takasaki-aut", "central-lemma", "commutativity", "bae-choe"])
+def test_phi_sweeps_peak_below_8_mb_at_default_bounds(suite, bound):
+    # the second run, once the catalog's Aut(G) arrays are cached: the
+    # sweep's own temporaries, which the byte budget of each chunk bounds
+    assert suite(bound).passed
+    tracemalloc.start()
+    try:
+        assert suite(bound).passed
+        assert tracemalloc.get_traced_memory()[1] < 8 << 20
+    finally:
+        tracemalloc.stop()
+
 
 def test_takasaki_check():
     assert T.check_thm_takasaki_aut(G.make_cyclic(9)).passed
