@@ -25,7 +25,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .perms import _generators, _tinverse, table_automorphism_group
+from .perms import _generators, _smallest, _tinverse, table_automorphism_group
 
 # Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
 _AUT_LIST_BOUND = 10 ** 6
@@ -115,13 +115,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-def _smallest(arr, n):
-    """arr, whose entries lie in 0..n-1, in the smallest unsigned dtype that
-    holds n - 1; arr itself when it already has that dtype.  Unsigned values
-    below n order, compare and index exactly as int64 ones do."""
-    return arr.astype(np.min_scalar_type(n - 1), copy=False)
 
 
 def _row_chunks(rows, row_bytes):
@@ -398,7 +391,7 @@ def automorphism_array(group):
             raise ValueError(
                 f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
             )
-        arr = _smallest(aut.element_array(), group.order)
+        arr = aut.element_array()
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
         group._cache["aut_array"] = arr

@@ -41,6 +41,13 @@ import numpy as np
 _ELEMENT_CAP = 1 << 26     # most entries (order x degree) element_array builds
 
 
+def _smallest(arr, n):
+    """arr, whose entries lie in 0..n-1, in the smallest unsigned dtype that
+    holds n - 1; arr itself when it already has that dtype.  Unsigned values
+    below n order, compare and index exactly as int64 ones do."""
+    return arr.astype(np.min_scalar_type(n - 1), copy=False)
+
+
 def _tcompose(p, q):
     # apply p, then q; itemgetter returns a bare item, not a tuple, below two
     if len(p) < 2:
@@ -317,19 +324,18 @@ class PermGroup:
 
     def element_array(self):
         """Every element as a row of an (order, degree) array, in the smallest
-        signed int dtype holding the degree: the products deeper ; u over the
-        nontrivial levels, one gather per level, with u running fastest over
-        the sorted transversal of the shallowest level.  ValueError before
+        dtype (``_smallest``): the products deeper ; u over the nontrivial
+        levels, one gather per level, with u running fastest over the sorted
+        transversal of the shallowest level.  ValueError before
         allocating past _ELEMENT_CAP = 2**26 entries (order x degree)."""
         levels, _ = self._ensure_chain()
         n = self.degree
         if self.order() * n > _ELEMENT_CAP:
             raise ValueError(f"{self.order():,} x {n} entries exceed the element cap {_ELEMENT_CAP:,}")
-        dtype = np.min_scalar_type(-n)          # signed, so it holds -n and hence n - 1
-        out = np.arange(n, dtype=dtype)[None, :]
+        out = _smallest(np.arange(n), n)[None, :]
         for tr in reversed(levels):
             if len(tr) > 1:
-                reps = np.array([tr[p] for p in sorted(tr)], dtype=dtype)
+                reps = _smallest(np.array([tr[p] for p in sorted(tr)]), n)
                 out = reps[:, out].transpose(1, 0, 2).reshape(-1, n)
         return out
 

@@ -12,10 +12,9 @@ the brute-force oracles (``groups.brute_force_group_automorphisms``,
 
 The two statements Aut(Alex(G, phi)) = G x| C(phi), for fixed-point-free
 phi and for the Takasaki quandle T(G) = Alex(G, -id), share one body,
-``_check_split``.  Its factorization clause is decided from the stabilizer
-chain of Aut(X), without listing Aut(X), whenever Aut(X) holds every
-translation and its stabilizer of 0 holds only the expected maps; otherwise
-Aut(X) is listed and the first element that does not factor is named.
+``_check_split``.  It decides the factorization from the stabilizer chain
+of Aut(X) and never lists Aut(X): Aut(X) must hold the translation by each
+generator of G, and its stabilizer of 0 must be the expected maps.
 
 Each statement has one suite: a public ``suite_*`` function that builds the
 statement's instance family from the bounds named by its keyword parameters
@@ -171,64 +170,35 @@ def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     return m
 
 
-def _holds_translations(group, aut):
-    """Whether aut holds the right translation b -> b*g by each generator g
-    of the group, and so, by closure, every right translation."""
-    return all(aut.contains(group.table[:, g].tolist()) for g in group.generators())
+def _check_split(rep, group, x, maps, inn_order, tag):
+    """Check Aut(x) = G x| maps for a quandle x on the elements of the group,
+    with maps the image rows of group automorphisms.
 
+    Clauses: every right translation and every map preserves x; Aut holds
+    the right translation b -> b*g by each generator g of the group, and so
+    every translation; the stabilizer Aut_0 is exactly the set of maps, the
+    first of its elements that is not a map named; |Aut| = |G| |maps|; and
+    |Inn(x)| = inn_order.  Returns |Aut|.
 
-def _check_factorization(rep, group, aut, maps, tag):
-    """Check that aut, an automorphism group of a quandle on the elements of
-    the group, is translations followed by maps (image arrays of group
-    automorphisms): |aut| = |G| |maps|, and every f in aut is t_{f(0)} ; h
-    with h = f - f(0) one of maps.  Returns |aut|.
-
-    The second clause is decided from aut's stabilizer chain when it holds
-    there: if aut holds every translation (``_holds_translations``), then
-    for f in aut, h = f - f(0), which is f followed by a translation, lies
-    in aut and fixes 0.  So when every element of the stabilizer aut_0 is
-    one of maps, every f factors, and aut is never listed.  Otherwise every
-    element of aut is listed, chunk by chunk, and the first f, in element
-    order, that does not factor is the witness.
+    The second and third clauses give the factorization without listing
+    Aut: for f in Aut, f followed by the translation by f(0)^-1 lies in Aut
+    and fixes 0, so it is one of maps.
     """
     n = group.order
+    aut = sym.automorphism_group_backtrack(x)
+    _check_preserved(rep, x, group, range(n), maps, tag)
+    for g in group.generators().tolist():
+        if not aut.contains(group.table[:, g].tolist()):
+            rep.fail(f"{tag}: Aut does not hold the translation t_{g}")
+    stab = aut.stabilizer().element_array()
+    outside = stab[_row_lookup(maps)(stab) < 0]
+    if len(outside) or len(stab) != len(maps):
+        rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
+    if len(outside):
+        rep.fail(f"{tag}: automorphism {tuple(outside[0].tolist())} does not factor")
     m = aut.order()
     if m != n * len(maps):
         rep.fail(f"{tag}: |Aut| = {m} != {n} * {len(maps)}")
-    stab = aut.stabilizer().element_array()
-    find = _row_lookup(np.asarray(maps, dtype=stab.dtype).reshape(-1, n))
-    if _holds_translations(group, aut) and (find(stab) >= 0).all():
-        return m
-    elems = aut.element_array()
-    tbl, inv = group.table.astype(elems.dtype), group.inverse_array()
-    # per element: h and the key the lookup meets, n entries each, and the
-    # lookup's four intp indices
-    for s in G._row_chunks(m, 2 * n * elems.itemsize + 32):
-        block = elems[s]
-        bad = np.flatnonzero(find(tbl[block, inv[block[:, :1]]]) < 0)   # h = f - f(0)
-        if len(bad):
-            rep.fail(f"{tag}: automorphism {tuple(block[bad[0]].tolist())} does not factor")
-            break
-    return m
-
-
-def _check_split(rep, group, x, maps, inn_order, tag):
-    """Check Aut(x) = G x| maps for a quandle x on the elements of the group,
-    with maps the image rows of group automorphisms, sorted.
-
-    Clauses: every right translation and every map preserves x; the
-    stabilizer Aut_0 is exactly the set of maps; |Aut| = |G| |maps| and
-    every automorphism factors as a translation then a map
-    (``_check_factorization``, from the stabilizer chain when Aut holds
-    every translation and Aut_0 only maps, else by listing Aut); and
-    |Inn(x)| = inn_order.  Returns |Aut|.
-    """
-    aut = sym.automorphism_group_backtrack(x)
-    _check_preserved(rep, x, group, range(group.order), maps, tag)
-    stab = aut.stabilizer().element_array()
-    if not np.array_equal(stab[np.lexsort(stab.T[::-1])], maps):
-        rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
-    m = _check_factorization(rep, group, aut, maps, tag)
     inn = sym.inner_group(x).order()
     if inn != inn_order:
         rep.fail(f"{tag}: |Inn| = {inn} != {inn_order}")

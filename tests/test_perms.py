@@ -258,7 +258,7 @@ def test_element_order_matches_the_recursive_walk():
     for g in (s5, aut, aut.stabilizer(), s5.stabilizer()):
         want = _recursive_walk(g)
         arr = g.element_array()
-        assert arr.shape == (g.order(), g.degree) and arr.dtype == np.int8
+        assert arr.shape == (g.order(), g.degree) and arr.dtype == np.uint8
         assert list(map(tuple, arr.tolist())) == want
         assert [p.images for p in g.elements()] == want
 

@@ -138,52 +138,34 @@ def test_semidirect_generator_check_fails_exactly_when_all_pairs_do():
 
 def test_factorization_reports_a_missing_map():
     z7 = G.make_cyclic(7)
-    aut = sym.automorphism_group_backtrack(Q.takasaki(z7))
-    maps = [h.images for h in G.automorphism_group(z7)]
+    x = Q.takasaki(z7)
+    maps = np.array([h.images for h in G.automorphism_group(z7)])
     rep = T.TheoremReport("demo")
-    assert T._check_factorization(rep, z7, aut, maps, "Z7") == 42
+    assert T._check_split(rep, z7, x, maps, 14, "Z7") == 42
     assert rep.passed
-    removed = maps.pop(3)
-    T._check_factorization(rep, z7, aut, maps, "Z7")
-    assert rep.failures[0] == "Z7: |Aut| = 42 != 7 * 5"
-    assert len(rep.failures) == 2 and "does not factor" in rep.failures[1]
-    witness = ast.literal_eval(re.search(r"automorphism (\(.*\)) does not", rep.failures[1]).group(1))
+    removed = tuple(maps[3].tolist())
+    T._check_split(rep, z7, x, np.delete(maps, 3, axis=0), 14, "Z7")
+    assert rep.failures[0] == "Z7: Aut_0 (6 elements) != the 5 maps"
+    assert rep.failures[2:] == ["Z7: |Aut| = 42 != 7 * 5"]
+    witness = ast.literal_eval(re.search(r"automorphism (\(.*\)) does not factor", rep.failures[1]).group(1))
     assert tuple((v - witness[0]) % 7 for v in witness) == removed
 
 
-
-def test_factorization_runs_in_chunks_and_names_the_first_witness(monkeypatch):
+def test_factorization_names_the_dropped_map_of_t27():
+    # T((Z/3)^3) has 303,264 automorphisms; the stabilizer's 11,232 rows
+    # are all the check reads, so the witness is the dropped map itself
     g = G.make_abelian([3, 3, 3])
-    aut = sym.automorphism_group_backtrack(Q.takasaki(g))
-    elems = aut.element_array()
-    assert elems.shape == (303_264, 27)
-    assert elems.nbytes > G._CHUNK_BYTES          # listed in more than one chunk
-    maps = [h.images for h in G.automorphism_group(g)]
+    x = Q.takasaki(g)
+    maps = G.automorphism_array(g)
+    removed = tuple(maps[5000].tolist())
     rep = T.TheoremReport("demo")
-    assert T._check_factorization(rep, g, aut, maps, "T27") == 303_264
-    assert rep.passed
-    # drop the map whose first element comes last: every element with that
-    # map fails, so the witness is the first of them
-    tbl = g.table.astype(elems.dtype)
-    shifted = tbl[elems, g.inverse_array()[elems[:, 0]][:, None]]
-    rows, first = np.unique(shifted, axis=0, return_index=True)
-    latest = int(first.argmax())
-    removed = tuple(rows[latest].tolist())
-    maps.remove(removed)
-    want = tuple(elems[first[latest]].tolist())
-    assert tuple(g.mul(v, g.inv(want[0])) for v in want) == removed
-    assert aut.contains(want)
-    # once with the default chunks, once with chunks small enough that the
-    # witness lies past the first one
-    assert first[latest] >= 1000
-    for chunk_bytes in (G._CHUNK_BYTES, 27 * 1000):
-        monkeypatch.setattr(G, "_CHUNK_BYTES", chunk_bytes)
-        rep = T.TheoremReport("demo")
-        T._check_factorization(rep, g, aut, maps, "T27")
-        assert rep.failures[0] == "T27: |Aut| = 303264 != 27 * 11231"
-        assert len(rep.failures) == 2
-        witness = re.search(r"automorphism (\(.*\)) does not factor", rep.failures[1]).group(1)
-        assert ast.literal_eval(witness) == want
+    assert T._check_split(rep, g, x, np.delete(maps, 5000, axis=0), 54, "T27") == 303_264
+    assert rep.failures == [
+        "T27: Aut_0 (11232 elements) != the 11231 maps",
+        f"T27: automorphism {removed} does not factor",
+        "T27: |Aut| = 303264 != 27 * 11231",
+    ]
+
 
 @pytest.mark.parametrize("suite, bound", [(T.suite_takasaki, 27), (T.suite_central, 16),
                                           (T.suite_commutativity, 16), (T.suite_bae_choe, 16)],
@@ -310,42 +292,49 @@ def test_split_check_names_each_planted_defect():
     assert failures(cent, inn_order=41) == ["Z7: |Inn| = 42 != 41"]
 
 
-def _with_and_without_chain(monkeypatch, run):
-    """run() twice: with the factorization decided from the stabilizer chain
-    where it can be, and with the element-by-element listing forced."""
-    fast = run()
-    with monkeypatch.context() as m:
-        m.setattr(T, "_holds_translations", lambda group, aut: False)
-        slow = run()
-    return fast, slow
-
-
 def _split(group, x, maps, inn_order):
     rep = T.TheoremReport("demo")
     return T._check_split(rep, group, x, maps, inn_order, group.name), rep.failures
 
 
-def test_factorization_from_the_chain_agrees_with_the_listing(monkeypatch):
-    # every Takasaki check of the takasaki-aut sweep and every fixed-point-free
-    # phi of the fpf-structure sweep give the same report either way
-    for g in T._odd_abelian(27):
-        fast, slow = _with_and_without_chain(monkeypatch, lambda: T.check_thm_takasaki_aut(g).to_dict())
-        assert fast == slow and fast["passed"], g.name
-    count = 0
-    for g in G.catalog_groups(12, include_nonabelian=False):
-        phis = G.automorphism_array(g)
-        for phi in phis[G._fixed_point_free(phis)]:
-            fast, slow = _with_and_without_chain(monkeypatch, lambda: T._fpf_structure_one(g, phi).to_dict())
-            assert fast == slow and fast["passed"], (g.name, phi)
-            count += 1
-    assert count > 20
+def _split_instances(max_order):
+    """(group, quandle, C, |Inn|) for every Takasaki quandle and every
+    Alex(G, phi) with phi fixed-point free, G an abelian catalog group of
+    order <= max_order; Aut(G) and C(phi) by brute force."""
+    out = []
+    for g in G.catalog_groups(max_order, include_nonabelian=False):
+        n, auts = g.order, [f.images for f in G.brute_force_group_automorphisms(g)]
+        for phi in auts:
+            if all(phi[a] != a for a in range(1, n)):
+                cent = [h for h in auts if all(h[phi[b]] == phi[h[b]] for b in range(n))]
+                out.append((g, Q.alexander(g, G.GroupMap(g, g, phi)), cent, n * Permutation(phi).order()))
+        if n % 2:
+            out.append((g, Q.takasaki(g), auts, 1 if n == 1 else 2 * n))
+    return out
 
 
-def test_factorization_from_the_chain_agrees_on_planted_defects(monkeypatch):
+def test_split_check_agrees_with_brute_force_aut():
+    # brute_force_aut filters every bijection, without the table search or
+    # its chain: Aut(x) must be {b -> h(b) a : a in G, h in C}, the check
+    # must pass, and it must name the map dropped from C
+    instances = _split_instances(7)
+    for g, x, cent, inn_order in instances:
+        want = {tuple(g.mul(h[b], a) for b in range(g.order)) for a in range(g.order) for h in cent}
+        assert {p.images for p in sym.brute_force_aut(x)} == want, (g.name, x.provenance)
+        maps = np.array(sorted(cent))
+        assert _split(g, x, maps, inn_order) == (len(want), []), (g.name, x.provenance)
+        if len(maps) > 1:                        # Z1 has the identity alone
+            dropped = tuple(maps[-1].tolist())
+            failures = _split(g, x, maps[:-1], inn_order)[1]
+            assert f"{g.name}: automorphism {dropped} does not factor" in failures, (g.name, x.provenance)
+    assert len(instances) == 16
+
+
+def test_factorization_from_the_chain_fails_each_planted_defect(monkeypatch):
     # T(Z9): Aut_0 = the 6 units; t_3 and the units make a subgroup of Aut
     # of order 18 that misses the translation by 1.  The swap s = (3 6)
     # commutes with every unit, so s Aut s has order 54 and stabilizer Aut_0,
-    # but it misses t_1 and holds s t_1 s, which does not factor
+    # but it misses t_1: only the translation clause catches it
     g = G.make_cyclic(9)
     x = Q.takasaki(g)
     maps = G.automorphism_array(g)
@@ -362,41 +351,35 @@ def test_factorization_from_the_chain_agrees_on_planted_defects(monkeypatch):
         "extra row": (aut, with_extra[np.lexsort(with_extra.T[::-1])], "is not a quandle automorphism"),
         "stabilizer as Aut": (stab, maps, "|Aut| = 6 != 9 * 6"),
         "some translations": (partial, maps, "|Aut| = 18 != 9 * 6"),
-        "conjugated by a swap": (swapped, maps, "does not factor"),
+        "conjugated by a swap": (swapped, maps, "Aut does not hold the translation t_1"),
     }
     for name, (fake, rows, expected) in planted.items():
         with monkeypatch.context() as m:
             m.setattr(T.sym, "automorphism_group_backtrack", lambda q: fake)
-            fast, slow = _with_and_without_chain(monkeypatch, lambda: _split(g, x, rows, 18))
-        assert fast == slow, name
-        assert any(expected in f for f in fast[1]), (name, fast)
+            failures = _split(g, x, rows, 18)[1]
+        assert any(expected in f for f in failures), (name, failures)
+    assert failures == ["Z9: Aut does not hold the translation t_1"]
 
 
 def test_factorization_needs_the_translation_by_every_generator(monkeypatch):
     # on Z5 x Z5 (element 5a + b), s(a, b) = (a, b + [a = 1]) commutes with
     # the translation by 1 = (0, 1) but not with the one by 5 = (1, 0).  The
-    # translations conjugated by s make a group that holds t_1, and whose
-    # stabilizer of 0 is trivial, but some of whose elements do not factor
+    # translations conjugated by s make a group of order 25 that holds t_1,
+    # and whose stabilizer of 0 is trivial, but some of whose elements do not
+    # factor.  With the identity as the only map, every other clause holds
     g = G.make_abelian([5, 5])
     assert g.generators().tolist() == [1, 5]
     s = [5 * a + (b + (a == 1)) % 5 for a in range(5) for b in range(5)]
     inv = np.argsort(s)
     conj = PermGroup([Permutation([s[t[inv[v]]] for v in range(25)]) for t in g.table[:, [1, 5]].T], degree=25)
     assert conj.contains(g.table[:, 1].tolist()) and not conj.contains(g.table[:, 5].tolist())
-    maps = G.automorphism_array(g)
-
-    def run():
-        rep = T.TheoremReport("demo")
-        return T._check_factorization(rep, g, conj, maps, "Z5xZ5"), rep.failures
-
-    fast, slow = _with_and_without_chain(monkeypatch, run)
-    assert fast == slow
-    assert fast[1][0] == "Z5xZ5: |Aut| = 25 != 25 * 480" and "does not factor" in fast[1][1]
+    monkeypatch.setattr(T.sym, "automorphism_group_backtrack", lambda q: conj)
+    assert _split(g, Q.takasaki(g), np.arange(25)[None], 50) == (25, ["Z5xZ5: Aut does not hold the translation t_5"])
 
 
 def test_a_passing_split_check_lists_no_more_than_the_maps(monkeypatch):
-    # T((Z/3)^3): |Aut| = 27 * 11,232 = 303,264, but the check builds no
-    # element array longer than the 11,232 maps of the stabilizer
+    # T((Z/3)^3): |Aut| = 27 * 11,232 = 303,264, but the check builds one
+    # element array, the 11,232 maps of the stabilizer, once
     g = G.make_abelian([3, 3, 3])
     maps = G.automorphism_array(g)
     real, shapes = PermGroup.element_array, []
@@ -409,7 +392,7 @@ def test_a_passing_split_check_lists_no_more_than_the_maps(monkeypatch):
     monkeypatch.setattr(PermGroup, "element_array", recorded)
     rep = T.check_thm_takasaki_aut(g)
     assert rep.passed and rep.annotations["aut_order[Z3xZ3xZ3]"] == 303_264
-    assert shapes and max(rows for rows, _ in shapes) == len(maps) == 11_232
+    assert shapes == [(len(maps), 27)] == [(11_232, 27)]
 
 
 def _plant(monkeypatch, group, bad_rows):
