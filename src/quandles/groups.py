@@ -163,6 +163,24 @@ def _first_equal_rows(rows):
     return first
 
 
+def _row_lookup(rows):
+    """A function that maps an (..., n) array to the index in rows of each
+    of its rows, -1 where absent (everywhere when rows is empty)."""
+    n = rows.shape[1]
+    if not len(rows):
+        return lambda query: np.full(np.shape(query)[:-1], -1)
+    key = np.dtype((np.void, n * rows.dtype.itemsize))          # one image row as one key
+    keys = np.ascontiguousarray(rows).view(key).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    def find(query):
+        q = np.ascontiguousarray(query, dtype=rows.dtype).reshape(-1, n).view(key).ravel()
+        pos = np.minimum(np.searchsorted(ordered, q), len(keys) - 1)
+        return np.where(ordered[pos] == q, order[pos], -1).reshape(query.shape[:-1])
+    return find
+
+
 def _first_witness(arr, sides):
     """The lexicographically first (a, b, c) at which the two sides of a law
     on the triples of the n x n table arr differ.
@@ -383,9 +401,12 @@ def automorphism_array(group):
     """Aut(G) as one cached, read-only (m, n) array of image rows in the
     smallest dtype (``_smallest``), lexsorted.  ValueError past the search's
     budget (``perms._SEARCH_BUDGET``) or, before any row is built, past
-    _AUT_LIST_BOUND automorphisms, as it counts them."""
+    _AUT_LIST_BOUND automorphisms, as it counts them; caches the search's
+    generators for ``_aut_classes``."""
     if "aut_array" not in group._cache:
         aut = table_automorphism_group(group)
+        gens = np.array([g.images for g in aut.generators], dtype=np.int64).reshape(-1, group.order)
+        group._cache["aut_gens"] = _smallest(gens, group.order)
         count = aut.order()
         if count > _AUT_LIST_BOUND:
             raise ValueError(
@@ -396,6 +417,37 @@ def automorphism_array(group):
         arr.setflags(write=False)
         group._cache["aut_array"] = arr
     return group._cache["aut_array"]
+
+
+def _aut_classes(group):
+    """The conjugacy classes of Aut(G), cached, read-only: the least image
+    row of each, in ``automorphism_array`` order, and their sizes.  Each
+    search generator psi maps row phi to psi phi psi^-1 (one gather, one
+    lookup); labels start as row indices, each edge hooks its larger label
+    under the smaller, and label = label[label] flattens them, until no edge
+    joins two labels.  RuntimeError unless each size times |C(rep)| is
+    |Aut(G)|."""
+    if "aut_classes" not in group._cache:
+        arr = automorphism_array(group)
+        find = _row_lookup(arr)
+        steps = [find(psi[arr[:, np.argsort(psi)]]) for psi in group._cache["aut_gens"]]
+        label = np.arange(len(arr))
+        while True:
+            for step in steps:
+                np.minimum.at(label, np.maximum(label, label[step]), np.minimum(label, label[step]))
+            while not np.array_equal(label[label], label):
+                label = label[label]
+            if all(np.array_equal(label[step], label) for step in steps):
+                break
+        reps = np.flatnonzero(label == np.arange(len(arr)))
+        sizes = np.bincount(label)[reps]
+        if any(size * len(_centralizer_rows(group, arr[i])) != len(arr) for i, size in zip(reps, sizes)):
+            raise RuntimeError(f"the orbits of conjugation on Aut({group.name}) are not its classes")
+        classes = (arr[reps], sizes)
+        for a in classes:
+            a.setflags(write=False)
+        group._cache["aut_classes"] = classes
+    return group._cache["aut_classes"]
 
 
 def _maps(group, rows):

@@ -16,6 +16,13 @@ phi and for the Takasaki quandle T(G) = Alex(G, -id), share one body,
 of Aut(X) and never lists Aut(X): Aut(X) must hold the translation by each
 generator of G, and its stabilizer of 0 must be the expected maps.
 
+Every sweep over phi in Aut(G) except central-lemma's (its injectivity
+clause is about the whole set) checks one phi per conjugacy class of Aut(G)
+(``groups._aut_classes``), counted once per member: psi in Aut(G) is an
+isomorphism Alex(G, phi) -> Alex(G, psi phi psi^-1), and C(psi phi psi^-1)
+= psi C(phi) psi^-1, so each of their clauses holds on a whole class or
+nowhere in it.
+
 Each statement has one suite: a public ``suite_*`` function that builds the
 statement's instance family from the bounds named by its keyword parameters
 (``max_order``, ``ns``, or none) and merges the per-instance reports.  An
@@ -91,22 +98,6 @@ def _check_preserved(rep, x, group, translations, maps, tag):
             rep.fail(f"{tag}: map {images} is not a quandle automorphism")
 
 
-def _row_lookup(rows):
-    """A function that maps an (..., n) array to the index in rows of each
-    of its rows, -1 where absent."""
-    n = rows.shape[1]
-    key = np.dtype((np.void, n * rows.dtype.itemsize))          # one image row as one key
-    keys = np.ascontiguousarray(rows).view(key).ravel()
-    order = np.argsort(keys)
-    ordered = keys[order]
-
-    def find(query):
-        q = np.ascontiguousarray(query, dtype=rows.dtype).reshape(-1, n).view(key).ravel()
-        pos = np.minimum(np.searchsorted(ordered, q), len(keys) - 1)
-        return np.where(ordered[pos] == q, order[pos], -1).reshape(query.shape[:-1])
-    return find
-
-
 def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     """Check that (a, f) -> (b -> f(b) a) embeds center x| maps into the
     automorphisms of the quandle x, where center lists the elements of the
@@ -141,7 +132,7 @@ def _check_semidirect_embedding(rep, group, x, center, maps, tag):
 
     where = np.full(n, -1)
     where[center] = np.arange(len(center))                       # position in center, -1 outside
-    find = _row_lookup(maps)
+    find = G._row_lookup(maps)
     zero, ident = where[0], find(np.arange(n)[None])[0]
     if zero < 0 or ident < 0:
         rep.fail(f"{tag}: the identity (0, {tuple(range(n))}) is not in the list")
@@ -191,7 +182,7 @@ def _check_split(rep, group, x, maps, inn_order, tag):
         if not aut.contains(group.table[:, g].tolist()):
             rep.fail(f"{tag}: Aut does not hold the translation t_{g}")
     stab = aut.stabilizer().element_array()
-    outside = stab[_row_lookup(maps)(stab) < 0]
+    outside = stab[G._row_lookup(maps)(stab) < 0]
     if len(outside) or len(stab) != len(maps):
         rep.fail(f"{tag}: Aut_0 ({len(stab)} elements) != the {len(maps)} maps")
     if len(outside):
@@ -316,6 +307,22 @@ def check_prop_conj_embedding(group):
 # -- commutativity and central automorphisms ----------------------------------
 
 
+def _count_classes(rep, group, sizes):
+    """rep, counting each swept class of the given sizes once per member."""
+    rep.instances_tested = int(sizes.sum())
+    rep.annotations[f"phi_classes[{group.name}]"] = len(sizes)
+    return rep
+
+
+def _per_class(group, phis, sizes, one):
+    """The reports one(group, phi) for class representatives phi, each
+    counting for its class, and one report annotating the classes swept."""
+    reports = [one(group, phi) for phi in phis]
+    for rep, size in zip(reports, sizes.tolist()):
+        rep.instances_tested *= size
+    return reports + [TheoremReport("", annotations={f"phi_classes[{group.name}]": len(phis)})]
+
+
 def _alexander_mask(group, phis, test):
     """Mask over image rows phi: test on (k, n, n) blocks of Alex(G, phi) tables, k per _row_chunks slice."""
     n, out = group.order, np.empty(len(phis), dtype=bool)
@@ -327,9 +334,9 @@ def _alexander_mask(group, phis, test):
 
 
 def _commutativity_one(group):
-    """The commutativity clauses on a single group, over all its automorphisms."""
+    """The commutativity clauses on a single group."""
     rep = TheoremReport("commutativity")
-    phis = G.automorphism_array(group)
+    phis, sizes = G._aut_classes(group)
     tbl = group.table
     rng = np.arange(group.order)
     comm = _alexander_mask(group, phis, lambda x: (x == x.transpose(0, 2, 1)).all(axis=(1, 2)))
@@ -344,8 +351,7 @@ def _commutativity_one(group):
     else:
         for i in np.flatnonzero(comm & squares_back)[:3]:
             rep.fail(f"{tag}, {_phi_name(phis[i])}: non-abelian group yet commutative quandle")
-    rep.instances_tested = len(phis)
-    return rep
+    return _count_classes(rep, group, sizes)
 
 
 def _central_one(group):
@@ -376,13 +382,13 @@ def _connected_abelian_one(group):
     rep = TheoremReport("connected-abelian")
     if group.is_abelian():
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
-    phis = G.automorphism_array(group)
+    phis, sizes = G._aut_classes(group)
     involutory = (np.take_along_axis(phis, phis, axis=1) == np.arange(group.order)).all(axis=1)
-    chosen = phis[G._central(group, phis) & involutory]
-    for i in np.flatnonzero(_alexander_mask(group, chosen, sym._connected_tables))[:3]:
-        rep.fail(f"{group.name}, {_phi_name(chosen[i])}: connected despite central involutory phi")
-    rep.instances_tested = len(chosen)
-    return rep
+    chosen = G._central(group, phis) & involutory
+    phis, sizes = phis[chosen], sizes[chosen]
+    for i in np.flatnonzero(_alexander_mask(group, phis, sym._connected_tables))[:3]:
+        rep.fail(f"{group.name}, {_phi_name(phis[i])}: connected despite central involutory phi")
+    return _count_classes(rep, group, sizes)
 
 
 def _bae_choe_one(group):
@@ -390,7 +396,7 @@ def _bae_choe_one(group):
     rep = TheoremReport("bae-choe")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    phis = G.automorphism_array(group)
+    phis, sizes = G._aut_classes(group)
     connected = _alexander_mask(group, phis, sym._connected_tables)
     fpf = G._fixed_point_free(phis)
     bij = (np.sort(G._twisted_rows(group, phis), axis=1) == np.arange(group.order)).all(axis=1)
@@ -399,8 +405,7 @@ def _bae_choe_one(group):
             f"{group.name}, {_phi_name(phis[i])}: connected={connected[i]}, "
             f"fixed-point-free={fpf[i]}, twisted-bijective={bij[i]}"
         )
-    rep.instances_tested = len(phis)
-    return rep
+    return _count_classes(rep, group, sizes)
 
 
 # -- fixed-point-free structure and transitivity -------------------------------
@@ -649,8 +654,10 @@ def suite_conj_inn_embedding(max_order=15):
 
 
 def suite_alexander_embedding(max_order=12):
-    reports = [_embedding_one(g, phi)
-               for g in G.catalog_groups(max_order) for phi in G.automorphism_array(g)]
+    """Sweeps the catalog groups up to max_order, one phi per conjugacy
+    class of Aut(G), each class counted once per member."""
+    reports = [rep for g in G.catalog_groups(max_order)
+               for rep in _per_class(g, *G._aut_classes(g), _embedding_one)]
     return TheoremReport.merge("alexander-embedding", reports)
 
 
@@ -674,7 +681,8 @@ def suite_commutativity(max_order=16):
     """A commutative Alex(G, phi) forces phi(a*a) = a; over an abelian group
     commutativity is exactly 2 phi = id; over a non-abelian group
     phi(a*a) = a never yields a commutative quandle.  Sweeps every catalog
-    group up to max_order and every automorphism of it."""
+    group up to max_order, one automorphism per conjugacy class of Aut(G),
+    each class counted once per member."""
     reports = [_commutativity_one(g) for g in G.catalog_groups(max_order)]
     return TheoremReport.merge("commutativity", reports)
 
@@ -683,8 +691,9 @@ def suite_central(max_order=16):
     """Central automorphisms: a -> a^-1 phi(a) is a homomorphism into the
     center, phi -> twisted(phi) is injective on Autcent(G), and a
     fixed-point-free central automorphism forces G abelian.  Sweeps every
-    catalog group up to max_order; |Autcent| per group sits in the
-    annotations."""
+    catalog group up to max_order and every automorphism of it, not one per
+    conjugacy class: the injectivity of phi -> twisted(phi) is a statement
+    about the whole set.  |Autcent| per group sits in the annotations."""
     reports = [_central_one(g) for g in G.catalog_groups(max_order)]
     return TheoremReport.merge("central-lemma", reports)
 
@@ -692,7 +701,8 @@ def suite_central(max_order=16):
 def suite_connected_abelian(max_order=16):
     """For an involutory central automorphism of a non-abelian group, the
     generalized Alexander quandle is never connected.  Sweeps the
-    non-abelian catalog groups up to max_order."""
+    non-abelian catalog groups up to max_order, one automorphism per
+    conjugacy class of Aut(G), each class counted once per member."""
     groups = G.catalog_groups(max_order, include_abelian=False)
     return TheoremReport.merge("connected-abelian", [_connected_abelian_one(g) for g in groups])
 
@@ -700,16 +710,20 @@ def suite_connected_abelian(max_order=16):
 def suite_bae_choe(max_order=16):
     """On an abelian group the following agree for every automorphism phi:
     Alex(G, phi) connected, phi fixed-point free, and a -> phi(a) - a
-    bijective.  Sweeps the abelian catalog groups up to max_order."""
+    bijective.  Sweeps the abelian catalog groups up to max_order, one
+    phi per conjugacy class of Aut(G), each class counted once per member."""
     groups = G.catalog_groups(max_order, include_nonabelian=False)
     return TheoremReport.merge("bae-choe", [_bae_choe_one(g) for g in groups])
 
 
 def suite_fpf_structure(max_order=12):
+    """Sweeps the abelian catalog groups up to max_order, one fixed-point-free
+    phi per conjugacy class of Aut(G), each class counted once per member."""
     reports = []
     for g in G.catalog_groups(max_order, include_nonabelian=False):
-        phis = G.automorphism_array(g)
-        reports += [_fpf_structure_one(g, phi) for phi in phis[G._fixed_point_free(phis)]]
+        phis, sizes = G._aut_classes(g)
+        fpf = G._fixed_point_free(phis)
+        reports += _per_class(g, phis[fpf], sizes[fpf], _fpf_structure_one)
     return TheoremReport.merge("fpf-structure", reports)
 
 
@@ -735,11 +749,10 @@ def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
 
 
 # the largest value of each bound a suite takes; run_suite refuses a bound
-# past it before any suite runs.  At 16, (Z/2)^4's 20,160 automorphisms take
-# alexander-embedding about 64 s, one Alex(G, phi) per phi; conj-embedding
-# checks their 322,560 pairs with the center at once (see README).
+# past it before any suite runs.  At 16 both embedding suites are dominated by
+# the 322,560 pairs of Z(G) x| Aut(G) for (Z/2)^4, C(id) = Aut(G) (see README).
 suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
-suite_alexander_embedding.ceilings = {"max_order": 15}
+suite_alexander_embedding.ceilings = {"max_order": 16}
 suite_conj_embedding.ceilings = {"max_order": 16}
 
 

@@ -234,13 +234,11 @@ def test_verify_all_refuses_a_census_past_its_ceiling_before_any_suite_runs(no_s
 
 
 @pytest.mark.parametrize("tid", ["alexander-embedding", "conj-embedding"])
-def test_verify_refuses_an_embedding_past_order_15_before_it_runs(tid, no_suite_runs, capsys):
-    # at order 16 alexander-embedding takes about a minute; conj-embedding
-    # passes there in about 2 s and is refused from 17
-    top = {"alexander-embedding": 15, "conj-embedding": 16}[tid]
-    code, out, err = run(["verify", tid, "--max-order", str(top + 1)], capsys)
+def test_verify_refuses_an_embedding_past_its_ceiling_before_it_runs(tid, no_suite_runs, capsys):
+    # both pass at order 16 in a few seconds and are refused from 17
+    code, out, err = run(["verify", tid, "--max-order", "17"], capsys)
     assert code == 2
-    assert err == f"error: {tid} refuses max_order above {top}, got {top + 1}\n" and out == ""
+    assert err == f"error: {tid} refuses max_order above 16, got 17\n" and out == ""
 
 
 @pytest.mark.parametrize("n", ["4", "-3", "0"])

@@ -473,6 +473,53 @@ def test_automorphism_array_is_one_cached_read_only_sorted_array():
     assert len(G.automorphism_array(G.make_cyclic(65))) == 48
 
 
+def test_aut_classes_match_brute_force_conjugation():
+    # the classes {psi phi psi^-1 : psi} from the all-bijections oracle, with
+    # no table search, lookup or label propagation
+    for g in G.catalog_groups(8):
+        auts = [f.images for f in G.brute_force_group_automorphisms(g)]
+        inverse = {psi: tuple(np.argsort(psi).tolist()) for psi in auts}
+        classes = {frozenset(tuple(psi[phi[x]] for x in inverse[psi]) for psi in auts) for phi in auts}
+        want = sorted((min(c), len(c)) for c in classes)
+        reps, sizes = G._aut_classes(g)
+        assert [(tuple(r), s) for r, s in zip(reps.tolist(), sizes.tolist())] == want, g.name
+
+
+@pytest.mark.parametrize("make, count", [
+    (lambda: G.make_abelian([2, 2]), 3),            # GL(2,2) = S3
+    (lambda: G.make_abelian([2, 2, 2]), 6),         # GL(3,2)
+    (lambda: G.make_abelian([2, 2, 2, 2]), 14),     # GL(4,2): prod (1 - x^k) / (1 - 2 x^k)
+    (lambda: G.make_abelian([3, 3]), 8),            # GL(2,3)
+    (G.make_quaternion8, 5),                        # Aut(Q8) = S4
+], ids=["GL(2,2)", "GL(3,2)", "GL(4,2)", "GL(2,3)", "Aut(Q8)"])
+def test_aut_class_counts_match_closed_forms(make, count):
+    assert len(G._aut_classes(make())[0]) == count
+
+
+def test_aut_classes_obey_the_class_equation_to_order_16():
+    # sizes sum to |Aut(G)|, each is |Aut(G)| / |C(rep)| with C counted
+    # directly, the reps are distinct automorphisms in increasing order, and
+    # the identity is a class of its own
+    for g in G.catalog_groups(16):
+        rows = G.automorphism_array(g).astype(np.int64)
+        reps, sizes = G._aut_classes(g)
+        assert G._aut_classes(g)[0] is reps and not reps.flags.writeable and not sizes.flags.writeable
+        assert sizes.sum() == len(rows), g.name
+        for rep, size in zip(reps.astype(np.int64), sizes):
+            commuting = np.count_nonzero((rows[:, rep] == rep[rows]).all(axis=1))
+            assert size * commuting == len(rows), g.name
+        keys = [tuple(r) for r in reps.tolist()]
+        assert keys == sorted(set(keys)) and set(keys) <= {tuple(r) for r in rows.tolist()}, g.name
+        assert keys[0] == tuple(range(g.order)) and sizes[0] == 1, g.name
+
+
+def test_row_lookup_on_empty_rows_finds_nothing():
+    find = G._row_lookup(np.zeros((0, 3), dtype=np.uint8))
+    assert find(np.array([[0, 1, 2], [0, 2, 1]])).tolist() == [-1, -1]
+    find = G._row_lookup(np.array([[0, 2, 1], [0, 1, 2]], dtype=np.uint8))
+    assert find(np.array([[0, 1, 2], [1, 0, 2], [0, 2, 1]])).tolist() == [1, -1, 0]
+
+
 def test_twisted_map():
     # the twisted map a -> -a + phi(a), one row per image row phi
     z5 = G.make_cyclic(5)

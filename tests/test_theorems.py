@@ -323,11 +323,19 @@ def test_split_check_agrees_with_brute_force_aut():
         assert {p.images for p in sym.brute_force_aut(x)} == want, (g.name, x.provenance)
         maps = np.array(sorted(cent))
         assert _split(g, x, maps, inn_order) == (len(want), []), (g.name, x.provenance)
-        if len(maps) > 1:                        # Z1 has the identity alone
-            dropped = tuple(maps[-1].tolist())
-            failures = _split(g, x, maps[:-1], inn_order)[1]
-            assert f"{g.name}: automorphism {dropped} does not factor" in failures, (g.name, x.provenance)
+        dropped = tuple(maps[-1].tolist())       # on Z1 the identity, leaving no map
+        failures = _split(g, x, maps[:-1], inn_order)[1]
+        assert f"{g.name}: automorphism {dropped} does not factor" in failures, (g.name, x.provenance)
     assert len(instances) == 16
+
+
+def test_split_check_names_its_witnesses_with_no_maps():
+    g = G.make_cyclic(3)
+    assert _split(g, Q.takasaki(g), np.zeros((0, 3), dtype=np.int64), 6) == (6, [
+        "Z3: Aut_0 (2 elements) != the 0 maps",
+        "Z3: automorphism (0, 1, 2) does not factor",
+        "Z3: |Aut| = 6 != 3 * 0",
+    ])
 
 
 def test_factorization_from_the_chain_fails_each_planted_defect(monkeypatch):
@@ -396,19 +404,38 @@ def test_a_passing_split_check_lists_no_more_than_the_maps(monkeypatch):
 
 
 def _plant(monkeypatch, group, bad_rows):
-    """Make automorphism_array hand out the group's rows with rows 1, 2, ...
-    replaced by bad_rows."""
-    real = G.automorphism_array
-
-    def planted(g):
-        rows = real(g)
-        if g is not group:
-            return rows
+    """Make automorphism_array and the class list (``groups._aut_classes``)
+    hand out the group's rows with rows 1, 2, ... replaced by bad_rows."""
+    def planted(rows):
         out = rows.copy()
         out[1:1 + len(bad_rows)] = bad_rows
         return out
 
-    monkeypatch.setattr(G, "automorphism_array", planted)
+    real_rows, real_classes = G.automorphism_array, G._aut_classes
+    rows, (reps, sizes) = planted(real_rows(group)), real_classes(group)
+    monkeypatch.setattr(G, "automorphism_array", lambda g: rows if g is group else real_rows(g))
+    monkeypatch.setattr(G, "_aut_classes", lambda g: (planted(reps), sizes) if g is group else real_classes(g))
+
+
+@pytest.mark.parametrize("suite, instances", [
+    (T.suite_alexander_embedding, 15_649), (T.suite_fpf_structure, 6_647), (T.suite_bae_choe, 20_786),
+    (T.suite_commutativity, 21_218), (T.suite_connected_abelian, 61),
+], ids=["alexander-embedding", "fpf-structure", "bae-choe", "commutativity", "connected-abelian"])
+def test_class_sweep_agrees_with_the_sweep_over_every_phi(monkeypatch, suite, instances):
+    # with each automorphism a class of its own, a suite checks every phi,
+    # as it did before it swept class representatives
+    def singletons(g):
+        rows = G.automorphism_array(g)
+        return rows, np.ones(len(rows), dtype=np.int64)
+
+    by_class = suite()
+    monkeypatch.setattr(G, "_aut_classes", singletons)
+    every_phi = suite()
+    assert (by_class.passed, by_class.instances_tested) == (True, instances)
+    assert (every_phi.passed, every_phi.instances_tested) == (True, instances)
+    swept = [sum(v for k, v in rep.annotations.items() if k.startswith("phi_classes["))
+             for rep in (by_class, every_phi)]
+    assert 0 < swept[0] < swept[1]
 
 
 @pytest.mark.parametrize("sweep, row, expected", [
