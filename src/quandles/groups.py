@@ -8,11 +8,12 @@ tuples, which is what scalar and matrix automorphisms act on.
 
 A group automorphism is exactly a bijection preserving the Cayley table, so
 Aut(G) comes from the table search for quandle automorphism groups
-(``quandles.perms.table_automorphism_group``), bounded by that search's
-budget of forced checks, not by the order of G.  Its exact order, when at
-most _AUT_LIST_BOUND, is listed as one cached array of image rows
-(``automorphism_array``), the only form of Aut(G) the package computes
-with.  A brute-force search over all bijections is an oracle for tiny orders.
+(``quandles.perms.table_automorphism_group``), run once per group
+(``_aut_search``) and bounded by its budget of forced checks, not by the
+order of G.  Up to _AUT_LIST_BOUND automorphisms, it is listed as one cached
+array of image rows (``automorphism_array``), which gives the conjugacy
+classes and their centralizers (``_aut_classes``).  A brute-force search
+over all bijections is an oracle for tiny orders.
 
 Tables are read and written in one plain-text format shared with quandles:
 first line the order, then one row per line.
@@ -397,22 +398,25 @@ def matrix_map(group, rows):
 # -- automorphism groups ----------------------------------------------------
 
 
+def _aut_search(group):
+    """Aut(G) from the table search, run once and cached; ValueError past its budget."""
+    if "aut_search" not in group._cache:
+        group._cache["aut_search"] = table_automorphism_group(group)
+    return group._cache["aut_search"]
+
+
 def automorphism_array(group):
     """Aut(G) as one cached, read-only (m, n) array of image rows in the
-    smallest dtype (``_smallest``), lexsorted.  ValueError past the search's
-    budget (``perms._SEARCH_BUDGET``) or, before any row is built, past
-    _AUT_LIST_BOUND automorphisms, as it counts them; caches the search's
-    generators for ``_aut_classes``."""
+    smallest dtype (``_smallest``), lexsorted, listed from the cached table
+    search (``_aut_search``).  ValueError past the search's budget or, before
+    any row is built, past _AUT_LIST_BOUND automorphisms, as it counts them."""
     if "aut_array" not in group._cache:
-        aut = table_automorphism_group(group)
-        gens = np.array([g.images for g in aut.generators], dtype=np.int64).reshape(-1, group.order)
-        group._cache["aut_gens"] = _smallest(gens, group.order)
-        count = aut.order()
+        count = _aut_search(group).order()
         if count > _AUT_LIST_BOUND:
             raise ValueError(
                 f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
             )
-        arr = aut.element_array()
+        arr = _aut_search(group).element_array()
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
         group._cache["aut_array"] = arr
@@ -420,31 +424,29 @@ def automorphism_array(group):
 
 
 def _aut_classes(group):
-    """The conjugacy classes of Aut(G), cached, read-only: the least image
-    row of each, in ``automorphism_array`` order, and their sizes.  Each
-    search generator psi maps row phi to psi phi psi^-1 (one gather, one
-    lookup); labels start as row indices, each edge hooks its larger label
-    under the smaller, and label = label[label] flattens them, until no edge
-    joins two labels.  RuntimeError unless each size times |C(rep)| is
-    |Aut(G)|."""
+    """Aut(G)'s conjugacy classes {psi phi psi^-1}, cached, read-only: (reps,
+    sizes, centralizers), reps the least row of each in ``automorphism_array``
+    order.  The least row phi in no class yet is conjugated by every row psi
+    in one gather: the distinct conjugates are its class, the psi that give
+    phi back C(phi).  RuntimeError unless each conjugate is a row of the
+    array and |class| |C(phi)| = |Aut(G)|."""
     if "aut_classes" not in group._cache:
         arr = automorphism_array(group)
-        find = _row_lookup(arr)
-        steps = [find(psi[arr[:, np.argsort(psi)]]) for psi in group._cache["aut_gens"]]
-        label = np.arange(len(arr))
-        while True:
-            for step in steps:
-                np.minimum.at(label, np.maximum(label, label[step]), np.minimum(label, label[step]))
-            while not np.array_equal(label[label], label):
-                label = label[label]
-            if all(np.array_equal(label[step], label) for step in steps):
-                break
-        reps = np.flatnonzero(label == np.arange(len(arr)))
-        sizes = np.bincount(label)[reps]
-        if any(size * len(_centralizer_rows(group, arr[i])) != len(arr) for i, size in zip(reps, sizes)):
-            raise RuntimeError(f"the orbits of conjugation on Aut({group.name}) are not its classes")
-        classes = (arr[reps], sizes)
-        for a in classes:
+        m, find = len(arr), _row_lookup(arr)
+        label = np.full(m, -1)                                       # each row's class, -1 for none yet
+        cents = []
+        while label.min() < 0:
+            phi = arr[label.argmin()]                                # the least row in no class yet
+            conj = np.empty_like(arr)                                # row psi: psi phi psi^-1, which
+            np.put_along_axis(conj, arr, arr[:, phi], axis=1)        # maps psi(x) to psi(phi(x))
+            members = find(conj[_first_equal_rows(conj) == np.arange(m)])
+            fixed = (conj == phi).all(axis=1)
+            if (members < 0).any() or len(members) * np.count_nonzero(fixed) != m:
+                raise RuntimeError(f"conjugation on Aut({group.name}) does not give its classes")
+            label[members] = len(cents)
+            cents.append(arr if fixed.all() else arr[fixed])         # a central phi shares the array
+        classes = (arr[np.unique(label, return_index=True)[1]], np.bincount(label), tuple(cents))
+        for a in (*classes[:2], *cents):
             a.setflags(write=False)
         group._cache["aut_classes"] = classes
     return group._cache["aut_classes"]

@@ -21,7 +21,7 @@ clause is about the whole set) checks one phi per conjugacy class of Aut(G)
 (``groups._aut_classes``), counted once per member: psi in Aut(G) is an
 isomorphism Alex(G, phi) -> Alex(G, psi phi psi^-1), and C(psi phi psi^-1)
 = psi C(phi) psi^-1, so each of their clauses holds on a whole class or
-nowhere in it.
+nowhere in it.  Each class comes with C(phi), which the suites read.
 
 Each statement has one suite: a public ``suite_*`` function that builds the
 statement's instance family from the bounds named by its keyword parameters
@@ -43,7 +43,7 @@ import numpy as np
 from . import groups as G
 from . import quandle as Q
 from . import symmetry as sym
-from .perms import PermGroup, Permutation, _generators, brute_force_k_transitive
+from .perms import PermGroup, Permutation, _generators, _orbit, brute_force_k_transitive
 
 
 @dataclass
@@ -214,13 +214,12 @@ def check_prop_embedding_zg_caut(group, phi):
     """
     if not phi.is_automorphism:
         raise ValueError("phi must be an automorphism")
-    return _embedding_one(group, np.array(phi.images))
+    return _embedding_one(group, np.array(phi.images), G._centralizer_rows(group, phi.images))
 
 
-def _embedding_one(group, images):
+def _embedding_one(group, images, cent):
     rep = TheoremReport("alexander-embedding")
     x = Q._alexander_quandle(group, images, "gen_alexander")
-    cent = G._centralizer_rows(group, images)
     tag = f"{group.name}, {_phi_name(images)}"
     rep.instances_tested = _check_semidirect_embedding(rep, group, x, G.center(group), cent, tag)
     return rep
@@ -307,20 +306,12 @@ def check_prop_conj_embedding(group):
 # -- commutativity and central automorphisms ----------------------------------
 
 
-def _count_classes(rep, group, sizes):
-    """rep, counting each swept class of the given sizes once per member."""
-    rep.instances_tested = int(sizes.sum())
+def _per_class(rep, group, sizes, counts=1):
+    """rep, counting each swept class of Aut(G), of the given sizes, once per
+    member, counts instances a member (a number or one per class)."""
+    rep.instances_tested = int((sizes * counts).sum())
     rep.annotations[f"phi_classes[{group.name}]"] = len(sizes)
     return rep
-
-
-def _per_class(group, phis, sizes, one):
-    """The reports one(group, phi) for class representatives phi, each
-    counting for its class, and one report annotating the classes swept."""
-    reports = [one(group, phi) for phi in phis]
-    for rep, size in zip(reports, sizes.tolist()):
-        rep.instances_tested *= size
-    return reports + [TheoremReport("", annotations={f"phi_classes[{group.name}]": len(phis)})]
 
 
 def _alexander_mask(group, phis, test):
@@ -336,7 +327,7 @@ def _alexander_mask(group, phis, test):
 def _commutativity_one(group):
     """The commutativity clauses on a single group."""
     rep = TheoremReport("commutativity")
-    phis, sizes = G._aut_classes(group)
+    phis, sizes, _ = G._aut_classes(group)
     tbl = group.table
     rng = np.arange(group.order)
     comm = _alexander_mask(group, phis, lambda x: (x == x.transpose(0, 2, 1)).all(axis=(1, 2)))
@@ -351,7 +342,7 @@ def _commutativity_one(group):
     else:
         for i in np.flatnonzero(comm & squares_back)[:3]:
             rep.fail(f"{tag}, {_phi_name(phis[i])}: non-abelian group yet commutative quandle")
-    return _count_classes(rep, group, sizes)
+    return _per_class(rep, group, sizes)
 
 
 def _central_one(group):
@@ -382,13 +373,13 @@ def _connected_abelian_one(group):
     rep = TheoremReport("connected-abelian")
     if group.is_abelian():
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
-    phis, sizes = G._aut_classes(group)
+    phis, sizes, _ = G._aut_classes(group)
     involutory = (np.take_along_axis(phis, phis, axis=1) == np.arange(group.order)).all(axis=1)
     chosen = G._central(group, phis) & involutory
     phis, sizes = phis[chosen], sizes[chosen]
     for i in np.flatnonzero(_alexander_mask(group, phis, sym._connected_tables))[:3]:
         rep.fail(f"{group.name}, {_phi_name(phis[i])}: connected despite central involutory phi")
-    return _count_classes(rep, group, sizes)
+    return _per_class(rep, group, sizes)
 
 
 def _bae_choe_one(group):
@@ -396,7 +387,7 @@ def _bae_choe_one(group):
     rep = TheoremReport("bae-choe")
     if not group.is_abelian():
         raise ValueError(f"{group.name} is not abelian")
-    phis, sizes = G._aut_classes(group)
+    phis, sizes, _ = G._aut_classes(group)
     connected = _alexander_mask(group, phis, sym._connected_tables)
     fpf = G._fixed_point_free(phis)
     bij = (np.sort(G._twisted_rows(group, phis), axis=1) == np.arange(group.order)).all(axis=1)
@@ -405,7 +396,7 @@ def _bae_choe_one(group):
             f"{group.name}, {_phi_name(phis[i])}: connected={connected[i]}, "
             f"fixed-point-free={fpf[i]}, twisted-bijective={bij[i]}"
         )
-    return _count_classes(rep, group, sizes)
+    return _per_class(rep, group, sizes)
 
 
 # -- fixed-point-free structure and transitivity -------------------------------
@@ -421,13 +412,12 @@ def check_thm_fpf_structure(group, phi):
         raise ValueError(f"{group.name} is not abelian")
     if not G.is_fixed_point_free(phi):
         raise ValueError("phi must be fixed-point free")
-    return _fpf_structure_one(group, np.array(phi.images))
+    return _fpf_structure_one(group, np.array(phi.images), G._centralizer_rows(group, phi.images))
 
 
-def _fpf_structure_one(group, images):
+def _fpf_structure_one(group, images, cent):
     rep = TheoremReport("fpf-structure")
     x = Q._alexander_quandle(group, images, "alexander")
-    cent = G._centralizer_rows(group, images)
     tag = f"{group.name}, {_phi_name(images)}"
     m = _check_split(rep, group, x, cent, group.order * Permutation(images).order(), tag)
     rep.instances_tested = m + 2
@@ -439,8 +429,8 @@ def _aut_transitive_one(group):
     rep = TheoremReport("aut-transitive")
     if group.order == 1:
         raise ValueError("transitivity on non-identity elements needs a nontrivial group")
-    reach = set(G.automorphism_array(group)[:, 1].tolist())    # all of Aut(G), so already closed
-    transitive = reach == set(range(1, group.order))
+    gens = [g.images for g in G._aut_search(group).generators]
+    transitive = len(_orbit(gens, 1, tuple(range(group.order)))) == group.order - 1
     elem = G.is_elementary_abelian(group)
     if transitive != elem:
         rep.fail(
@@ -656,8 +646,12 @@ def suite_conj_inn_embedding(max_order=15):
 def suite_alexander_embedding(max_order=12):
     """Sweeps the catalog groups up to max_order, one phi per conjugacy
     class of Aut(G), each class counted once per member."""
-    reports = [rep for g in G.catalog_groups(max_order)
-               for rep in _per_class(g, *G._aut_classes(g), _embedding_one)]
+    reports = []
+    for g in G.catalog_groups(max_order):
+        phis, sizes, cents = G._aut_classes(g)
+        each = [_embedding_one(g, phi, cent) for phi, cent in zip(phis, cents)]
+        rep = TheoremReport.merge("alexander-embedding", each)
+        reports.append(_per_class(rep, g, sizes, [r.instances_tested for r in each]))
     return TheoremReport.merge("alexander-embedding", reports)
 
 
@@ -721,9 +715,11 @@ def suite_fpf_structure(max_order=12):
     phi per conjugacy class of Aut(G), each class counted once per member."""
     reports = []
     for g in G.catalog_groups(max_order, include_nonabelian=False):
-        phis, sizes = G._aut_classes(g)
+        phis, sizes, cents = G._aut_classes(g)
         fpf = G._fixed_point_free(phis)
-        reports += _per_class(g, phis[fpf], sizes[fpf], _fpf_structure_one)
+        each = [_fpf_structure_one(g, phi, cent) for phi, cent, ok in zip(phis, cents, fpf) if ok]
+        rep = TheoremReport.merge("fpf-structure", each)
+        reports.append(_per_class(rep, g, sizes[fpf], [r.instances_tested for r in each]))
     return TheoremReport.merge("fpf-structure", reports)
 
 
@@ -754,6 +750,7 @@ def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
 suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
 suite_alexander_embedding.ceilings = {"max_order": 16}
 suite_conj_embedding.ceilings = {"max_order": 16}
+suite_aut_transitive.ceilings = {"max_order": 63}
 
 
 THEOREM_SUITES = {

@@ -241,6 +241,12 @@ def test_verify_refuses_an_embedding_past_its_ceiling_before_it_runs(tid, no_sui
     assert err == f"error: {tid} refuses max_order above 16, got 17\n" and out == ""
 
 
+def test_verify_refuses_aut_transitive_past_its_ceiling_before_it_runs(no_suite_runs, capsys):
+    code, out, err = run(["verify", "aut-transitive", "--max-order", "64"], capsys)
+    assert code == 2
+    assert err == "error: aut-transitive refuses max_order above 63, got 64\n" and out == ""
+
+
 @pytest.mark.parametrize("n", ["4", "-3", "0"])
 def test_verify_all_refuses_a_bad_dihedral_order_before_any_suite_runs(n, no_suite_runs, capsys):
     code, out, err = run(["verify", "all", "--n", f"3,{n}"], capsys)

@@ -475,13 +475,13 @@ def test_automorphism_array_is_one_cached_read_only_sorted_array():
 
 def test_aut_classes_match_brute_force_conjugation():
     # the classes {psi phi psi^-1 : psi} from the all-bijections oracle, with
-    # no table search, lookup or label propagation
+    # no table search, gather or row lookup
     for g in G.catalog_groups(8):
         auts = [f.images for f in G.brute_force_group_automorphisms(g)]
         inverse = {psi: tuple(np.argsort(psi).tolist()) for psi in auts}
         classes = {frozenset(tuple(psi[phi[x]] for x in inverse[psi]) for psi in auts) for phi in auts}
         want = sorted((min(c), len(c)) for c in classes)
-        reps, sizes = G._aut_classes(g)
+        reps, sizes, _ = G._aut_classes(g)
         assert [(tuple(r), s) for r, s in zip(reps.tolist(), sizes.tolist())] == want, g.name
 
 
@@ -498,19 +498,32 @@ def test_aut_class_counts_match_closed_forms(make, count):
 
 def test_aut_classes_obey_the_class_equation_to_order_16():
     # sizes sum to |Aut(G)|, each is |Aut(G)| / |C(rep)| with C counted
-    # directly, the reps are distinct automorphisms in increasing order, and
-    # the identity is a class of its own
+    # directly, each cached centralizer is the scan _centralizer_rows, the
+    # reps are distinct automorphisms in increasing order, and the identity
+    # is a class of its own
     for g in G.catalog_groups(16):
         rows = G.automorphism_array(g).astype(np.int64)
-        reps, sizes = G._aut_classes(g)
+        reps, sizes, cents = G._aut_classes(g)
         assert G._aut_classes(g)[0] is reps and not reps.flags.writeable and not sizes.flags.writeable
-        assert sizes.sum() == len(rows), g.name
-        for rep, size in zip(reps.astype(np.int64), sizes):
+        assert sizes.sum() == len(rows) and len(cents) == len(reps), g.name
+        for rep, size, cent in zip(reps.astype(np.int64), sizes, cents):
             commuting = np.count_nonzero((rows[:, rep] == rep[rows]).all(axis=1))
             assert size * commuting == len(rows), g.name
+            assert np.array_equal(cent, G._centralizer_rows(g, rep)) and not cent.flags.writeable, g.name
         keys = [tuple(r) for r in reps.tolist()]
         assert keys == sorted(set(keys)) and set(keys) <= {tuple(r) for r in rows.tolist()}, g.name
         assert keys[0] == tuple(range(g.order)) and sizes[0] == 1, g.name
+
+
+def test_aut_classes_refuse_a_row_that_is_not_an_automorphism(monkeypatch):
+    # a transposition planted among the rows of Aut(Z5): its conjugates leave
+    # the array, so conjugation does not give the classes
+    z5 = G.make_cyclic(5)
+    rows = G.automorphism_array(z5).copy()
+    rows[1] = (0, 2, 1, 3, 4)
+    monkeypatch.setattr(G, "automorphism_array", lambda g: rows)
+    with pytest.raises(RuntimeError, match=r"conjugation on Aut\(Z5\) does not give its classes"):
+        G._aut_classes(z5)
 
 
 def test_row_lookup_on_empty_rows_finds_nothing():

@@ -7,7 +7,9 @@ class counts 1, 1, 3, 7 for quandle orders 1..4.
 """
 
 import ast
+import hashlib
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -412,9 +414,9 @@ def _plant(monkeypatch, group, bad_rows):
         return out
 
     real_rows, real_classes = G.automorphism_array, G._aut_classes
-    rows, (reps, sizes) = planted(real_rows(group)), real_classes(group)
+    rows, (reps, sizes, cents) = planted(real_rows(group)), real_classes(group)
     monkeypatch.setattr(G, "automorphism_array", lambda g: rows if g is group else real_rows(g))
-    monkeypatch.setattr(G, "_aut_classes", lambda g: (planted(reps), sizes) if g is group else real_classes(g))
+    monkeypatch.setattr(G, "_aut_classes", lambda g: (planted(reps), sizes, cents) if g is group else real_classes(g))
 
 
 @pytest.mark.parametrize("suite, instances", [
@@ -423,10 +425,11 @@ def _plant(monkeypatch, group, bad_rows):
 ], ids=["alexander-embedding", "fpf-structure", "bae-choe", "commutativity", "connected-abelian"])
 def test_class_sweep_agrees_with_the_sweep_over_every_phi(monkeypatch, suite, instances):
     # with each automorphism a class of its own, a suite checks every phi,
-    # as it did before it swept class representatives
+    # as it did before it swept class representatives; each centralizer is
+    # scanned only when a suite reads it
     def singletons(g):
         rows = G.automorphism_array(g)
-        return rows, np.ones(len(rows), dtype=np.int64)
+        return rows, np.ones(len(rows), dtype=np.int64), (G._centralizer_rows(g, phi) for phi in rows)
 
     by_class = suite()
     monkeypatch.setattr(G, "_aut_classes", singletons)
@@ -482,6 +485,7 @@ def test_transitive_aut_check():
     rep = T.suite_aut_transitive(9)
     assert rep.passed
     assert rep.instances_tested == len(G.catalog_groups(9)) - 1   # trivial group skipped
+    assert T.suite_aut_transitive().instances_tested == 34
     assert T._aut_transitive_one(G.make_abelian([2, 2])).passed
     assert T._aut_transitive_one(G.make_quaternion8()).passed
     with pytest.raises(ValueError):
@@ -645,6 +649,33 @@ def test_run_suite_finds_each_catalog_aut_once(monkeypatch):
     catalog = G.catalog_groups(16)
     assert len(searched) == len(catalog) == len({id(g) for g in searched})
     assert {id(g) for g in searched} == {id(g) for g in catalog}
+
+
+def test_aut_transitive_reads_the_orbit_of_1_without_listing_aut():
+    # |Aut((Z/2)^5)| = 9,999,360 is above the listing bound, but the orbit of
+    # 1 under the search's generators needs no listing
+    rep = T.suite_aut_transitive(32)
+    assert (rep.passed, rep.instances_tested) == (True, 65)
+    z2_5 = next(g for g in G.catalog_groups(32) if g.name == "Z2xZ2xZ2xZ2xZ2")
+    assert "aut_array" not in z2_5._cache and G._aut_search(z2_5).order() == 9_999_360
+    with pytest.raises(ValueError, match="above the listing bound"):
+        G.automorphism_array(z2_5)
+    # the ceiling: every catalog group to order 63 passes, and at 64 the
+    # table search gives up on Aut(Z4 x (Z/2)^4)
+    rep = T.suite_aut_transitive(63)
+    assert (rep.passed, rep.instances_tested) == (True, 116)
+
+
+# sha256 of the default report with elapsed_seconds dropped: every suite's
+# instance count and every annotation (phi_classes, aut_order, autcent,
+# embedding_onto, ...) sit in it, so a change to any of them shows here
+DEFAULT_REPORT_SHA256 = "17d9878167efdc495f21e80b8ac0766c82c04cc809d78b618af23545f50d6538"
+
+
+def test_the_default_report_is_pinned():
+    reports = [{k: v for k, v in r.to_dict().items() if k != "elapsed_seconds"} for r in T.run_suite()]
+    text = json.dumps(reports, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_REPORT_SHA256
 
 
 def test_suite_registry_is_complete():
