@@ -191,8 +191,8 @@ def _first_witness(arr, sides):
     rows.  The scan runs over a in order, starting with a single row and
     doubling the chunk up to the rows whose two sides and mask take
     _CHUNK_BYTES, so a first defect in row a costs about a n^2 work plus one
-    doubling, and memory never exceeds one capped chunk.  Callers know a
-    witness exists.
+    doubling, and memory never exceeds one capped chunk.  None when the law
+    holds.
     """
     lo, step, cap = 0, 1, max(1, _CHUNK_BYTES // (arr.size * (2 * arr.itemsize + 1)))
     while lo < len(arr):

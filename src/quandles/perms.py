@@ -26,10 +26,11 @@ full for every i < k) are its public reads.  ``brute_force_closure`` and
 it finds the automorphism group of a FiniteGroup or a Quandle, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
 depth-first step also decides quandle isomorphism.  Its work follows the
-table's structure: a point may map only to points of its colour
-(``_colours``), and an assignment propagates only through the columns of
-the generators its constructor found (``_assign``).  It hands back its own
-stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` checks.
+table's structure: a point may map only to points of its colour, a hash of
+label-free invariants of its row and column (``_colours``), and an
+assignment propagates only through the columns of the generators its
+constructor found (``_assign``).  It hands back its own stabilizer chain,
+and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
 from itertools import chain
@@ -417,39 +418,16 @@ def _mix(x):
     return x ^ (x >> np.uint64(31))
 
 
-def _names(keys):
-    """Colours named in common, and how many there are: each key's rank among
-    the distinct keys of all the tables, cut back into one array per table."""
-    distinct, inverse = np.unique(np.concatenate(keys), return_inverse=True)
-    inverse, n = inverse.reshape(-1), len(keys[0])
-    return [inverse[i * n:(i + 1) * n] for i in range(len(keys))], len(distinct)
-
-
-def _colours(*tables):
-    """Colours of the points of group or quandle tables of one order, named
-    in common, so that an isomorphism between two of them keeps colours and
-    an automorphism of one permutes each colour class.
-
-    The seeds are the rows of ``_colour_seeds``.  Refinement is
-    1-dimensional Weisfeiler-Leman: a point's next colour is its colour and
-    the multiset, over every b, of (colour b, colour a*b, colour b*a), held
-    as a sorted row; it stops when no class splits.  Rows are hashed to 64
-    bits by a weighted sum (``_mix``) and names are ranks of hashes, so no
-    label enters; a hash collision could only merge classes, which keeps
-    the colours invariant.
+def _colours(table):
+    """The colour of each point of a group or quandle table: the 64-bit hash
+    of its row of ``_colour_seeds``, a weighted sum with fixed pseudo-random
+    weights (``_mix``).  No label enters, so equal seeds get equal colours in
+    every table: an isomorphism between two tables keeps colours and an
+    automorphism permutes each colour class.  A hash collision could only
+    merge classes, which keeps the colours invariant.
     """
-    tables = [np.asarray(t, dtype=np.int64) for t in tables]
-    n = len(tables[0])
-    seeds = [_colour_seeds(t).astype(np.uint64) for t in tables]
-    weights = _mix(np.arange(max(seeds[0].shape[1], n + 1)))
-    colours, k = _names([s @ weights[:s.shape[1]] for s in seeds])
-    while k > 1:            # one class cannot split: every triple is (0, 0, 0)
-        finer, count = _names([np.sort((c * k + c[t]) * k + c[t.T], axis=1).astype(np.uint64) @ weights[:n]
-                               + c.astype(np.uint64) * weights[n] for t, c in zip(tables, colours)])
-        if count == k:
-            break
-        colours, k = finer, count
-    return colours
+    seeds = _colour_seeds(table).astype(np.uint64)
+    return seeds @ _mix(np.arange(seeds.shape[1]))
 
 
 class _Search:
@@ -580,7 +558,7 @@ def table_automorphism_group(t):
     it never runs Schreier-Sims.  ValueError past _SEARCH_BUDGET checks.
     """
     n = t.order
-    colours = _colours(t.table)[0]
+    colours = _colours(t.table)
     search = _Search(t, t, colours, colours)
     # marks[k]: the trail's length with the identity forced on points 0..k-1
     marks = []

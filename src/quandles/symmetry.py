@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _first_equal_rows, _row_chunks, _smallest
+from .groups import _first_equal_rows, _first_witness, _smallest
 from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
@@ -100,13 +100,13 @@ def quandle_isomorphic(x, y):
     """An isomorphism x -> y as a Permutation, or None.
 
     The depth-first step of the automorphism search, with source and target
-    tables distinct.  Both tables are coloured with shared names
-    (``perms._colours``): unequal colour histograms refuse at once, and
+    tables distinct.  Each table is coloured on its own (``perms._colours``),
+    and equal seeds hash alike: unequal colour histograms refuse at once, and
     otherwise each point of x may go only to the points of y of its colour.
     """
     if x.order != y.order:
         return None
-    cx, cy = _colours(x.table, y.table)
+    cx, cy = _colours(x.table), _colours(y.table)
     if not np.array_equal(np.sort(cx), np.sort(cy)):
         return None
     res = _dfs_first(_Search(x, y, cx, cy))
@@ -142,14 +142,14 @@ def embed_in_conj_inn(quandle):
     t = _smallest(quandle.table, n)
     cols = t.T
     rng = np.arange(n)
-    hom_witness = None
-    for s in _row_chunks(n, n * n * (2 * t.itemsize + 1)):       # per a: both sides and their mask
-        # bad[a, b, x]: (x*b)*(a*b) != (x*a)*b, so S_{a*b} != S_b^-1 ; S_a ; S_b at x*b
-        bad = t[cols[None], t[s, :, None]] != t[cols[s, None, :], rng[:, None]]
-        if bad.any():
-            a, b, _ = np.argwhere(bad)[0]
-            hom_witness = (int(a) + s.start, int(b))
-            break
+    row_of = np.argsort(cols[0])        # a = S_0^-1(a*0): the column S_0 is a bijection
+
+    def sides(rows):
+        # [a, b, x]: (x*b)*(a*b) against (x*a)*b, so S_{a*b} != S_b^-1 ; S_a ; S_b at x*b
+        return t[cols[None], rows[:, :, None]], t[cols[row_of[rows[:, 0]], None, :], rng[:, None]]
+
+    witness = _first_witness(t, sides)
+    hom_witness = None if witness is None else witness[:2]
     earlier = _first_equal_rows(cols)
     repeats = np.flatnonzero(earlier != rng)
     inj_witness = (int(earlier[repeats[0]]), int(repeats[0])) if len(repeats) else None

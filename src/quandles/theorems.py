@@ -665,6 +665,9 @@ def suite_dihedral(ns=(3, 5, 7, 9, 11)):
 
 
 def suite_conj_embedding(max_order=12):
+    """Z(G) x| Aut(G) into Aut(Conj(G)) for every catalog group up to
+    max_order, and for S3 and S4 whatever the bound: the one suite that
+    checks a group above its max_order."""
     groups = G.catalog_groups(max_order)
     names = {g.name for g in groups}
     groups += [x for x in (G.make_symmetric(3), G.make_symmetric(4)) if x.name not in names]

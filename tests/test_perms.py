@@ -459,6 +459,21 @@ def test_a_seed_that_is_not_invariant_breaks_the_search(monkeypatch):
     assert table_automorphism_group(x).order() != 256
 
 
+def test_colours_only_prune(monkeypatch, bench_inputs):
+    # with every point one colour the search returns the same group with the
+    # same generators; only its work grows: Conj(D8) takes 12,401,371 forced
+    # checks instead of 2,844, so the budget is raised for this test alone
+    tables = [*catalog_groups(12), conj_quandle(make_dihedral_group(8), 1)]
+    tables += [Quandle(t) for _, _, t in bench_inputs.stream_rounds(1401, 1)[0]]
+    want = [table_automorphism_group(t) for t in tables]
+    monkeypatch.setattr(perms, "_colours", lambda table: np.zeros(len(table), dtype=np.uint64))
+    monkeypatch.setattr(perms, "_SEARCH_BUDGET", 20_000_000)
+    for t, group in zip(tables, want):
+        found = table_automorphism_group(t)
+        assert found.order() == group.order(), t
+        assert [p.images for p in found.generators] == [p.images for p in group.generators], t
+
+
 def test_hard_conjugation_tables_take_under_5000_forced_checks(monkeypatch):
     # Conj(D4 x Z2) needs 4,617 and Conj(Dic4) and Conj(D8) 2,844 each; before
     # colours pruned the candidates the search made 191,339 and 93,326 nodes
