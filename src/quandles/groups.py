@@ -461,18 +461,26 @@ def automorphism_group(group):
     return _maps(group, automorphism_array(group))
 
 
+def _brute_force_bijections(table, fixed=0):
+    """Oracle: every bijection p of the table's points that fixes 0..fixed-1
+    and keeps the table, p(a*b) = p(a)*p(b), in lexicographic order, by
+    filtering all of them.  It shares no code with the table search."""
+    n = len(table)
+    t = table.tolist()
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    head = tuple(range(fixed))
+    for rest in itertools.permutations(range(fixed, n)):
+        p = head + rest
+        if all(p[t[a][b]] == t[p[a]][p[b]] for a, b in pairs):
+            yield p
+
+
 def brute_force_group_automorphisms(group, max_order=_BRUTE_FORCE_BOUND):
     """Oracle: filter every bijection fixing 0.  Tiny orders only."""
     n = group.order
     if n > max_order:
         raise ValueError(f"brute force capped at order {max_order}, got {n}")
-    rows = group.table.tolist()
-    out = []
-    for rest in itertools.permutations(range(1, n)):
-        img = (0,) + rest
-        if all(img[rows[a][b]] == rows[img[a]][img[b]] for a in range(n) for b in range(n)):
-            out.append(img)
-    return [GroupMap(group, group, t) for t in out]
+    return [GroupMap(group, group, p) for p in _brute_force_bijections(group.table, fixed=1)]
 
 
 def is_fixed_point_free(phi):

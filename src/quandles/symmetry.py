@@ -12,15 +12,15 @@ chain; k-transitivity of either is read off its chain by
 package's one connectivity test, a breadth-first search over k tables at once.
 
 An independent brute-force search over all bijections exists as an oracle
-for tiny orders.
+for tiny orders: ``brute_force_aut``, which filters them with the same
+``groups._brute_force_bijections`` as the group-side oracle.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _first_equal_rows, _first_witness, _smallest
+from .groups import _brute_force_bijections, _first_equal_rows, _first_witness, _smallest
 from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
 
 _BRUTE_FORCE_BOUND = 7
@@ -49,13 +49,7 @@ def brute_force_aut(quandle):
     n = quandle.order
     if n > _BRUTE_FORCE_BOUND:
         raise ValueError(f"brute force capped at order {_BRUTE_FORCE_BOUND}, got {n}")
-    t = quandle.table.tolist()
-    out = []
-    pairs = [(a, b) for a in range(n) for b in range(n)]
-    for p in itertools.permutations(range(n)):
-        if all(p[t[a][b]] == t[p[a]][p[b]] for a, b in pairs):
-            out.append(Permutation(p))
-    return out
+    return [Permutation(p) for p in _brute_force_bijections(quandle.table)]
 
 
 # -- transitivity -----------------------------------------------------------

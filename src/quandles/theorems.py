@@ -23,16 +23,21 @@ isomorphism Alex(G, phi) -> Alex(G, psi phi psi^-1), and C(psi phi psi^-1)
 = psi C(phi) psi^-1, so each of their clauses holds on a whole class or
 nowhere in it.  Each class comes with C(phi), which the suites read.
 
-Each statement has one suite: a public ``suite_*`` function that builds the
-statement's instance family from the bounds named by its keyword parameters
-(``max_order``, ``ns``, or none) and merges the per-instance reports.  An
-empty failure list on an exhaustive family is the verification.
-``THEOREM_SUITES`` maps each theorem id to its suite and a one-line
-description; ``run_suite`` passes each selected suite only the bounds it
-takes and times the call.  The command line and the acceptance tests run
-through it.
+Each statement has one suite, declared once: a public ``suite_*`` function
+under ``@_suite(tid, description, ceiling)``.  Its keyword parameter
+(``max_order``, ``ns``, or none) names the bound it takes and its default;
+its body builds the statement's instance family from that bound and lists
+the per-instance reports, which the decorator merges into one report named
+tid.  An empty failure list on an exhaustive family is the verification.
+The decorator enters each suite in ``THEOREM_SUITES``, theorem id to
+(suite, one-line description) in declaration order, and its ceiling, the
+largest bound the suite accepts, in ``_CEILINGS``.  ``run_suite`` refuses a
+bound above a selected suite's ceiling before any suite runs, passes each
+selected suite only the bounds it takes and times the call.  The command
+line and the acceptance tests run through it.
 """
 
+import functools
 import inspect
 import math
 import time
@@ -312,6 +317,18 @@ def _per_class(rep, group, sizes, counts=1):
     rep.instances_tested = int((sizes * counts).sum())
     rep.annotations[f"phi_classes[{group.name}]"] = len(sizes)
     return rep
+
+
+def _each_class(tid, group, check, keep=None):
+    """check(group, phi, C(phi)) on one phi per conjugacy class of Aut(G),
+    over the classes whose phi the mask keep(phis) selects (every class when
+    keep is None), merged into one report named tid; each class is counted
+    once per member."""
+    phis, sizes, cents = G._aut_classes(group)
+    chosen = np.ones(len(phis), dtype=bool) if keep is None else keep(phis)
+    each = [check(group, phi, cent) for phi, cent, ok in zip(phis, cents, chosen) if ok]
+    rep = TheoremReport.merge(tid, each)
+    return _per_class(rep, group, sizes[chosen], [r.instances_tested for r in each])
 
 
 def _alexander_mask(group, phis, test):
@@ -633,37 +650,64 @@ def _negation_failure_witness():
 # -- suites ---------------------------------------------------------------------
 
 
+THEOREM_SUITES = {}
+_CEILINGS = {}
+
+
+def _suite(tid, description, ceiling=None):
+    """Declare the decorated body as theorem tid's suite.
+
+    The body's keyword parameter, if it has one, names the bound the suite
+    takes and its default; the body lists reports, and the suite merges them
+    into one named tid.  ``THEOREM_SUITES[tid]`` becomes (suite, description),
+    in declaration order, and ``_CEILINGS[tid]`` the largest bound
+    ``run_suite`` lets through (the largest order, for ns), None for no limit.
+    """
+    def register(body):
+        @functools.wraps(body)
+        def suite(*args, **kwargs):
+            return TheoremReport.merge(tid, body(*args, **kwargs))
+
+        THEOREM_SUITES[tid] = (suite, description)
+        _CEILINGS[tid] = ceiling
+        return suite
+
+    return register
+
+
 def _odd_abelian(max_order):
     return [g for g in G.catalog_groups(max_order, include_nonabelian=False) if g.order % 2]
 
 
+@_suite("conj-inn-embedding", "a -> S_a embeds odd Takasaki quandles into Conj(Inn); fails injectivity on Z4")
 def suite_conj_inn_embedding(max_order=15):
     reports = [check_prop_embed_conj_inn(g) for g in _odd_abelian(max_order)]
     reports.append(_negation_failure_witness())
-    return TheoremReport.merge("conj-inn-embedding", reports)
+    return reports
 
 
+# At 16 both embedding suites are dominated by the 322,560 pairs of
+# Z(G) x| Aut(G) for (Z/2)^4, C(id) = Aut(G) (see README).
+@_suite("alexander-embedding", "Z(G) x| C_Aut(phi) embeds into Aut(Alex(G, phi))", ceiling=16)
 def suite_alexander_embedding(max_order=12):
     """Sweeps the catalog groups up to max_order, one phi per conjugacy
     class of Aut(G), each class counted once per member."""
-    reports = []
-    for g in G.catalog_groups(max_order):
-        phis, sizes, cents = G._aut_classes(g)
-        each = [_embedding_one(g, phi, cent) for phi, cent in zip(phis, cents)]
-        rep = TheoremReport.merge("alexander-embedding", each)
-        reports.append(_per_class(rep, g, sizes, [r.instances_tested for r in each]))
-    return TheoremReport.merge("alexander-embedding", reports)
+    return [_each_class("alexander-embedding", g, _embedding_one) for g in G.catalog_groups(max_order)]
 
 
+@_suite("takasaki-aut", "odd abelian G: Aut(T(G)) = translations x| Aut(G), |Inn| = 2|2G|")
 def suite_takasaki(max_order=27):
-    reports = [check_thm_takasaki_aut(g) for g in _odd_abelian(max_order)]
-    return TheoremReport.merge("takasaki-aut", reports)
+    return [check_thm_takasaki_aut(g) for g in _odd_abelian(max_order)]
 
 
+# R_n is built as a table, so an order above the table bound would fail
+# mid-run; the ceiling refuses it before any suite runs.
+@_suite("dihedral-corollary", "odd n: |Aut(R_n)| = n phi(n) and |Inn(R_n)| = 2n", ceiling=G._TABLE_ORDER_BOUND)
 def suite_dihedral(ns=(3, 5, 7, 9, 11)):
-    return TheoremReport.merge("dihedral-corollary", [check_corollary_dihedral(n) for n in ns])
+    return [check_corollary_dihedral(n) for n in ns]
 
 
+@_suite("conj-embedding", "Z(G) x| Aut(G) embeds into Aut(Conj(G)); |Inn(Conj(G))| = |G:Z(G)|", ceiling=16)
 def suite_conj_embedding(max_order=12):
     """Z(G) x| Aut(G) into Aut(Conj(G)) for every catalog group up to
     max_order, and for S3 and S4 whatever the bound: the one suite that
@@ -671,19 +715,20 @@ def suite_conj_embedding(max_order=12):
     groups = G.catalog_groups(max_order)
     names = {g.name for g in groups}
     groups += [x for x in (G.make_symmetric(3), G.make_symmetric(4)) if x.name not in names]
-    return TheoremReport.merge("conj-embedding", [check_prop_conj_embedding(g) for g in groups])
+    return [check_prop_conj_embedding(g) for g in groups]
 
 
+@_suite("commutativity", "commutative Alex(G, phi) forces phi(a^2) = a; abelian case: 2 phi = id")
 def suite_commutativity(max_order=16):
     """A commutative Alex(G, phi) forces phi(a*a) = a; over an abelian group
     commutativity is exactly 2 phi = id; over a non-abelian group
     phi(a*a) = a never yields a commutative quandle.  Sweeps every catalog
     group up to max_order, one automorphism per conjugacy class of Aut(G),
     each class counted once per member."""
-    reports = [_commutativity_one(g) for g in G.catalog_groups(max_order)]
-    return TheoremReport.merge("commutativity", reports)
+    return [_commutativity_one(g) for g in G.catalog_groups(max_order)]
 
 
+@_suite("central-lemma", "central phi: twisted map is a homomorphism into Z(G), injectively in phi")
 def suite_central(max_order=16):
     """Central automorphisms: a -> a^-1 phi(a) is a homomorphism into the
     center, phi -> twisted(phi) is injective on Autcent(G), and a
@@ -691,125 +736,59 @@ def suite_central(max_order=16):
     catalog group up to max_order and every automorphism of it, not one per
     conjugacy class: the injectivity of phi -> twisted(phi) is a statement
     about the whole set.  |Autcent| per group sits in the annotations."""
-    reports = [_central_one(g) for g in G.catalog_groups(max_order)]
-    return TheoremReport.merge("central-lemma", reports)
+    return [_central_one(g) for g in G.catalog_groups(max_order)]
 
 
+@_suite("connected-abelian", "involutory central phi on non-abelian G never gives a connected quandle")
 def suite_connected_abelian(max_order=16):
     """For an involutory central automorphism of a non-abelian group, the
     generalized Alexander quandle is never connected.  Sweeps the
     non-abelian catalog groups up to max_order, one automorphism per
     conjugacy class of Aut(G), each class counted once per member."""
     groups = G.catalog_groups(max_order, include_abelian=False)
-    return TheoremReport.merge("connected-abelian", [_connected_abelian_one(g) for g in groups])
+    return [_connected_abelian_one(g) for g in groups]
 
 
+@_suite("bae-choe", "abelian G: connected == fixed-point-free == twisted map bijective")
 def suite_bae_choe(max_order=16):
     """On an abelian group the following agree for every automorphism phi:
     Alex(G, phi) connected, phi fixed-point free, and a -> phi(a) - a
     bijective.  Sweeps the abelian catalog groups up to max_order, one
     phi per conjugacy class of Aut(G), each class counted once per member."""
     groups = G.catalog_groups(max_order, include_nonabelian=False)
-    return TheoremReport.merge("bae-choe", [_bae_choe_one(g) for g in groups])
+    return [_bae_choe_one(g) for g in groups]
 
 
+@_suite("fpf-structure", "fixed-point-free phi: Aut_0 = C(phi), Aut = G x| C(phi), |Inn| = |G| ord(phi)")
 def suite_fpf_structure(max_order=12):
     """Sweeps the abelian catalog groups up to max_order, one fixed-point-free
     phi per conjugacy class of Aut(G), each class counted once per member."""
-    reports = []
-    for g in G.catalog_groups(max_order, include_nonabelian=False):
-        phis, sizes, cents = G._aut_classes(g)
-        fpf = G._fixed_point_free(phis)
-        each = [_fpf_structure_one(g, phi, cent) for phi, cent, ok in zip(phis, cents, fpf) if ok]
-        rep = TheoremReport.merge("fpf-structure", each)
-        reports.append(_per_class(rep, g, sizes[fpf], [r.instances_tested for r in each]))
-    return TheoremReport.merge("fpf-structure", reports)
+    groups = G.catalog_groups(max_order, include_nonabelian=False)
+    return [_each_class("fpf-structure", g, _fpf_structure_one, G._fixed_point_free) for g in groups]
 
 
+@_suite("aut-transitive", "Aut(G) transitive on non-identity elements iff G elementary abelian", ceiling=63)
 def suite_aut_transitive(max_order=16):
     """Aut(G) is transitive on the non-identity elements exactly when G is
     elementary abelian.  Sweeps the nontrivial catalog groups up to
     max_order."""
     groups = [g for g in G.catalog_groups(max_order) if g.order > 1]
-    return TheoremReport.merge("aut-transitive", [_aut_transitive_one(g) for g in groups])
+    return [_aut_transitive_one(g) for g in groups]
 
 
 _DOUBLY_TRANSITIVE_CASES = ((3, 1, 2), (5, 1, 2), (5, 1, 3), (7, 1, 3), (3, 2, 2))    # (p, n, u): Alex((Z/p)^n, u)
 
 
+@_suite("doubly-transitive",
+        "scalar quandles over (Z/p)^n have doubly transitive Aut; Inn not pair-transitive for n >= 2")
 def suite_doubly_transitive():
-    return TheoremReport.merge(
-        "doubly-transitive", [check_thm_fnt(p, n, u) for p, n, u in _DOUBLY_TRANSITIVE_CASES]
-    )
+    return [check_thm_fnt(p, n, u) for p, n, u in _DOUBLY_TRANSITIVE_CASES]
 
 
+@_suite("mccarron", "census to order 6: R_3 is the only 3-transitive quandle on 3+ points",
+        ceiling=_CENSUS_CEILING)
 def suite_mccarron(max_order=_CENSUS_DEFAULT_ORDER):
-    return check_mccarron_bound(1, max_order)
-
-
-# the largest value of each bound a suite takes; run_suite refuses a bound
-# past it before any suite runs.  At 16 both embedding suites are dominated by
-# the 322,560 pairs of Z(G) x| Aut(G) for (Z/2)^4, C(id) = Aut(G) (see README).
-suite_mccarron.ceilings = {"max_order": _CENSUS_CEILING}
-suite_alexander_embedding.ceilings = {"max_order": 16}
-suite_conj_embedding.ceilings = {"max_order": 16}
-suite_aut_transitive.ceilings = {"max_order": 63}
-
-
-THEOREM_SUITES = {
-    "conj-inn-embedding": (
-        suite_conj_inn_embedding,
-        "a -> S_a embeds odd Takasaki quandles into Conj(Inn); fails injectivity on Z4",
-    ),
-    "alexander-embedding": (
-        suite_alexander_embedding,
-        "Z(G) x| C_Aut(phi) embeds into Aut(Alex(G, phi))",
-    ),
-    "takasaki-aut": (
-        suite_takasaki,
-        "odd abelian G: Aut(T(G)) = translations x| Aut(G), |Inn| = 2|2G|",
-    ),
-    "dihedral-corollary": (
-        suite_dihedral,
-        "odd n: |Aut(R_n)| = n phi(n) and |Inn(R_n)| = 2n",
-    ),
-    "conj-embedding": (
-        suite_conj_embedding,
-        "Z(G) x| Aut(G) embeds into Aut(Conj(G)); |Inn(Conj(G))| = |G:Z(G)|",
-    ),
-    "commutativity": (
-        suite_commutativity,
-        "commutative Alex(G, phi) forces phi(a^2) = a; abelian case: 2 phi = id",
-    ),
-    "central-lemma": (
-        suite_central,
-        "central phi: twisted map is a homomorphism into Z(G), injectively in phi",
-    ),
-    "connected-abelian": (
-        suite_connected_abelian,
-        "involutory central phi on non-abelian G never gives a connected quandle",
-    ),
-    "bae-choe": (
-        suite_bae_choe,
-        "abelian G: connected == fixed-point-free == twisted map bijective",
-    ),
-    "fpf-structure": (
-        suite_fpf_structure,
-        "fixed-point-free phi: Aut_0 = C(phi), Aut = G x| C(phi), |Inn| = |G| ord(phi)",
-    ),
-    "aut-transitive": (
-        suite_aut_transitive,
-        "Aut(G) transitive on non-identity elements iff G elementary abelian",
-    ),
-    "doubly-transitive": (
-        suite_doubly_transitive,
-        "scalar quandles over (Z/p)^n have doubly transitive Aut; Inn not pair-transitive for n >= 2",
-    ),
-    "mccarron": (
-        suite_mccarron,
-        "census to order 6: R_3 is the only 3-transitive quandle on 3+ points",
-    ),
-}
+    return [check_mccarron_bound(1, max_order)]
 
 
 def run_suite(theorem_ids=None, max_order=None, ns=None):
@@ -818,7 +797,10 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
     A given bound (max_order, ns) goes to each selected suite that names it
     as a keyword parameter.  ValueError, before any suite runs: an unknown
     id, max_order < 1, an empty ns or one with an even or non-positive n,
-    a bound no selected suite takes, or one above a suite's ceiling.
+    a bound no selected suite takes, or one above a suite's ceiling (for
+    ns, its largest order).  It reads an entry of ``THEOREM_SUITES`` only
+    for its callable, which a tracer may replace by a wrapper, and each
+    ceiling by theorem id.
     """
     if theorem_ids is None:
         theorem_ids = list(THEOREM_SUITES)
@@ -833,15 +815,17 @@ def run_suite(theorem_ids=None, max_order=None, ns=None):
         if n < 1 or n % 2 == 0:
             raise ValueError(f"a dihedral order in ns must be odd and positive, got {n}")
     bounds = {name: val for name, val in (("max_order", max_order), ("ns", ns)) if val is not None}
+    largest = {"max_order": max_order, "ns": max(ns) if ns else None}
     suites = [THEOREM_SUITES[tid][0] for tid in theorem_ids]
     takes = [inspect.signature(fn).parameters for fn in suites]
     for name in bounds:
         if not any(name in params for params in takes):
             raise ValueError(f"{name} is taken by none of: {', '.join(theorem_ids)}")
-    for tid, fn in zip(theorem_ids, suites):
-        for name, top in getattr(fn, "ceilings", {}).items():
-            if name in bounds and bounds[name] > top:
-                raise ValueError(f"{tid} refuses {name} above {top}, got {bounds[name]}")
+    for tid, params in zip(theorem_ids, takes):
+        top = _CEILINGS[tid]
+        for name in bounds.keys() & params.keys():
+            if top is not None and largest[name] > top:
+                raise ValueError(f"{tid} refuses {name} above {top}, got {largest[name]}")
     reports = []
     for fn, params in zip(suites, takes):
         t0 = time.perf_counter()

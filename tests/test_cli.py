@@ -254,6 +254,12 @@ def test_verify_all_refuses_a_bad_dihedral_order_before_any_suite_runs(n, no_sui
     assert err == f"error: a dihedral order in ns must be odd and positive, got {n}\n" and out == ""
 
 
+def test_verify_all_refuses_a_dihedral_order_past_the_table_bound_before_any_suite_runs(no_suite_runs, capsys):
+    code, out, err = run(["verify", "all", "--n", "3,1025"], capsys)
+    assert code == 2
+    assert err == "error: dihedral-corollary refuses ns above 1024, got 1025\n" and out == ""
+
+
 def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):
     code, out, _ = run(["verify", "all", "--max-order", "3", "--n", "3", "--json"], capsys)
     assert code == 0
@@ -261,6 +267,9 @@ def test_verify_all_gives_each_bound_to_the_suites_that_take_it(capsys):
     assert len(reports) == 13
     assert reports["dihedral-corollary"]["instances_tested"] == 5     # R_3 only
     assert reports["doubly-transitive"]["instances_tested"] == 5      # its fixed cases
+    # 1 + 2 + 6 from the catalog to order 3, and 6 + 24 from S3 and S4, which
+    # conj-embedding checks whatever the bound
+    assert reports["conj-embedding"]["instances_tested"] == 39
     assert "classes[3]" in reports["mccarron"]["annotations"]
     assert "classes[4]" not in reports["mccarron"]["annotations"]
 
@@ -286,9 +295,25 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_list_subcommand(capsys):
+    # the registry's ids, order and descriptions, one line per suite
     code, out, _ = run(["list"], capsys)
     assert code == 0
-    assert "mccarron" in out and "bae-choe" in out
+    assert out == (
+        "conj-inn-embedding   a -> S_a embeds odd Takasaki quandles into Conj(Inn); fails injectivity on Z4\n"
+        "alexander-embedding  Z(G) x| C_Aut(phi) embeds into Aut(Alex(G, phi))\n"
+        "takasaki-aut         odd abelian G: Aut(T(G)) = translations x| Aut(G), |Inn| = 2|2G|\n"
+        "dihedral-corollary   odd n: |Aut(R_n)| = n phi(n) and |Inn(R_n)| = 2n\n"
+        "conj-embedding       Z(G) x| Aut(G) embeds into Aut(Conj(G)); |Inn(Conj(G))| = |G:Z(G)|\n"
+        "commutativity        commutative Alex(G, phi) forces phi(a^2) = a; abelian case: 2 phi = id\n"
+        "central-lemma        central phi: twisted map is a homomorphism into Z(G), injectively in phi\n"
+        "connected-abelian    involutory central phi on non-abelian G never gives a connected quandle\n"
+        "bae-choe             abelian G: connected == fixed-point-free == twisted map bijective\n"
+        "fpf-structure        fixed-point-free phi: Aut_0 = C(phi), Aut = G x| C(phi), |Inn| = |G| ord(phi)\n"
+        "aut-transitive       Aut(G) transitive on non-identity elements iff G elementary abelian\n"
+        "doubly-transitive    scalar quandles over (Z/p)^n have doubly transitive Aut; "
+        "Inn not pair-transitive for n >= 2\n"
+        "mccarron             census to order 6: R_3 is the only 3-transitive quandle on 3+ points\n"
+    )
 
 
 def test_console_entry_point():
