@@ -10,10 +10,10 @@ A group automorphism is exactly a bijection preserving the Cayley table, so
 Aut(G) comes from the table search for quandle automorphism groups
 (``quandles.perms.table_automorphism_group``), run once per group
 (``_aut_search``) and bounded by its budget of forced checks, not by the
-order of G.  Up to _AUT_LIST_BOUND automorphisms, it is listed as one cached
-array of image rows (``automorphism_array``), which gives the conjugacy
-classes and their centralizers (``_aut_classes``).  A brute-force search
-over all bijections is an oracle for tiny orders.
+order of G.  Up to the element cap of ``PermGroup.element_array`` it is
+listed as one cached array of image rows (``automorphism_array``), which
+gives the conjugacy classes and their centralizers (``_aut_classes``).  A
+brute-force search over at most _BIJECTION_CAP bijections is an oracle.
 
 Tables are read and written in one plain-text format shared with quandles:
 first line the order, then one row per line.
@@ -22,16 +22,15 @@ first line the order, then one row per line.
 import functools
 import itertools
 import warnings
-from math import gcd, prod
+from math import factorial, gcd, prod
 
 import numpy as np
 
 from .perms import _generators, _smallest, _tinverse, table_automorphism_group
 
-# Most automorphisms automorphism_group lists; |Aut((Z/2)^5)| = 9,999,360.
-_AUT_LIST_BOUND = 10 ** 6
-_BRUTE_FORCE_BOUND = 8
-# Largest order make_abelian and quandle.trivial_quandle build and _read_table
+# Most bijections _brute_force_bijections filters: a group of order 9 or a quandle of order 8.
+_BIJECTION_CAP = factorial(8)
+# Largest order a constructor builds (``_check_table_order``) and _read_table
 # loads: R_1024 takes about 0.2 s and 77 MB to build, R_2000 0.6 s and 210 MB.
 _TABLE_ORDER_BOUND = 1024
 # Bytes the live temporaries of one chunk of a bulk kernel may take
@@ -409,13 +408,8 @@ def automorphism_array(group):
     """Aut(G) as one cached, read-only (m, n) array of image rows in the
     smallest dtype (``_smallest``), lexsorted, listed from the cached table
     search (``_aut_search``).  ValueError past the search's budget or, before
-    any row is built, past _AUT_LIST_BOUND automorphisms, as it counts them."""
+    any row is built, past the element cap of ``PermGroup.element_array``."""
     if "aut_array" not in group._cache:
-        count = _aut_search(group).order()
-        if count > _AUT_LIST_BOUND:
-            raise ValueError(
-                f"Aut({group.name}) has {count:,} automorphisms, above the listing bound {_AUT_LIST_BOUND:,}"
-            )
         arr = _aut_search(group).element_array()
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
@@ -464,8 +458,12 @@ def automorphism_group(group):
 def _brute_force_bijections(table, fixed=0):
     """Oracle: every bijection p of the table's points that fixes 0..fixed-1
     and keeps the table, p(a*b) = p(a)*p(b), in lexicographic order, by
-    filtering all of them.  It shares no code with the table search."""
+    filtering all of them.  It shares no code with the table search.
+    ValueError, before the first is tried, past _BIJECTION_CAP bijections."""
     n = len(table)
+    count = factorial(n - fixed)
+    if count > _BIJECTION_CAP:
+        raise ValueError(f"brute force would filter {count:,} bijections, above the cap {_BIJECTION_CAP:,}")
     t = table.tolist()
     pairs = [(a, b) for a in range(n) for b in range(n)]
     head = tuple(range(fixed))
@@ -475,11 +473,8 @@ def _brute_force_bijections(table, fixed=0):
             yield p
 
 
-def brute_force_group_automorphisms(group, max_order=_BRUTE_FORCE_BOUND):
-    """Oracle: filter every bijection fixing 0.  Tiny orders only."""
-    n = group.order
-    if n > max_order:
-        raise ValueError(f"brute force capped at order {max_order}, got {n}")
+def brute_force_group_automorphisms(group):
+    """Oracle: filter every bijection fixing 0.  Orders up to 9 only."""
     return [GroupMap(group, group, p) for p in _brute_force_bijections(group.table, fixed=1)]
 
 
@@ -532,6 +527,13 @@ def centralizer_in_aut(group, phi):
 # -- constructors -----------------------------------------------------------
 
 
+def _check_table_order(n, shown=None):
+    """ValueError for a table of order n (named as shown, if given) above
+    _TABLE_ORDER_BOUND; each constructor calls it before it allocates."""
+    if n > _TABLE_ORDER_BOUND:
+        raise ValueError(f"order {shown or n} exceeds bound {_TABLE_ORDER_BOUND}")
+
+
 def make_cyclic(n):
     """Integers mod n under addition."""
     if n < 1:
@@ -545,8 +547,7 @@ def make_abelian(factors, name=None):
     if not factors or any(f < 1 for f in factors):
         raise ValueError(f"factors must be positive, got {factors}")
     n = prod(factors)
-    if n > _TABLE_ORDER_BOUND:
-        raise ValueError(f"order {n} exceeds bound {_TABLE_ORDER_BOUND}")
+    _check_table_order(n)
     coords = list(itertools.product(*[range(f) for f in factors]))
     digits = np.array(coords, dtype=np.int64).reshape(n, len(factors))
     table = np.zeros((n, n), dtype=np.int64)
@@ -564,8 +565,9 @@ def make_symmetric(n):
     Product a*b acts left-to-right: (a*b)(x) = b(a(x)).  Element 0 is the
     identity permutation.
     """
-    if not 1 <= n <= 6:
-        raise ValueError(f"symmetric group constructor accepts 1..6 letters, got {n}")
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    _check_table_order(factorial(min(n, 20)), shown=f"{n}!")    # 20! is past any table bound
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8).reshape(-1, n)
     place = n ** np.arange(n - 1, -1, -1)   # mixed-radix keys rise with the rows' lexicographic order
     products = perms[:, perms]              # products[b, a] = pb[pa], the permutation a*b
@@ -576,6 +578,7 @@ def make_symmetric(n):
 
 def _inverting_extension(m, shift, labels, name):
     """<a, b | a^m, b^2 = a^shift, b a b^-1 = a^-1>, order 2m; a^i b^j indexed i + m*j."""
+    _check_table_order(2 * m)
     table = np.empty((2 * m, 2 * m), dtype=np.int64)
     for i1, j1 in itertools.product(range(m), range(2)):
         for i2, j2 in itertools.product(range(m), range(2)):
@@ -588,7 +591,7 @@ def make_dihedral_group(n):
     """Symmetries of the regular n-gon, order 2n; r^i s^j indexed as i + n*j."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    labels = [f"r{i}" for i in range(n)] + [f"sr{i}" for i in range(n)]
+    labels = (f"{s}r{i}" for s in ("", "s") for i in range(n))      # built after the order check
     return _inverting_extension(n, 0, labels, f"D{n}")
 
 
@@ -596,7 +599,7 @@ def make_dicyclic(n):
     """Dicyclic group of order 4n: a^(2n)=1, b^2=a^n, b a b^-1 = a^-1."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    labels = [f"a{i}" for i in range(2 * n)] + [f"a{i}b" for i in range(2 * n)]
+    labels = (f"a{i}{b}" for b in ("", "b") for i in range(2 * n))  # built after the order check
     return _inverting_extension(2 * n, n, labels, f"Dic{n}")
 
 
@@ -609,6 +612,7 @@ def direct_product(g, h, name=None):
     """Componentwise product on pairs, indexed a*|H| + b."""
     ng, nh = g.order, h.order
     n = ng * nh
+    _check_table_order(n)
     # pair (a, b) gets index a*nh + b; multiply componentwise
     t4 = g.table[:, None, :, None] * nh + h.table[None, :, None, :]
     table = t4.reshape(n, n)
@@ -697,6 +701,7 @@ def catalog_groups(max_order, include_nonabelian=True, include_abelian=True):
     cached ``automorphism_array`` serves every later sweep: treat the groups
     as read-only.  The list itself is new on each call.
     """
+    _check_table_order(max_order)
     groups = []
     if include_abelian:
         for n in range(1, max_order + 1):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _TABLE_ORDER_BOUND, _first_equal_rows, _first_witness, _read_table, _smallest, _square_table
+from .groups import _check_table_order, _first_equal_rows, _first_witness, _read_table, _smallest, _square_table
 from .groups import _table_text, make_cyclic
 from .perms import Permutation, _generators
 
@@ -159,8 +159,7 @@ def trivial_quandle(n):
     """a*b = a for all a, b."""
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
-    if n > _TABLE_ORDER_BOUND:
-        raise ValueError(f"order {n} exceeds bound {_TABLE_ORDER_BOUND}")
+    _check_table_order(n)
     table = np.tile(np.arange(n)[:, None], (1, n))
     return Quandle(table, Provenance("trivial"))
 
@@ -289,9 +288,10 @@ def _column_candidates(n):
     Conjugating by S_c S_t conjugates by S_t and then by S_c, so row c·t of
     the conjugation table is row c gathered at row t.  The rows of the n-1
     adjacent transpositions t come from the definition, through a lookup
-    array from base-n keys to ids; every other row is row c gathered at row
-    t for a permutation c one inversion shorter, breadth-first over S_n by
-    inversion count, one 2-D gather per (layer, transposition).
+    array from base-n keys to ids.  Every other permutation c has a first
+    descent j, and swapping its positions j and j+1 gives c·t_j, which is
+    lexicographically smaller, so of smaller id: row c is row c·t_j gathered
+    at row t_j, and the rows are filled in id order.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -302,25 +302,17 @@ def _column_candidates(n):
     weights = n ** np.arange(n - 1, -1, -1)
     ids = np.zeros(n ** n, dtype=np.uint16)      # base-n key -> id, at most 7^7 entries
     ids[perms @ weights] = np.arange(k)
-    steps = []                                   # per transposition t: id(c·t) for every c, and row t
-    for j in range(n - 1):
-        t = np.arange(n)
-        t[[j, j + 1]] = j + 1, j
-        steps.append((ids[perms[:, t] @ weights], ids[t[perms][:, t] @ weights].astype(np.intp)))
+    swaps = np.tile(np.arange(n), (n - 1, 1))              # row j: the transposition t_j of j and j+1
+    i = np.arange(n - 1)
+    swaps[i, i], swaps[i, i + 1] = i + 1, i
+    rows_t = [ids[t[perms][:, t] @ weights].astype(np.intp) for t in swaps]
+    # for each c but the identity: its first descent j, the count of its leading ascents, and id(c·t_j)
+    first = np.cumprod(perms[1:, :-1] < perms[1:, 1:], axis=1).sum(axis=1)
+    pred = ids[np.take_along_axis(perms[1:], swaps[first], axis=1) @ weights]
     conj = np.empty((k, k), dtype=np.uint16)
     conj[0] = np.arange(k)
-    built = np.zeros(k, dtype=bool)
-    built[0] = True
-    layer = np.zeros(1, dtype=np.intp)
-    for _ in range(n * (n - 1) // 2):            # the longest permutation has n(n-1)/2 inversions
-        grown = []
-        for right, row in steps:
-            src = layer[~built[right[layer]]]
-            dst = right[src]
-            conj[dst] = conj[src][:, row]
-            built[dst] = True
-            grown.append(dst)
-        layer = np.concatenate(grown)
+    for c, (p, j) in enumerate(zip(pred.tolist(), first.tolist()), start=1):
+        conj[c] = conj[p].take(rows_t[j])
     fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
     inverse = np.argsort(perms, axis=1).astype(np.int8)
     inv = inverse.astype(np.int32)

@@ -13,7 +13,8 @@ package's one connectivity test, a breadth-first search over k tables at once.
 
 An independent brute-force search over all bijections exists as an oracle
 for tiny orders: ``brute_force_aut``, which filters them with the same
-``groups._brute_force_bijections`` as the group-side oracle.
+``groups._brute_force_bijections`` as the group-side oracle, under its cap
+on the bijections filtered.
 """
 
 from dataclasses import dataclass
@@ -22,8 +23,6 @@ import numpy as np
 
 from .groups import _brute_force_bijections, _first_equal_rows, _first_witness, _smallest
 from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
-
-_BRUTE_FORCE_BOUND = 7
 
 
 def inner_group(quandle):
@@ -45,10 +44,7 @@ def automorphism_group_backtrack(quandle):
 
 
 def brute_force_aut(quandle):
-    """Oracle: every bijection preserving the table, by exhaustive filtering."""
-    n = quandle.order
-    if n > _BRUTE_FORCE_BOUND:
-        raise ValueError(f"brute force capped at order {_BRUTE_FORCE_BOUND}, got {n}")
+    """Oracle: every bijection preserving the table, by exhaustive filtering; orders up to 8."""
     return [Permutation(p) for p in _brute_force_bijections(quandle.table)]
 
 
@@ -119,7 +115,6 @@ class EmbeddingReport:
     fail, and the first witnessing pair is recorded.
     """
 
-    translations: list
     inn_order: int
     is_homomorphism: bool
     homomorphism_witness: tuple
@@ -148,7 +143,6 @@ def embed_in_conj_inn(quandle):
     repeats = np.flatnonzero(earlier != rng)
     inj_witness = (int(earlier[repeats[0]]), int(repeats[0])) if len(repeats) else None
     return EmbeddingReport(
-        translations=[Permutation(c) for c in cols.tolist()],
         inn_order=inner_group(quandle).order(),
         is_homomorphism=hom_witness is None,
         homomorphism_witness=hom_witness,

@@ -41,7 +41,7 @@ def test_criterion_2_takasaki_structure():
         auts = G.automorphism_group(g)
         if g.order <= 9:
             # literal all-bijections oracle where feasible
-            brute = G.brute_force_group_automorphisms(g, max_order=9)
+            brute = G.brute_force_group_automorphisms(g)
             assert {p.images for p in auts} == {p.images for p in brute}, g.name
         x = Q.takasaki(g)
         aut_q = sym.automorphism_group_backtrack(x)
@@ -80,7 +80,7 @@ def test_criterion_5_double_transitivity():
         rep = T.check_thm_fnt(p, n, u)
         assert rep.passed, rep.failures[:3]
     g9 = G.make_abelian([3, 3])
-    brute = G.brute_force_group_automorphisms(g9, max_order=9)
+    brute = G.brute_force_group_automorphisms(g9)
     assert len(brute) == 48
     x = Q.alexander(g9, G.scalar_map(g9, 2))
     aut = sym.automorphism_group_backtrack(x)

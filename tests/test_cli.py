@@ -247,6 +247,21 @@ def test_verify_refuses_aut_transitive_past_its_ceiling_before_it_runs(no_suite_
     assert err == "error: aut-transitive refuses max_order above 63, got 64\n" and out == ""
 
 
+@pytest.mark.parametrize("tid, ceiling", [
+    ("conj-inn-embedding", 127),
+    ("takasaki-aut", 80),
+    ("commutativity", 31),
+    ("central-lemma", 31),
+    ("connected-abelian", 31),
+    ("bae-choe", 31),
+    ("fpf-structure", 31),
+])
+def test_verify_refuses_a_sweep_past_its_measured_ceiling_before_it_runs(tid, ceiling, no_suite_runs, capsys):
+    code, out, err = run(["verify", tid, "--max-order", str(ceiling + 1)], capsys)
+    assert code == 2
+    assert err == f"error: {tid} refuses max_order above {ceiling}, got {ceiling + 1}\n" and out == ""
+
+
 @pytest.mark.parametrize("n", ["4", "-3", "0"])
 def test_verify_all_refuses_a_bad_dihedral_order_before_any_suite_runs(n, no_suite_runs, capsys):
     code, out, err = run(["verify", "all", "--n", f"3,{n}"], capsys)

@@ -353,8 +353,8 @@ def test_automorphism_search_matches_brute_force():
 
 
 def test_automorphism_search_refuses_hopeless_groups():
-    # |Aut((Z/2)^5)| = 9,999,360 maps: refused before any is listed
-    with pytest.raises(ValueError, match="above the listing bound"):
+    # |Aut((Z/2)^5)| = 9,999,360 maps of 32 points: refused before any is listed
+    with pytest.raises(ValueError, match="exceed the element cap"):
         G.automorphism_group(G.make_abelian([2] * 5))
 
 
@@ -698,6 +698,24 @@ def test_table_files_refuse_a_huge_order_before_reading_the_body(tmp_path):
             assert tracemalloc.get_traced_memory()[1] < 1 << 20
         finally:
             tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: G.make_dihedral_group(513),
+    lambda: G.make_dihedral_group(4096),
+    lambda: G.make_dicyclic(257),
+    lambda: G.make_symmetric(7),
+    lambda: G.direct_product(G.make_cyclic(33), G.make_cyclic(32)),
+    lambda: G.catalog_groups(1025),
+], ids=["dihedral-513", "dihedral-4096", "dicyclic-257", "symmetric-7", "product-1056", "catalog-1025"])
+def test_constructors_refuse_an_order_past_the_table_bound_before_allocating(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds bound 1024"):
+            build()
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_euler_phi():

@@ -45,6 +45,19 @@ def test_backtracking_matches_brute_force():
         assert {p.images for p in fast.elements()} == {p.images for p in slow}
 
 
+def test_brute_force_oracles_filter_at_most_8_factorial_bijections():
+    # 8! bijections: every one of a quandle of order 8, or those fixing 0 of
+    # a group of order 9; one point more is refused before any is tried
+    r8 = Q.dihedral(8)
+    want = {p.images for p in sym.automorphism_group_backtrack(r8).elements()}
+    assert {p.images for p in sym.brute_force_aut(r8)} == want and len(want) == 32
+    assert len(G.brute_force_group_automorphisms(G.make_cyclic(9))) == 6
+    with pytest.raises(ValueError, match="filter 362,880 bijections, above the cap 40,320"):
+        sym.brute_force_aut(Q.dihedral(9))
+    with pytest.raises(ValueError, match="filter 362,880 bijections, above the cap 40,320"):
+        G.brute_force_group_automorphisms(G.make_cyclic(10))
+
+
 def test_dihedral_symmetry_orders():
     for n, (aut, inn) in DIHEDRAL_ORDERS.items():
         x = Q.dihedral(n)

@@ -8,6 +8,7 @@ class counts 1, 1, 3, 7 for quandle orders 1..4.
 
 import ast
 import hashlib
+import inspect
 import itertools
 import json
 import math
@@ -652,13 +653,13 @@ def test_run_suite_finds_each_catalog_aut_once(monkeypatch):
 
 
 def test_aut_transitive_reads_the_orbit_of_1_without_listing_aut():
-    # |Aut((Z/2)^5)| = 9,999,360 is above the listing bound, but the orbit of
-    # 1 under the search's generators needs no listing
+    # listing the 9,999,360 maps of Aut((Z/2)^5) passes the element cap, but
+    # the orbit of 1 under the search's generators needs no listing
     rep = T.suite_aut_transitive(32)
     assert (rep.passed, rep.instances_tested) == (True, 65)
     z2_5 = next(g for g in G.catalog_groups(32) if g.name == "Z2xZ2xZ2xZ2xZ2")
     assert "aut_array" not in z2_5._cache and G._aut_search(z2_5).order() == 9_999_360
-    with pytest.raises(ValueError, match="above the listing bound"):
+    with pytest.raises(ValueError, match="exceed the element cap"):
         G.automorphism_array(z2_5)
     # the ceiling: every catalog group to order 63 passes, and at 64 the
     # table search gives up on Aut(Z4 x (Z/2)^4)
@@ -694,3 +695,11 @@ def test_suite_registry_is_complete():
         assert getattr(T, fn.__name__) is fn
         assert fn.__module__ == "quandles.theorems"
     assert len({fn for fn, _ in T.THEOREM_SUITES.values()}) == len(T.THEOREM_SUITES)
+
+
+def test_every_suite_that_takes_a_bound_has_a_ceiling():
+    # run_suite refuses a bound above the ceiling before any suite runs, so a
+    # suite without one would run whatever bound it is given
+    for tid, (fn, _) in T.THEOREM_SUITES.items():
+        takes = inspect.signature(fn).parameters.keys() & {"max_order", "ns"}
+        assert (T._CEILINGS[tid] is not None) == bool(takes), tid
