@@ -529,9 +529,14 @@ def centralizer_in_aut(group, phi):
 
 def _check_table_order(n, shown=None):
     """ValueError for a table of order n (named as shown, if given) above
-    _TABLE_ORDER_BOUND; each constructor calls it before it allocates."""
+    _TABLE_ORDER_BOUND; each constructor calls it before it allocates.  An
+    order past 2^64 is named by a power of ten below it, read off its bit
+    length: Python refuses to print an int of more than 4,300 digits."""
     if n > _TABLE_ORDER_BOUND:
-        raise ValueError(f"order {shown or n} exceeds bound {_TABLE_ORDER_BOUND}")
+        if shown is None:
+            # n >= 2^(b-1) > 10^(0.3 (b-1)) for b = n.bit_length() > 1
+            shown = n if n.bit_length() <= 64 else f"above 10^{(n.bit_length() - 1) * 3 // 10}"
+        raise ValueError(f"order {shown} exceeds bound {_TABLE_ORDER_BOUND}")
 
 
 def make_cyclic(n):
@@ -579,11 +584,10 @@ def make_symmetric(n):
 def _inverting_extension(m, shift, labels, name):
     """<a, b | a^m, b^2 = a^shift, b a b^-1 = a^-1>, order 2m; a^i b^j indexed i + m*j."""
     _check_table_order(2 * m)
-    table = np.empty((2 * m, 2 * m), dtype=np.int64)
-    for i1, j1 in itertools.product(range(m), range(2)):
-        for i2, j2 in itertools.product(range(m), range(2)):
-            i = (i1 - i2 + shift * j2) % m if j1 else (i1 + i2) % m
-            table[i1 + m * j1, i2 + m * j2] = i + m * ((j1 + j2) % 2)
+    j, i = np.divmod(np.arange(2 * m), m)
+    j1, j2 = j[:, None], j[None, :]
+    # a^i1 b^j1 a^i2 b^j2 = a^(i1 +- i2 + shift j1 j2) b^(j1 + j2), minus when j1 = 1
+    table = (i[:, None] + (1 - 2 * j1) * i[None, :] + shift * (j1 & j2)) % m + m * (j1 ^ j2)
     return FiniteGroup(table, labels=labels, name=name)
 
 

@@ -22,6 +22,13 @@ membership, elements, ``stabilizer()`` and ``is_k_transitive`` (level i
 full for every i < k) are its public reads.  ``brute_force_closure`` and
 ``brute_force_k_transitive`` are oracles that never touch the chain.
 
+Beside each level the group keeps the inverses of its reps, each computed
+on first use by the one sift or by a Schreier generator, and dropped with
+the level when Schreier-Sims recomputes that level's orbit.  Schreier-Sims
+skips the Schreier generator u_p s u_s(p)^-1 of each edge of the orbit tree,
+where u_p s = u_s(p) makes it the identity, and the sift returns as soon as
+its residue is the identity; neither changes a chain.
+
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of a FiniteGroup or a Quandle, so it decides
 Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
@@ -33,7 +40,6 @@ constructor found (``_assign``).  It hands back its own stabilizer chain,
 and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
-from itertools import chain
 from math import prod
 from operator import itemgetter
 
@@ -166,12 +172,14 @@ def _orbit(gens, x, ident):
     return tr
 
 
-def _sift(levels, t, start):
+def _sift(levels, inverses, t, start):
     """Peel transversal reps off t from level start on.
 
-    Level i is passed over when t fixes i: its rep is the identity.
-    Returns (residue, level) where the sift stopped, or (None, len(levels))
-    when t is a group element.
+    inverses[i] maps a point of level i to the inverse of its rep, filled on
+    first use.  Level i is passed over when t fixes i: its rep is the
+    identity.  Returns (residue, level) where the sift stopped, or
+    (None, len(levels)) when t is a group element, as soon as the residue
+    is the identity: when t equals the rep it is peeling.
     """
     for i in range(start, len(levels)):
         pt = t[i]
@@ -180,7 +188,12 @@ def _sift(levels, t, start):
         rep = levels[i].get(pt)
         if rep is None:
             return t, i
-        t = _tcompose(t, _tinverse(rep))
+        if t == rep:
+            return None, len(levels)
+        inv = inverses[i].get(pt)
+        if inv is None:
+            inv = inverses[i][pt] = _tinverse(rep)
+        t = _tcompose(t, inv)
     if t == tuple(range(len(t))):
         return None, len(levels)
     return t, len(levels)
@@ -212,7 +225,7 @@ class PermGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = tuple(gens)
-        self._chain = None
+        self._chain = self._inverses = None
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -222,35 +235,48 @@ class PermGroup:
         n = self.degree
         ident = tuple(range(n))
         levels = [{i: ident} for i in range(n - 1)]
-        sgens = []
+        inverses = [{} for _ in levels]
+        sgens, firsts = [], []      # firsts: each strong generator's first moved point
 
         def gens_at(i):
-            return [g for g in sgens if all(g[p] == p for p in range(i))]
+            return [g for g, first in zip(sgens, firsts) if first >= i]
+
+        def orbit_at(i, gens_i):
+            levels[i], inverses[i] = _orbit(gens_i, i, ident), {}
 
         def insert(residue, lev):
             if lev == len(levels):
                 # fixing 0..n-2 forces the identity, which never reaches here
                 raise RuntimeError("non-identity residue escaped the full base")
+            # a residue stopped at level lev fixes 0..lev-1 and moves lev
             sgens.append(residue)
+            firsts.append(lev)
 
         def complete_level(i):
             # verify all Schreier generators at level i, assuming deeper levels complete
-            levels[i] = _orbit(gens_at(i), i, ident)
+            orbit_at(i, gens_at(i))
             while True:
                 gens_i = gens_at(i)
-                tr = levels[i]
+                tr, inv = levels[i], inverses[i]
                 clean = True
                 for p in sorted(tr):
                     up = tr[p]
                     for s in gens_i:
-                        uq = tr.get(s[p])
+                        q = s[p]
+                        uq = tr.get(q)
                         if uq is None:
                             # orbit grew behind our back (new strong generator)
-                            levels[i] = _orbit(gens_i, i, ident)
+                            orbit_at(i, gens_i)
                             clean = False
                             break
-                        schreier = _tcompose(_tcompose(up, s), _tinverse(uq))
-                        residue, lev = _sift(levels, schreier, i + 1)
+                        ups = _tcompose(up, s)
+                        if ups == uq:
+                            # the Schreier generator is the identity, as on every orbit-tree edge
+                            continue
+                        uq_inv = inv.get(q)
+                        if uq_inv is None:
+                            uq_inv = inv[q] = _tinverse(uq)
+                        residue, lev = _sift(levels, inverses, _tcompose(ups, uq_inv), i + 1)
                         if residue is not None:
                             insert(residue, lev)
                             for j in range(lev, i, -1):
@@ -268,14 +294,14 @@ class PermGroup:
             if t == ident or t in seen:
                 continue
             seen.add(t)
-            residue, lev = _sift(levels, t, 0)
+            residue, lev = _sift(levels, inverses, t, 0)
             if residue is None:
                 continue
             insert(residue, lev)
             for j in range(lev, -1, -1):
                 complete_level(j)
 
-        self._chain = (levels, sgens)
+        self._chain, self._inverses = (levels, sgens), inverses
         return self._chain
 
     def order(self):
@@ -288,7 +314,9 @@ class PermGroup:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
         levels, _ = self._ensure_chain()
-        return _sift(levels, p.images, 0)[0] is None
+        if self._inverses is None:      # a chain set from outside: the search's or stabilizer()'s
+            self._inverses = [{} for _ in levels]
+        return _sift(levels, self._inverses, p.images, 0)[0] is None
 
     # -- stabilizer and transitivity -----------------------------------------
 
@@ -495,14 +523,15 @@ def _assign(search, a, b):
         a = trail[i]
         fa = img[a]
         row, image_row = src[a], tgt[fa]
-        forced = ((row[g], image_row[img[g]]) for g in agens)     # agens read lazily, so with a
         if is_gen[a]:
             agens.append(a)
-            forced = chain(forced, ((src[x][a], tgt[img[x]][fa]) for x in trail[:i]))
-        search.work += len(agens) + (i if is_gen[a] else 0)
+            search.work += len(agens) + i
+        else:
+            search.work += len(agens)
         if search.work > _SEARCH_BUDGET:
             raise ValueError(f"table search gave up after {_SEARCH_BUDGET:,} forced checks")
-        for y, z in forced:
+        for g in agens:                 # the pairs (a, g), a itself included when a generator
+            y, z = row[g], image_row[img[g]]
             w = img[y]
             if w == -1:
                 if rev[z] != -1:
@@ -511,6 +540,17 @@ def _assign(search, a, b):
                 trail.append(y)
             elif w != z:
                 return False
+        if is_gen[a]:
+            for x in trail[:i]:         # then the pairs (x, a) of the points processed before a
+                y, z = src[x][a], tgt[img[x]][fa]
+                w = img[y]
+                if w == -1:
+                    if rev[z] != -1:
+                        return False
+                    img[y], rev[z] = z, y
+                    trail.append(y)
+                elif w != z:
+                    return False
         i += 1
     return True
 

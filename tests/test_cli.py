@@ -66,6 +66,14 @@ def test_make_refuses_a_huge_order_before_building_it(argv, capsys):
     assert "exceeds bound 1024" in err
 
 
+def test_make_refuses_an_order_too_long_to_print(capsys):
+    # 10^5000 has more digits than Python converts to a string (4,300), so the
+    # refusal names a power of ten below the order instead
+    code, out, err = run(["make", "takasaki", "--factors", ",".join(["10"] * 5000)], capsys)
+    assert code == 2 and out == ""
+    assert "order above 10^4982 exceeds bound 1024" in err
+
+
 def test_make_rejects_non_unit_scalar(capsys):
     code, _, err = run(["make", "alexander", "--factors", "4", "--scalar", "2"], capsys)
     assert code == 2

@@ -92,6 +92,26 @@ def test_named_groups_validate():
     assert G.make_dihedral_group(5).order == 10
 
 
+def _inverting_extension_loop(m, shift):
+    """The table of <a, b | a^m, b^2 = a^shift, b a b^-1 = a^-1> pair by pair,
+    a^i b^j indexed i + m*j: the constructor's former loop, as a reference."""
+    table = np.empty((2 * m, 2 * m), dtype=np.int64)
+    for i1, j1 in itertools.product(range(m), range(2)):
+        for i2, j2 in itertools.product(range(m), range(2)):
+            i = (i1 - i2 + shift * j2) % m if j1 else (i1 + i2) % m
+            table[i1 + m * j1, i2 + m * j2] = i + m * ((j1 + j2) % 2)
+    return table
+
+
+def test_dihedral_and_dicyclic_tables_match_the_pairwise_formula():
+    built = [(G.make_quaternion8(), 4, 2)]
+    built += [(G.make_dihedral_group(m), m, 0) for m in range(1, 17)]
+    built += [(G.make_dicyclic(k), 2 * k, k) for k in range(1, 9)]
+    for g, m, shift in built:
+        want = _inverting_extension_loop(m, shift)
+        assert g.table.dtype == want.dtype and g.table.tobytes() == want.tobytes(), g.name
+
+
 def test_quaternion_structure():
     q8 = G.make_quaternion8()
     assert q8.order == 8

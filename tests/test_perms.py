@@ -6,6 +6,7 @@ automorphism search against Hillar and Rhea's closed form for |Aut| of a
 finite abelian group.
 """
 
+import hashlib
 import random
 import tracemalloc
 from collections import defaultdict
@@ -48,7 +49,7 @@ from quandles.quandle import (
     takasaki,
     trivial_quandle,
 )
-from quandles.symmetry import brute_force_aut, quandle_isomorphic
+from quandles.symmetry import brute_force_aut, inner_group, quandle_isomorphic
 
 
 def hillar_rhea_aut_order(factors):
@@ -368,6 +369,25 @@ def test_search_chain_matches_an_independent_rebuild():
     assert tables == 447 + 55 + 3
 
 
+# sha256 of the Schreier-Sims chains of Inn for round 0 of the benchmark's
+# analyze-stream seed 1401 (70 relabeled tables of order 3 to 63) and of the
+# right regular representation, every column a generator, of each catalog
+# group of order <= 16: every level's transversal in insertion order, then
+# the strong generators.  Computed before the chain kept its inverse reps and
+# skipped tree edges; the chain build must not move it.
+CHAIN_DIGEST = "b3470b02704a5004e0868b1cb44b43a76dc2b55882f361f9f6dfdad431cb1b4c"
+
+
+def test_schreier_sims_chains_are_pinned(bench_inputs):
+    groups = [inner_group(Quandle(t)) for _, _, t in bench_inputs.stream_rounds(1401, 1)[0]]
+    groups += [PermGroup(g.table.T.tolist(), degree=g.order) for g in catalog_groups(16)]
+    h = hashlib.sha256()
+    for g in groups:
+        levels, sgens = g._ensure_chain()
+        h.update(repr(([list(tr.items()) for tr in levels], sgens)).encode())
+    assert (len(groups), h.hexdigest()) == (70 + 35, CHAIN_DIGEST)
+
+
 # -- gates of the table search ----------------------------------------------------
 #
 # The search prunes by colour and propagates through generator columns only;
@@ -481,3 +501,33 @@ def test_hard_conjugation_tables_take_under_5000_forced_checks(monkeypatch):
     d4z2 = direct_product(make_dihedral_group(4), make_cyclic(2))
     for group, order in ((d4z2, 73_728), (make_dicyclic(4), 256), (make_dihedral_group(8), 256)):
         assert table_automorphism_group(conj_quandle(group, 1)).order() == order
+
+
+# The table search's forced checks (``_Search.work``) and generators on every
+# quandle of order <= 4, each catalog group of order <= 16 and round 0 of
+# analyze-stream seed 2101: their total, and the sha256 of each search's
+# (work, generators) in turn.  Computed before ``_assign`` walked agens and
+# the trail directly; the budget accounting must not drift.
+SEARCH_WORK_PIN = (40_986, "cf40a428e75b87aea6bda11ed786a85cbf633d445544634e0bd4eefc9928cd55")
+
+
+def test_search_work_and_generators_are_pinned(monkeypatch, bench_inputs):
+    searches = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(perms, "_Search", Recorded)
+    tables = [*(x for n in range(1, 5) for x in enumerate_quandle_tables(n)), *catalog_groups(16)]
+    tables += [Quandle(t) for _, _, t in bench_inputs.stream_rounds(2101, 1)[0]]
+    h, total = hashlib.sha256(), 0
+    for t in tables:
+        searches.clear()
+        gens = [p.images for p in table_automorphism_group(t).generators]
+        (search,) = searches
+        total += search.work
+        h.update(repr((search.work, gens)).encode())
+    assert len(tables) == 43 + 35 + 70
+    assert (total, h.hexdigest()) == SEARCH_WORK_PIN
