@@ -530,13 +530,16 @@ def centralizer_in_aut(group, phi):
 def _check_table_order(n, shown=None):
     """ValueError for a table of order n (named as shown, if given) above
     _TABLE_ORDER_BOUND; each constructor calls it before it allocates.  An
-    order past 2^64 is named by a power of ten below it, read off its bit
-    length: Python refuses to print an int of more than 4,300 digits."""
+    order past 2^64 is named by its number of digits, counted without
+    printing it: Python refuses to print an int of more than 4,300 digits."""
     if n > _TABLE_ORDER_BOUND:
-        if shown is None:
-            # n >= 2^(b-1) > 10^(0.3 (b-1)) for b = n.bit_length() > 1
-            shown = n if n.bit_length() <= 64 else f"above 10^{(n.bit_length() - 1) * 3 // 10}"
-        raise ValueError(f"order {shown} exceeds bound {_TABLE_ORDER_BOUND}")
+        if shown is None and n.bit_length() > 64:
+            digits = (n.bit_length() - 1) * 3 // 10 + 1     # 10^(digits-1) <= 2^(bits-1) <= n
+            power = 10 ** digits
+            while power <= n:
+                digits, power = digits + 1, power * 10
+            shown = f"of {digits:,} digits"
+        raise ValueError(f"order {shown or n} exceeds bound {_TABLE_ORDER_BOUND}")
 
 
 def make_cyclic(n):

@@ -68,10 +68,15 @@ def test_make_refuses_a_huge_order_before_building_it(argv, capsys):
 
 def test_make_refuses_an_order_too_long_to_print(capsys):
     # 10^5000 has more digits than Python converts to a string (4,300), so the
-    # refusal names a power of ten below the order instead
+    # refusal counts them instead; 2^64 and 10^20 are counted too
     code, out, err = run(["make", "takasaki", "--factors", ",".join(["10"] * 5000)], capsys)
     assert code == 2 and out == ""
-    assert "order above 10^4982 exceeds bound 1024" in err
+    assert "order of 5,001 digits exceeds bound 1024" in err
+    for factors, digits in (([2] * 64, 20), ([10] * 20, 21), ([9] * 30, 29)):
+        code, _, err = run(["make", "takasaki", "--factors", ",".join(map(str, factors))], capsys)
+        assert code == 2 and f"order of {digits} digits exceeds bound 1024" in err, factors
+    code, _, err = run(["make", "takasaki", "--factors", ",".join(["2"] * 63)], capsys)
+    assert code == 2 and f"order {2 ** 63} exceeds bound 1024" in err
 
 
 def test_make_rejects_non_unit_scalar(capsys):
