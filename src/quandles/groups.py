@@ -31,7 +31,8 @@ from .perms import _generators, _smallest, _tinverse, table_automorphism_group
 # Most bijections _brute_force_bijections filters: a group of order 9 or a quandle of order 8.
 _BIJECTION_CAP = factorial(8)
 # Largest order a constructor builds (``_check_table_order``) and _read_table
-# loads: R_1024 takes about 0.2 s and 77 MB to build, R_2000 0.6 s and 210 MB.
+# loads: R_1024 takes about 0.12 s to build and a fresh process 57 MB peak RSS,
+# R_2000 0.4 s and 130 MB; loading R_1023 from its file peaks at 46 MB.
 _TABLE_ORDER_BOUND = 1024
 # Bytes the live temporaries of one chunk of a bulk kernel may take
 # (_row_chunks, _first_witness).  Gathers are built in the smallest dtype
@@ -202,6 +203,17 @@ def _first_witness(arr, sides):
         lo, step = lo + step, min(2 * step, cap)
 
 
+def _repeating_columns(arr):
+    """Mask over the columns of the n x n table arr, entries in 0..n-1: True
+    where a column repeats a value.  A column of n entries repeats one
+    exactly when it misses one, so one scatter into an n x n bool mask
+    decides every column, with no sorted copy of arr."""
+    n = arr.shape[0]
+    seen = np.zeros((n, n), dtype=bool)
+    seen[arr, np.arange(n)] = True
+    return ~seen.all(axis=0)
+
+
 def _validate_group_table(arr):
     """Raise ValueError unless arr is a group table with identity 0; return
     the table's generators other than 0 (``_generators``).
@@ -217,13 +229,13 @@ def _validate_group_table(arr):
     rng = np.arange(n)
     if not np.array_equal(arr[0], rng) or not np.array_equal(arr[:, 0], rng):
         raise ValueError("element 0 is not a two-sided identity")
-    if not (np.sort(arr, axis=1) == rng).all() or not (np.sort(arr, axis=0) == rng[:, None]).all():
+    small = _smallest(arr, n)
+    if _repeating_columns(small).any() or _repeating_columns(small.T).any():
         raise ValueError("table rows/columns are not permutations (not a Latin square)")
-    gens = _generators(n, lambda g: arr[:, g].tolist(), identity=0)
-    if all(np.array_equal(arr[arr[:, g]], arr[:, arr[g]]) for g in gens):
+    gens = _generators(n, lambda g: small[:, g].tolist(), identity=0)
+    if all(np.array_equal(small[small[:, g]], small[:, small[g]]) for g in gens):
         return gens
     # a generator fails: (a, b, c) -> (a*b)*c against a*(b*c) over every triple
-    small = _smallest(arr, n)
     a, b, c = _first_witness(small, lambda rows: (small[rows], rows[:, small]))
     raise ValueError(f"associativity fails at ({a}, {b}, {c})")
 
@@ -561,6 +573,7 @@ def make_abelian(factors, name=None):
     table = np.zeros((n, n), dtype=np.int64)
     for f, place, d in zip(factors, n // np.cumprod(factors), digits.T):
         table += (d[:, None] + d[None, :]) % f * place     # mixed radix: the last factor varies fastest
+    table.setflags(write=False)                             # handed over, so FiniteGroup does not copy it
     if name is None:
         name = "x".join(f"Z{f}" for f in factors)
     labels = [",".join(map(str, c)) if len(factors) > 1 else str(c[0]) for c in coords]
@@ -591,6 +604,7 @@ def _inverting_extension(m, shift, labels, name):
     j1, j2 = j[:, None], j[None, :]
     # a^i1 b^j1 a^i2 b^j2 = a^(i1 +- i2 + shift j1 j2) b^(j1 + j2), minus when j1 = 1
     table = (i[:, None] + (1 - 2 * j1) * i[None, :] + shift * (j1 & j2)) % m + m * (j1 ^ j2)
+    table.setflags(write=False)         # handed over, so FiniteGroup does not copy it
     return FiniteGroup(table, labels=labels, name=name)
 
 
@@ -755,8 +769,14 @@ def _table_text(table):
 
 def _square_table(table, kind):
     """The intake of every FiniteGroup and Quandle: table as an int64 array,
-    or ValueError naming the kind of table unless square, nonempty, in 0..n-1."""
-    arr = np.array(table, dtype=np.int64)
+    or ValueError naming the kind of table unless square, nonempty, in 0..n-1.
+
+    An int64 array that is read-only and owns its data is taken as it is:
+    _read_table and the closed-form builders hand their tables over so.
+    Anything else is copied, a writable array or a view of one included, so
+    a caller's array that may still change is never aliased."""
+    owned = isinstance(table, np.ndarray) and table.dtype == np.int64 and table.flags.owndata
+    arr = table if owned and not table.flags.writeable else np.array(table, dtype=np.int64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise ValueError(f"{kind} table must be square and nonempty, got shape {arr.shape}")
     if arr.min() < 0 or arr.max() >= arr.shape[0]:
@@ -784,6 +804,7 @@ def _read_table(path, kind):
             raise ValueError(f"{path}: {_bad_line(fh.readlines(), n) or exc}") from None
     if body.shape != (n, n):
         raise ValueError(f"{path}: expected {n} rows of {n} entries, found shape {body.shape}")
+    body.setflags(write=False)      # _square_table takes it without a copy
     return body
 
 

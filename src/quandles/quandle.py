@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _check_table_order, _first_equal_rows, _first_witness, _read_table, _smallest, _square_table
-from .groups import _table_text, make_cyclic
+from .groups import _check_table_order, _first_equal_rows, _first_witness, _read_table, _repeating_columns
+from .groups import _smallest, _square_table, _table_text, make_cyclic
 from .perms import Permutation, _generators
 
 
@@ -113,32 +113,28 @@ def _check_axioms(arr):
     if not np.array_equal(diag, rng):
         a = int(np.nonzero(diag != rng)[0][0])
         raise QuandleAxiomError(1, (a,), f"a*a != a at a = {a}")
-    bad = (np.sort(arr, axis=0) != rng[:, None]).any(axis=0)
+    values = _smallest(arr, n)
+    bad = _repeating_columns(values)
     if bad.any():
-        # entries lie in 0..n-1, so the first unsorted column is the first that
-        # repeats a value; its witness is the first row that is not the first
-        # occurrence of its value
+        # the witness is the first row of the first repeating column that is
+        # not the first occurrence of its value
         b = int(bad.argmax())
         col = arr[:, b]
         a = int((_first_equal_rows(col[:, None]) != rng).argmax())
         raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}")
-    # one n x n slab per distinct generator column S_c, in buffers reused for
-    # every c and in the smallest dtype that holds the entries: axiom 3 at c
-    # depends on c only through S_c, so generators with equal columns share one
-    cols = np.ascontiguousarray(arr.T)           # cols[c] is S_c
-    values, col_values = _smallest(arr, n), _smallest(cols, n)
-    left, rows, right = np.empty((3, n, n), dtype=values.dtype)
-    gens = _generators(n, lambda c: cols[c].tolist())
+    # one n x n gather per side and distinct generator column S_c, in the
+    # smallest dtype that holds the entries: axiom 3 at c depends on c only
+    # through S_c, so generators with equal columns share one.  The int64
+    # table indexes S_c uncast, the fastest of the gathers numpy offers here
+    gens = _generators(n, lambda c: values[:, c].tolist())
     checked = set()
     for c in gens:
-        key = col_values[c].tobytes()
+        s_c = values[:, c]
+        key = s_c.tobytes()
         if key in checked:
             continue
         checked.add(key)
-        np.take(col_values[c], arr, out=left)             # (a,b) -> (a*b)*c
-        np.take(values, cols[c], axis=0, out=rows)
-        np.take(rows, cols[c], axis=1, out=right)         # (a,b) -> (a*c)*(b*c)
-        if not np.array_equal(left, right):
+        if not np.array_equal(s_c[arr], values[s_c][:, s_c]):    # (a*b)*c against (a*c)*(b*c)
             break
     else:
         return gens

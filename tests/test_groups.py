@@ -193,6 +193,91 @@ def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
     assert scan() == (witness, [1, 2] + [4] * 9)
 
 
+def _sort_based_group_error(t):
+    """The ValueError text a group check built on sorted copies of t gives,
+    over every triple; None for a group table with identity 0."""
+    n = len(t)
+    rng = np.arange(n)
+    if not np.array_equal(t[0], rng) or not np.array_equal(t[:, 0], rng):
+        return "element 0 is not a two-sided identity"
+    if not (np.sort(t, axis=1) == rng).all() or not (np.sort(t, axis=0) == rng[:, None]).all():
+        return "table rows/columns are not permutations (not a Latin square)"
+    bad = np.argwhere(t[t] != t[:, t])                  # (ab)c vs a(bc)
+    return f"associativity fails at {tuple(int(v) for v in bad[0])}" if len(bad) else None
+
+
+def _intercalate_swap(t, rng):
+    """t with the values of one 2 x 2 Latin subsquare off row and column 0
+    swapped, which keeps the identity and the Latin property and mostly
+    breaks associativity; None if a few random row pairs hold none."""
+    n = len(t)
+    for _ in range(8):
+        a, c = rng.choice(np.arange(1, n), 2, replace=False)
+        where = np.argsort(t[c])                        # where[v]: the column of v in row c
+        d = where[t[a]]                                 # t[a, b] = t[c, d[b]]
+        b = np.nonzero((t[a, d] == t[c]) & (d != np.arange(n)) & (d > 0))[0]
+        b = b[b > 0]
+        if len(b):
+            b = b[0]
+            out = t.copy()
+            out[[a, a, c, c], [b, d[b], b, d[b]]] = t[[a, a, c, c], [d[b], b, d[b], b]]
+            return out
+    return None
+
+
+def test_group_check_errors_match_a_sort_based_reference():
+    # relabeled catalog groups, each broken at random in one of five ways or
+    # left whole: every ValueError text, witness included, is the reference's
+    rng = np.random.default_rng(34)
+    groups = [g for g in G.catalog_groups(16) if g.order > 2]
+    seen = {}
+    for _ in range(400):
+        g = groups[rng.integers(len(groups))]
+        n = g.order
+        p = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+        t = np.empty((n, n), dtype=np.int64)
+        t[p[:, None], p[None, :]] = p[g.table]
+        kind = rng.integers(6)
+        if kind == 0:                                   # two rows swapped: Latin, no identity
+            rows = rng.choice(n, 2, replace=False)
+            t[rows] = t[rows[::-1]]
+        elif kind == 1:                                 # one entry off row and column 0 changed
+            a, b = rng.integers(1, n, size=2)
+            t[a, b] = (t[a, b] + rng.integers(1, n)) % n
+        elif kind == 2:                                 # random entries inside a kept identity border
+            t[1:, 1:] = rng.integers(0, n, size=(n - 1, n - 1))
+        elif kind == 3:
+            t = _intercalate_swap(t, rng)
+            if t is None:
+                continue
+        elif kind == 4:                                 # Latin rows inside the border, columns
+            for a in range(1, n):                       # not, or the transpose of that
+                t[a, 1:] = rng.permutation(np.delete(np.arange(n), a))
+            t = t.T.copy() if rng.integers(2) else t
+        want = _sort_based_group_error(t)
+        try:
+            G.FiniteGroup(t)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want, t.tolist()
+        key = want.split(" ")[0] if want else None
+        seen[key] = seen.get(key, 0) + 1
+    assert seen.keys() == {"element", "table", "associativity", None} and min(seen.values()) >= 30, seen
+
+
+def test_dihedral_group_of_order_1024_builds_in_20_mb():
+    # the 8 MB int64 table is built once and handed over, not copied, and
+    # validation adds only uint16 work arrays and one n x n bool mask: about
+    # 16 MB, where copying the table would take 23 MB and sorting it 33 MB
+    tracemalloc.start()
+    try:
+        G.make_dihedral_group(512)
+        assert tracemalloc.get_traced_memory()[1] <= 20 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def _closure(rows, gens):
     """Every product of two members, repeated until nothing new appears."""
     out = set(int(g) for g in gens)
@@ -736,6 +821,36 @@ def test_constructors_refuse_an_order_past_the_table_bound_before_allocating(bui
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
+
+
+def test_intake_copies_every_table_that_may_still_change(tmp_path, monkeypatch):
+    t, arr = Q.dihedral(5).table.copy(), G.make_cyclic(5).table.copy()      # writable int64
+    x, g = Q.Quandle(t), G.FiniteGroup(arr)
+    t[1, 0], arr[1, 1] = 3, 4                           # the callers' arrays change afterwards
+    assert x.table.tolist() == Q.dihedral(5).table.tolist()
+    assert g.table.tolist() == G.make_cyclic(5).table.tolist()
+    base = Q.dihedral(5).table.copy()
+    view = base.view()
+    view.setflags(write=False)                          # read-only, but base may still change
+    y = Q.Quandle(view)
+    assert y.table is not view and not np.shares_memory(y.table, base)
+    base[1, 0] = 3
+    assert y.table.tolist() == Q.dihedral(5).table.tolist()
+    # a loaded table is read-only and owns its data, so it is held as read
+    read = []
+    original = G._read_table
+
+    def recording(path, kind):
+        read.append(original(path, kind))
+        return read[-1]
+
+    monkeypatch.setattr(Q, "_read_table", recording)
+    monkeypatch.setattr(G, "_read_table", recording)
+    Q.save_quandle(x, tmp_path / "r5.qnd")
+    G.save_group(g, tmp_path / "z5.grp")
+    assert Q.load_quandle(tmp_path / "r5.qnd").table is read[0]
+    assert G.load_group(tmp_path / "z5.grp").table is read[1]
+    assert not read[0].flags.writeable and not read[1].flags.writeable
 
 
 def test_euler_phi():

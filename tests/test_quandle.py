@@ -156,6 +156,20 @@ def test_planted_order_289_file_fails_in_a_few_megabytes(tmp_path):
     assert witness[0] == 0
 
 
+@pytest.mark.parametrize("n", [343, 1023])
+def test_loading_a_table_peaks_near_its_int64_bytes(tmp_path, n):
+    # the parsed int64 table is held once, not copied, and the axiom checks
+    # add only work arrays in the smallest dtype and one n x n bool mask
+    path = tmp_path / f"r{n}.qnd"
+    Q.save_quandle(Q.dihedral(n), path)
+    tracemalloc.start()
+    try:
+        Q.load_quandle(path)
+        assert tracemalloc.get_traced_memory()[1] <= 2.6 * 8 * n * n
+    finally:
+        tracemalloc.stop()
+
+
 def test_trivial_quandle():
     x = Q.trivial_quandle(3)
     assert x.table.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
