@@ -141,7 +141,7 @@ def cmd_make(args):
     if args.out:
         Q.save_quandle(x, args.out)
     else:
-        sys.stdout.write(Q.quandle_to_text(x))
+        G._write_table(sys.stdout, x.table)
     return 0
 
 

@@ -629,7 +629,7 @@ def make_quaternion8():
     return _inverting_extension(4, 2, ["1", "i", "-1", "-i", "j", "k", "-j", "-k"], "Q8")
 
 
-def direct_product(g, h, name=None):
+def direct_product(g, h):
     """Componentwise product on pairs, indexed a*|H| + b."""
     ng, nh = g.order, h.order
     n = ng * nh
@@ -643,9 +643,7 @@ def direct_product(g, h, name=None):
         gf, gc = g.abelian_coordinates
         hf, hc = h.abelian_coordinates
         coords = (list(gf) + list(hf), [tuple(ca) + tuple(cb) for ca in gc for cb in hc])
-    if name is None:
-        name = f"{g.name}x{h.name}"
-    return FiniteGroup(table, labels=labels, name=name, abelian_coordinates=coords)
+    return FiniteGroup(table, labels=labels, name=f"{g.name}x{h.name}", abelian_coordinates=coords)
 
 
 # -- catalog ----------------------------------------------------------------
@@ -711,7 +709,7 @@ def _catalog_nonabelian():
     )
 
 
-def catalog_groups(max_order, include_nonabelian=True, include_abelian=True):
+def catalog_groups(max_order):
     """Small-order group catalog used by the exhaustive theorem checks.
 
     Every abelian group up to max_order (one per isomorphism class), plus a
@@ -723,12 +721,8 @@ def catalog_groups(max_order, include_nonabelian=True, include_abelian=True):
     as read-only.  The list itself is new on each call.
     """
     _check_table_order(max_order)
-    groups = []
-    if include_abelian:
-        for n in range(1, max_order + 1):
-            groups += [_catalog_abelian(tuple(factors)) for factors in _abelian_factor_lists(n)]
-    if include_nonabelian:
-        groups += [g for g in _catalog_nonabelian() if g.order <= max_order]
+    groups = [_catalog_abelian(tuple(f)) for n in range(1, max_order + 1) for f in _abelian_factor_lists(n)]
+    groups += [g for g in _catalog_nonabelian() if g.order <= max_order]
     groups.sort(key=lambda g: (g.order, g.name))
     return groups
 
@@ -761,10 +755,11 @@ def group_by_name(name):
 # -- file format -------------------------------------------------------------
 
 
-def _table_text(table):
-    """Serialized table: first line the order, then one row per line."""
-    lines = [str(len(table))] + [" ".join(map(str, row)) for row in table.tolist()]
-    return "\n".join(lines) + "\n"
+def _write_table(fh, table):
+    """Write table to the open text file fh: first line the order, then one
+    row per line, a row at a time, so the text is never held whole."""
+    fh.write(f"{len(table)}\n")
+    np.savetxt(fh, table, fmt="%d")
 
 
 def _square_table(table, kind):
@@ -827,7 +822,7 @@ def _bad_line(lines, n):
 def save_group(group, path):
     """Write the table: first line the order, then one row per line."""
     with open(path, "w") as fh:
-        fh.write(_table_text(group.table))
+        _write_table(fh, group.table)
 
 
 def load_group(path, name=None):

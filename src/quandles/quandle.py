@@ -28,13 +28,14 @@ and constructed quandles remember where they came from.
 """
 
 import bisect
+import io
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groups import _check_table_order, _first_equal_rows, _first_witness, _read_table, _repeating_columns
-from .groups import _smallest, _square_table, _table_text, make_cyclic
+from .groups import _smallest, _square_table, _write_table, make_cyclic
 from .perms import Permutation, _generators
 
 
@@ -267,14 +268,24 @@ def enumerate_quandle_tables(n):
 @dataclass(frozen=True)
 class _Columns:
     """The permutations of 0..n-1 as column ids for the search, in
-    lexicographic order, which is ``itertools.permutations`` order."""
+    lexicographic order, which is ``itertools.permutations`` order; a table
+    is relabeled on its column ids, through conj (``_relabeled_ids``)."""
 
     perms: np.ndarray    # (n!, n) int8: row i is the permutation with id i
     inverse: np.ndarray  # (n!, n) int8: row i is the inverse of the permutation with id i
     rows: list           # the same rows as tuples, sorted, so bisect finds an id
     fixing: list         # fixing[x]: the ids of the permutations fixing x, ascending
     conj: memoryview     # flat uint16: conj[c * n! + b] = id(S_c S_b S_c^-1)
-    pairs: np.ndarray    # (n!, n*n) int32: pairs[p, x*n + y] = p*n*n + p^-1(x)*n + p^-1(y)
+
+
+def _relabeled_ids(cols, columns):
+    """The (n!, n) uint16 column ids of every relabeling of the table with
+    column ids cols: row p holds those of p.T, (p.T)[p(a), p(b)] = p(a*b),
+    whose column at y has id conj[p n! + cols[p^-1(y)]], the rule that
+    ``_tables_from``'s ``least`` applies one point at a time."""
+    k = len(columns.rows)
+    conj = np.asarray(columns.conj).reshape(k, k)
+    return conj[np.arange(k)[:, None], np.asarray(cols)[columns.inverse]]
 
 
 def _column_candidates(n):
@@ -311,11 +322,7 @@ def _column_candidates(n):
         conj[c] = conj[p].take(rows_t[j])
     fixing = [np.flatnonzero(perms[:, x] == x).tolist() for x in range(n)]
     inverse = np.argsort(perms, axis=1).astype(np.int8)
-    inv = inverse.astype(np.int32)
-    pairs = inv[:, :, None] * n + inv[:, None, :]
-    pairs += np.arange(k, dtype=np.int32)[:, None, None] * (n * n)
-    return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)),
-                    pairs.reshape(k, n * n))
+    return _Columns(perms, inverse, list(map(tuple, perms.tolist())), fixing, memoryview(conj.reshape(-1)))
 
 
 def _tables_from(s0, columns, centralizer=()):
@@ -421,13 +428,15 @@ def _tables_from(s0, columns, centralizer=()):
 
 def quandle_to_text(quandle):
     """Serialized table: first line the order, then one row per line."""
-    return _table_text(quandle.table)
+    out = io.StringIO()
+    _write_table(out, quandle.table)
+    return out.getvalue()
 
 
 def save_quandle(quandle, path):
     """Write the table: first line the order, then one row per line."""
     with open(path, "w") as fh:
-        fh.write(quandle_to_text(quandle))
+        _write_table(fh, quandle.table)
 
 
 def load_quandle(path):

@@ -38,6 +38,7 @@ bounds it takes and times the call.  The command line and the acceptance
 tests run through it.
 """
 
+import bisect
 import functools
 import inspect
 import math
@@ -492,7 +493,7 @@ def check_thm_fnt(p, n, u):
 
 
 # the census runs to order 6 unless asked for more, and takes at most the
-# column search's bound, 7 (about 1 s and 105 MB peak RSS)
+# column search's bound, 7 (about 0.8–1.1 s and 93 MB peak RSS)
 _CENSUS_DEFAULT_ORDER = 6
 
 
@@ -509,14 +510,6 @@ def _first_columns(n):
             z *= k ** parts.count(k) * math.factorial(parts.count(k))
         out.append((tuple(col), math.factorial(n - 1) // z))
     return out
-
-
-def _relabelings(table, columns):
-    """The relabelings of table by each row p of ``columns.perms``, as int8
-    rows of n*n: moved[p(a), p(b)] = p(a*b).  Two gathers: the first gives
-    p(a*b) at every (p, a, b), the second reads its row p at a = p^-1(x),
-    b = p^-1(y) through the flat index ``_Columns.pairs``."""
-    return np.take(np.take(columns.perms, table.ravel(), axis=1), columns.pairs)
 
 
 def _centralizer(s0, perms):
@@ -543,14 +536,15 @@ def _quandle_classes(order):
     tables with S_0 = s, and weighting that by the size of s's conjugacy
     class counts the labeled tables; the search yields |Stab_C(T)| with T,
     the elements of C whose relabeled columns tie with T's at every point.
+    A table is keyed by its column ids, read back through ``columns.rows``.
     A completion outside every relabeling orbit seen so far starts a new
-    class and adds its whole orbit, under the search's own permutation
-    list, to the set, whose size counts the labeled tables again, by orbit
-    closure.  Only such a table becomes a Quandle, and so is checked
-    against the axioms.
+    class and adds its whole orbit, the ids of its relabelings by every
+    permutation (``quandle._relabeled_ids``), to the set, whose size counts
+    the labeled tables again, by orbit closure.  Only such a table becomes a
+    Quandle, and so is checked against the axioms.
     """
     columns = Q._column_candidates(order)
-    key = np.dtype((np.void, order * order))
+    key = np.dtype((np.void, 2 * order))
     seen = set()
     classes = []
     weighted = completions = 0
@@ -558,9 +552,10 @@ def _quandle_classes(order):
         ids = _centralizer(s0, columns.perms)
         for table, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
             completions += 1
-            if table.tobytes() not in seen:
+            cols = np.array([bisect.bisect_left(columns.rows, c) for c in map(tuple, table.T.tolist())], np.uint16)
+            if cols.tobytes() not in seen:
                 classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
-                seen.update(_relabelings(table, columns).view(key).ravel().tolist())
+                seen.update(Q._relabeled_ids(cols, columns).view(key).ravel().tolist())
             weighted += weight * len(ids) // fixed
     return classes, weighted, len(seen), completions
 
@@ -579,9 +574,9 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     tables by orbit-stabilizer, |C|/|Stab_C(T)| for each completion T times
     its cycle-type weight, with |Stab_C(T)| read off the search's leader
     test at T, and ``relabeled[n]`` by the size of the union of the orbits,
-    built from the relabelings themselves; the report fails where the two
-    differ.  ``completions[n]`` counts the tables the column search
-    completed, one per C-orbit.
+    built from the column ids of the relabelings themselves; the report
+    fails where the two differ.  ``completions[n]`` counts the tables the
+    column search completed, one per C-orbit.
     """
     rep = TheoremReport("mccarron")
     if not 1 <= min_order <= max_order <= Q._COLUMN_SEARCH_BOUND:
@@ -677,7 +672,7 @@ def _suite(tid, description, ceiling=None):
 
 
 def _odd_abelian(max_order):
-    return [g for g in G.catalog_groups(max_order, include_nonabelian=False) if g.order % 2]
+    return [g for g in G.catalog_groups(max_order) if g.is_abelian() and g.order % 2]
 
 
 # At 127 about 1.5 s and 51 MB peak RSS; at 255 it takes 14 s and 155 MB.
@@ -752,7 +747,7 @@ def suite_connected_abelian(max_order=16):
     generalized Alexander quandle is never connected.  Sweeps the
     non-abelian catalog groups up to max_order, one automorphism per
     conjugacy class of Aut(G), each class counted once per member."""
-    groups = G.catalog_groups(max_order, include_abelian=False)
+    groups = [g for g in G.catalog_groups(max_order) if not g.is_abelian()]
     return [_connected_abelian_one(g) for g in groups]
 
 
@@ -762,7 +757,7 @@ def suite_bae_choe(max_order=16):
     Alex(G, phi) connected, phi fixed-point free, and a -> phi(a) - a
     bijective.  Sweeps the abelian catalog groups up to max_order, one
     phi per conjugacy class of Aut(G), each class counted once per member."""
-    groups = G.catalog_groups(max_order, include_nonabelian=False)
+    groups = [g for g in G.catalog_groups(max_order) if g.is_abelian()]
     return [_bae_choe_one(g) for g in groups]
 
 
@@ -771,7 +766,7 @@ def suite_bae_choe(max_order=16):
 def suite_fpf_structure(max_order=12):
     """Sweeps the abelian catalog groups up to max_order, one fixed-point-free
     phi per conjugacy class of Aut(G), each class counted once per member."""
-    groups = G.catalog_groups(max_order, include_nonabelian=False)
+    groups = [g for g in G.catalog_groups(max_order) if g.is_abelian()]
     return [_each_class("fpf-structure", g, _fpf_structure_one, G._fixed_point_free) for g in groups]
 
 

@@ -34,7 +34,7 @@ def test_criterion_1_dihedral_orders():
 
 def test_criterion_2_takasaki_structure():
     t0 = time.perf_counter()
-    groups = [g for g in G.catalog_groups(27, include_nonabelian=False) if g.order % 2 == 1]
+    groups = [g for g in G.catalog_groups(27) if g.is_abelian() and g.order % 2 == 1]
     orders = sorted(g.order for g in groups)
     assert orders == [1, 3, 5, 7, 9, 9, 11, 13, 15, 17, 19, 21, 23, 25, 25, 27, 27, 27]
     for g in groups:
@@ -58,14 +58,14 @@ def test_criterion_3_bae_choe_equivalence():
     total = rep.instances_tested
     assert total == sum(
         len(G.automorphism_group(g))
-        for g in G.catalog_groups(16, include_nonabelian=False)
+        for g in G.catalog_groups(16) if g.is_abelian()
     )
     _done(f"criterion 3: connected == fpf == twisted-bijective on {total} maps", t0, 60)
 
 
 def test_criterion_4_connected_implies_abelian():
     t0 = time.perf_counter()
-    assert G.catalog_groups(16, include_abelian=False), \
+    assert not all(g.is_abelian() for g in G.catalog_groups(16)), \
         "catalog must offer non-abelian groups up to order 16"
     rep = T.suite_connected_abelian(16)
     assert rep.passed, rep.failures[:3]
@@ -131,7 +131,7 @@ def test_criterion_6_aut_oracle_equivalence():
 
 def test_criterion_7_embedding():
     t0 = time.perf_counter()
-    odd = [g for g in G.catalog_groups(15, include_nonabelian=False) if g.order % 2 == 1]
+    odd = [g for g in G.catalog_groups(15) if g.is_abelian() and g.order % 2 == 1]
     assert sorted(g.order for g in odd) == [1, 3, 5, 7, 9, 9, 11, 13, 15]
     for g in odd:
         rep = sym.embed_in_conj_inn(Q.takasaki(g))

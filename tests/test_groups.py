@@ -298,7 +298,7 @@ def _generator_tables():
         Q.alexander(f9, G.scalar_map(f9, 2)), Q.alexander(f25, G.scalar_map(f25, 3)),
         Q.alexander(z7, G.scalar_map(z7, 3)), Q.alexander(z9, G.scalar_map(z9, 5)),
         Q.trivial_quandle(1), Q.trivial_quandle(6),
-    ] + [Q.conj_quandle(g) for g in G.catalog_groups(16, include_abelian=False)]
+    ] + [Q.conj_quandle(g) for g in G.catalog_groups(16) if not g.is_abelian()]
     return [(g.name, g.table, 0) for g in groups] + [(repr(x), x.table, None) for x in quandles]
 
 
@@ -691,7 +691,7 @@ def test_catalog_groups_are_shared():
     assert [g.name for g in small] == [g.name for g in large if g.order <= 12]
     assert all(by_name[g.name] is g for g in small)
     assert G.catalog_groups(12) is not small
-    assert [g.name for g in G.catalog_groups(24, include_abelian=False)][-1] == "S4"
+    assert [g.name for g in G.catalog_groups(24) if not g.is_abelian()][-1] == "S4"
 
 
 def test_group_by_name():
@@ -725,18 +725,46 @@ def _file_quandles():
     ]
 
 
+def _joined_text(table):
+    """The table text joined whole in memory: the reference for the writer."""
+    lines = [str(len(table))] + [" ".join(map(str, row)) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def test_table_files_round_trip(tmp_path):
     # every catalog group of order <= 16 and every constructor the file tests use
     path = tmp_path / "t.txt"
     for g in G.catalog_groups(16):
         G.save_group(g, path)
-        assert path.read_text() == G._table_text(g.table)
+        assert path.read_text() == _joined_text(g.table)
         h = G.load_group(path)
         assert h.table.dtype == np.int64 and np.array_equal(h.table, g.table), g.name
     for x in _file_quandles():
         Q.save_quandle(x, path)
         assert path.read_text() == Q.quandle_to_text(x)
         assert np.array_equal(Q.load_quandle(path).table, x.table), repr(x)
+
+
+@pytest.mark.parametrize("n", [1, 3, 1024])
+def test_the_table_writer_matches_the_joined_text(tmp_path, n):
+    x, g = Q.dihedral(n), G.make_cyclic(n)
+    assert Q.quandle_to_text(x) == _joined_text(x.table)
+    Q.save_quandle(x, tmp_path / "q.qnd")
+    G.save_group(g, tmp_path / "g.txt")
+    assert (tmp_path / "q.qnd").read_bytes() == _joined_text(x.table).encode()
+    assert (tmp_path / "g.txt").read_bytes() == _joined_text(g.table).encode()
+
+
+def test_saving_a_table_holds_one_row_of_text(tmp_path):
+    # the text of R_1023 is about 4 MB, and joining it from table.tolist() peaked at 36 MB
+    x = Q.dihedral(1023)
+    tracemalloc.start()
+    try:
+        Q.save_quandle(x, tmp_path / "r1023.qnd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 # each body is malformed in one way; mended, it is the table of Z/2

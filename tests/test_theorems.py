@@ -250,7 +250,7 @@ def test_bae_choe_check():
     assert rep.passed
     assert rep.instances_tested == sum(
         len(G.automorphism_group(g))
-        for g in G.catalog_groups(8, include_nonabelian=False)
+        for g in G.catalog_groups(8) if g.is_abelian()
     )
     assert T._bae_choe_one(G.make_abelian([2, 4])).passed
     with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ def _split_instances(max_order):
     Alex(G, phi) with phi fixed-point free, G an abelian catalog group of
     order <= max_order; Aut(G) and C(phi) by brute force."""
     out = []
-    for g in G.catalog_groups(max_order, include_nonabelian=False):
+    for g in (g for g in G.catalog_groups(max_order) if g.is_abelian()):
         n, auts = g.order, [f.images for f in G.brute_force_group_automorphisms(g)]
         for phi in auts:
             if all(phi[a] != a for a in range(1, n)):
@@ -533,19 +533,31 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
     assert exc.value.axiom == 3
 
 
+def _column_ids(table, columns):
+    """The id of each column of table: its index in the list of permutations."""
+    return [columns.rows.index(tuple(col)) for col in table.T.tolist()]
+
+
+def _relabeled_tables(table, columns):
+    """Every relabeling of table, as bytes of its int8 rows, through the ids."""
+    ids = Q._relabeled_ids(_column_ids(table, columns), columns)
+    return [columns.perms[row].T.tobytes() for row in ids]
+
+
 def test_relabelings_move_every_entry_of_every_class_table_to_order_5():
     for n in range(1, 6):
         columns = Q._column_candidates(n)
         for x in T._quandle_classes(n)[0]:
             t = x.table.tolist()
-            moved = T._relabelings(x.table, columns)
-            assert moved.shape == (len(columns.rows), n * n)
+            moved = Q._relabeled_ids(_column_ids(x.table, columns), columns)
+            assert moved.shape == (len(columns.rows), n) and moved.dtype == np.uint16
             for p, row in zip(columns.rows, moved.tolist()):
-                want = [0] * (n * n)
+                want = [[0] * n for _ in range(n)]
                 for a in range(n):
                     for b in range(n):
-                        want[p[a] * n + p[b]] = p[t[a][b]]    # moved[p(a), p(b)] = p(a*b)
-                assert row == want
+                        want[p[a]][p[b]] = p[t[a][b]]    # moved[p(a), p(b)] = p(a*b)
+                # column y of the moved table is the permutation with id row[y]
+                assert [[columns.rows[i][a] for i in row] for a in range(n)] == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -555,7 +567,7 @@ def test_census_classes_match_the_full_enumeration(n):
     assert completions == [1, 1, 4, 12, 46, 187][n - 1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     columns = Q._column_candidates(n)
-    orbits = {row.tobytes() for x in classes for row in T._relabelings(x.table, columns)}
+    orbits = {t for x in classes for t in _relabeled_tables(x.table, columns)}
     assert orbits == set(full)
     assert weighted == relabeled == len(full)
     assert all(sym.quandle_isomorphic(x, y) is None
@@ -567,6 +579,20 @@ def test_census_classes_match_the_full_enumeration(n):
     assert sum(w for _, w in firsts) == math.factorial(n - 1)
     # |C(s0)| in S_{n-1} times the size of s0's conjugacy class is (n-1)!
     assert all(len(T._centralizer(s0, perms)) * w == math.factorial(n - 1) for s0, w in firsts)
+
+
+# sha256 of the order-7 census's class tables, int8, concatenated in order
+CENSUS_CLASSES_DIGEST_7 = "a4b3308258e847d39915ce1d65b530c3d3911f5eeb97bec7f0eb9ce85ef7cc93"
+
+
+def test_census_at_order_7_is_pinned():
+    classes, labeled, relabeled, completions = T._quandle_classes(7)
+    # 298 classes (OEIS A181771), 152,900 labeled tables counted both ways, 950 completions
+    assert (len(classes), labeled, relabeled, completions) == (298, 152900, 152900, 950)
+    h = hashlib.sha256()
+    for x in classes:
+        h.update(x.table.astype(np.int8).tobytes())
+    assert h.hexdigest() == CENSUS_CLASSES_DIGEST_7
 
 
 @pytest.mark.parametrize("n", range(1, 7))
