@@ -149,30 +149,17 @@ def _homomorphism_mask(src, tgt, gens, maps):
     return ok
 
 
-def _first_equal_rows(rows):
-    """For each row of a 2-D array, the index of the first row equal to it.
-
-    One stable lexsort puts equal rows next to each other in index order, so
-    each run of equal rows starts with the first index of its run.
-    """
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = np.empty(len(rows), dtype=np.intp)
-    first[order] = order[starts][np.cumsum(starts) - 1]
-    return first
-
-
 def _row_lookup(rows):
     """A function that maps an (..., n) array to the index in rows of each
-    of its rows, -1 where absent (everywhere when rows is empty)."""
+    of its rows, -1 where absent (everywhere when rows is empty), the first
+    index where rows repeats it: ``_row_lookup(rows)(rows)`` names each
+    row's first copy."""
     n = rows.shape[1]
     if not len(rows):
         return lambda query: np.full(np.shape(query)[:-1], -1)
     key = np.dtype((np.void, n * rows.dtype.itemsize))          # one image row as one key
     keys = np.ascontiguousarray(rows).view(key).ravel()
-    order = np.argsort(keys)
+    order = np.argsort(keys, kind="stable")                     # equal keys keep their index order
     ordered = keys[order]
 
     def find(query):
@@ -445,9 +432,11 @@ def _aut_classes(group):
             phi = arr[label.argmin()]                                # the least row in no class yet
             conj = np.empty_like(arr)                                # row psi: psi phi psi^-1, which
             np.put_along_axis(conj, arr, arr[:, phi], axis=1)        # maps psi(x) to psi(phi(x))
-            members = find(conj[_first_equal_rows(conj) == np.arange(m)])
+            hit = np.zeros(m + 1, dtype=bool)                        # slot m, index -1: a conjugate
+            hit[find(conj)] = True                                   # outside the array
+            members = np.flatnonzero(hit[:m])
             fixed = (conj == phi).all(axis=1)
-            if (members < 0).any() or len(members) * np.count_nonzero(fixed) != m:
+            if hit[m] or len(members) * np.count_nonzero(fixed) != m:
                 raise RuntimeError(f"conjugation on Aut({group.name}) does not give its classes")
             label[members] = len(cents)
             cents.append(arr if fixed.all() else arr[fixed])         # a central phi shares the array
@@ -759,7 +748,9 @@ def _write_table(fh, table):
     """Write table to the open text file fh: first line the order, then one
     row per line, a row at a time, so the text is never held whole."""
     fh.write(f"{len(table)}\n")
-    np.savetxt(fh, table, fmt="%d")
+    line = " ".join(["%d"] * len(table)) + "\n"
+    for row in table:
+        fh.write(line % tuple(row.tolist()))
 
 
 def _square_table(table, kind):

@@ -40,7 +40,7 @@ constructor found (``_assign``).  It hands back its own stabilizer chain,
 and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 
 import numpy as np
@@ -124,13 +124,8 @@ class Permutation:
         return tuple(sorted(lengths))
 
     def order(self):
-        k = 1
-        cur = self.images
-        ident = tuple(range(self.degree))
-        while cur != ident:
-            cur = _tcompose(cur, self.images)
-            k += 1
-        return k
+        """The least k >= 1 with self^k the identity: the lcm of the cycle lengths."""
+        return lcm(*map(len, self.cycles()))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

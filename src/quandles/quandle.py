@@ -25,6 +25,9 @@ a*b = b^-m a b^m, Takasaki a*b = 2b - a on abelian groups, Alexander
 a*b = t(a) + b - t(b), and the generalized Alexander quandle
 a*b = phi(a b^-1) b for an automorphism phi.  Each builds its table once,
 and constructed quandles remember where they came from.
+
+The exhaustive enumeration and the census's isomorphism classes run one
+column search (``_tables_from``), and only this module reads its column ids.
 """
 
 import bisect
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _check_table_order, _first_equal_rows, _first_witness, _read_table, _repeating_columns
+from .groups import _check_table_order, _first_witness, _partitions, _read_table, _repeating_columns, _row_lookup
 from .groups import _smallest, _square_table, _write_table, make_cyclic
 from .perms import Permutation, _generators
 
@@ -120,9 +123,9 @@ def _check_axioms(arr):
         # the witness is the first row of the first repeating column that is
         # not the first occurrence of its value
         b = int(bad.argmax())
-        col = arr[:, b]
-        a = int((_first_equal_rows(col[:, None]) != rng).argmax())
-        raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(col[a])} at row {a}")
+        col = arr[:, b, None]
+        a = int((_row_lookup(col)(col) != rng).argmax())
+        raise QuandleAxiomError(2, (a, b), f"column {b} repeats value {int(arr[a, b])} at row {a}")
     # one n x n gather per side and distinct generator column S_c, in the
     # smallest dtype that holds the entries: axiom 3 at c depends on c only
     # through S_c, so generators with equal columns share one.  The int64
@@ -255,14 +258,14 @@ def enumerate_quandle_tables(n):
     columns, so leaves satisfy all three axioms by construction; the
     Quandle constructor checks them again, with code the search does not
     share.  The search runs once per candidate S_0, in candidate order; the
-    census (``theorems.check_mccarron_bound``) runs the same search from one
-    S_0 per cycle type instead.  Orders outside 1..7 raise ValueError before
+    census (``_quandle_classes``) runs the same search from one S_0 per
+    cycle type instead.  Orders outside 1..7 raise ValueError before
     anything is built.
     """
     columns = _column_candidates(n)
     for i in columns.fixing[0]:
-        for table, _ in _tables_from(columns.rows[i], columns):
-            yield Quandle(table, Provenance("enumerated"))
+        for cols, _ in _tables_from(columns.rows[i], columns):
+            yield Quandle(columns.perms[cols].T, Provenance("enumerated"))    # a*b = S_b(a)
 
 
 @dataclass(frozen=True)
@@ -326,13 +329,15 @@ def _column_candidates(n):
 
 
 def _tables_from(s0, columns, centralizer=()):
-    """Yield (table, |Stab_C(table)|) for every labeled quandle whose column
-    S_0 is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``,
-    each table int8 (n, n); columns comes from ``_column_candidates``.
+    """Yield (cols, |Stab_C(T)|) for every labeled quandle T whose column S_0
+    is s0 (a tuple fixing 0), in the order of ``enumerate_quandle_tables``:
+    cols lists T's n column ids, so ``columns.perms[cols].T`` is T's table;
+    columns comes from ``_column_candidates``.
 
-    The tables come in lexicographic order of their column ids (S_0, S_1,
-    ...): two leaves part at the node where they take different candidates
-    for its first free column, and candidates are tried in ascending order.
+    The completions come in lexicographic order of their column ids (S_0,
+    S_1, ...): two leaves part at the node where they take different
+    candidates for its first free column, and candidates are tried in
+    ascending order.
 
     centralizer holds ids of permutations p that fix 0 and commute with s0
     (the identity left out); with the identity they form C.  Relabeling by
@@ -350,6 +355,21 @@ def _tables_from(s0, columns, centralizer=()):
     that point can never prune below, and is dropped.  At a leaf every
     point is assigned, so the leaders left are those with p.T = T, and
     with the identity they count Stab_C(T).
+
+    The census (``_quandle_classes``) runs this search from one S_0 per
+    cycle type (``_first_columns``), with C its centralizer.  Relabeling by
+    a permutation fixing 0 carries the tables with S_0 = s onto those with
+    S_0 conjugate to s, so every class has a member among them, and the
+    first member of a class in the unpruned stream is the least of its own
+    C-orbit: it is completed, and it starts its class at the same place as
+    without pruning.  A completion whose ids are in no relabeling orbit seen
+    so far starts a new class, and the ids of its relabelings by every
+    permutation (``_relabeled_ids``) join a set, whose size counts the
+    labeled tables by orbit closure.  Orbit-stabilizer counts them again:
+    s's conjugacy class has (n-1)!/|C| columns, and T stands for
+    |C|/|Stab_C(T)| tables with S_0 = s, so for (n-1)!/|Stab_C(T)| in all.
+    Only a class's first table becomes a Quandle, and so is checked against
+    the axioms.
     """
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
@@ -409,7 +429,7 @@ def _tables_from(s0, columns, centralizer=()):
         if pending is None:
             return
         if None not in cols:
-            yield columns.perms[cols].T.copy(), len(pending) // 2 + 1     # cols[b] is the id of S_b, a*b = S_b(a)
+            yield cols, len(pending) // 2 + 1
             return
         free = cols.index(None)
         for cand in fixing[free]:
@@ -421,6 +441,48 @@ def _tables_from(s0, columns, centralizer=()):
     cols = [bisect.bisect_left(rows, s0)] + [None] * (n - 1)
     if propagate(cols, 0):
         yield from dfs(cols, [x for k in range(len(leaders)) for x in (k, 1)])
+
+
+def _first_columns(n):
+    """One column S_0 per cycle type on the points 1..n-1, cycles laid out
+    consecutively."""
+    out = []
+    for parts in _partitions(n - 1):
+        col = [0]
+        for k in parts:
+            start = len(col)
+            col += [start + (i + 1) % k for i in range(k)]
+        out.append(tuple(col))
+    return out
+
+
+def _centralizer(s0, perms):
+    """The ids, ascending, of the rows p of perms (``_Columns.perms``) that fix
+    0 and commute with s0, so the identity, id 0, comes first."""
+    s = np.array(s0)
+    return np.flatnonzero((perms[:, 0] == 0) & (perms[:, s] == s[perms]).all(axis=1))
+
+
+def _quandle_classes(order):
+    """(classes, labeled, relabeled, completions) of the census at order, as
+    set out in ``_tables_from``: the isomorphism classes in a deterministic
+    order, the labeled tables counted by orbit-stabilizer and by orbit
+    closure, and the tables the search completed."""
+    columns = _column_candidates(order)
+    key = np.dtype((np.void, 2 * order))
+    seen = set()
+    classes = []
+    labeled = completions = 0
+    for s0 in _first_columns(order):
+        ids = _centralizer(s0, columns.perms)
+        for cols, fixed in _tables_from(s0, columns, ids[1:].tolist()):
+            completions += 1
+            cols = np.array(cols, np.uint16)
+            if cols.tobytes() not in seen:
+                classes.append(Quandle(columns.perms[cols].T, Provenance("enumerated")))
+                seen.update(_relabeled_ids(cols, columns).view(key).ravel().tolist())
+            labeled += len(columns.fixing[0]) // fixed      # (n-1)!/|Stab_C(T)|
+    return classes, labeled, len(seen), completions
 
 
 # -- file format ---------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import _brute_force_bijections, _first_equal_rows, _first_witness, _smallest
+from .groups import _brute_force_bijections, _first_witness, _row_lookup, _smallest
 from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
 
 
@@ -139,7 +139,7 @@ def embed_in_conj_inn(quandle):
 
     witness = _first_witness(t, sides)
     hom_witness = None if witness is None else witness[:2]
-    earlier = _first_equal_rows(cols)
+    earlier = _row_lookup(cols)(cols)
     repeats = np.flatnonzero(earlier != rng)
     inj_witness = (int(earlier[repeats[0]]), int(repeats[0])) if len(repeats) else None
     return EmbeddingReport(

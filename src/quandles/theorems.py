@@ -23,6 +23,10 @@ isomorphism Alex(G, phi) -> Alex(G, psi phi psi^-1), and C(psi phi psi^-1)
 = psi C(phi) psi^-1, so each of their clauses holds on a whole class or
 nowhere in it.  Each class comes with C(phi), which the suites read.
 
+The mccarron census reads its classes and counts from
+``quandle._quandle_classes``, next to the column search it runs; this
+module keeps only the census's clauses on 3-transitivity.
+
 Each statement has one suite, declared once: a public ``suite_*`` function
 under ``@_suite(tid, description, ceiling)``.  Its keyword parameter
 (``max_order``, ``ns``, or none) names the bound it takes and its default;
@@ -38,10 +42,8 @@ bounds it takes and times the call.  The command line and the acceptance
 tests run through it.
 """
 
-import bisect
 import functools
 import inspect
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -133,7 +135,7 @@ def _check_semidirect_embedding(rep, group, x, center, maps, tag):
     def name(i):
         return f"({int(center[i // k])}, {tuple(maps[i % k].tolist())})"
 
-    earlier = G._first_equal_rows(emb)
+    earlier = G._row_lookup(emb)(emb)
     for i in np.nonzero(earlier != np.arange(m))[0][:3]:
         rep.fail(f"{tag}: not injective, {name(i)} collides with {name(earlier[i])}")
 
@@ -374,7 +376,7 @@ def _central_one(group):
     hom = G._homomorphism_mask(group.table, group.table, group.generators(), tw)
     for i in np.flatnonzero(~hom)[:3]:
         rep.fail(f"{tag}, {_phi_name(central[i])}: twisted map is not a homomorphism")
-    earlier = G._first_equal_rows(tw)
+    earlier = G._row_lookup(tw)(tw)
     for i in np.flatnonzero(earlier != np.arange(len(tw)))[:3]:
         rep.fail(f"{tag}: twisted maps collide for {_phi_name(central[i])} and {_phi_name(central[earlier[i]])}")
     if not group.is_abelian():
@@ -497,92 +499,24 @@ def check_thm_fnt(p, n, u):
 _CENSUS_DEFAULT_ORDER = 6
 
 
-def _first_columns(n):
-    """One column S_0 per cycle type on the points 1..n-1, cycles laid out
-    consecutively, each with the number (n-1)!/z of columns of its type."""
-    out = []
-    for parts in G._partitions(n - 1):
-        col, z = [0], 1
-        for k in parts:
-            start = len(col)
-            col += [start + (i + 1) % k for i in range(k)]
-        for k in set(parts):
-            z *= k ** parts.count(k) * math.factorial(parts.count(k))
-        out.append((tuple(col), math.factorial(n - 1) // z))
-    return out
-
-
-def _centralizer(s0, perms):
-    """The ids, ascending, of the rows p of perms (``_Columns.perms``) that fix
-    0 and commute with s0, so the identity, id 0, comes first."""
-    s = np.array(s0)
-    return np.flatnonzero((perms[:, 0] == 0) & (perms[:, s] == s[perms]).all(axis=1))
-
-
-def _quandle_classes(order):
-    """Isomorphism classes of quandles of the given order, deterministic,
-    with the labeled tables counted twice and the search's completions
-    counted: (classes, weighted, relabeled, completions).
-
-    The search runs from one S_0 per cycle type.  Relabeling by a permutation
-    fixing 0 carries the tables with S_0 = s onto those with S_0 conjugate to
-    s, so every class has a member among the tables with these S_0.  The
-    relabelings that keep S_0 = s form its centralizer C, and the search
-    completes only the lexicographically least table of each C-orbit (see
-    ``quandle._tables_from``).  It yields tables in lexicographic order, so
-    the first member of a class in the unpruned stream is the least of its
-    own C-orbit: it is kept, and it starts its class at the same place as
-    before.  By orbit-stabilizer each completion T stands for |C|/|Stab_C(T)|
-    tables with S_0 = s, and weighting that by the size of s's conjugacy
-    class counts the labeled tables; the search yields |Stab_C(T)| with T,
-    the elements of C whose relabeled columns tie with T's at every point.
-    A table is keyed by its column ids, read back through ``columns.rows``.
-    A completion outside every relabeling orbit seen so far starts a new
-    class and adds its whole orbit, the ids of its relabelings by every
-    permutation (``quandle._relabeled_ids``), to the set, whose size counts
-    the labeled tables again, by orbit closure.  Only such a table becomes a
-    Quandle, and so is checked against the axioms.
-    """
-    columns = Q._column_candidates(order)
-    key = np.dtype((np.void, 2 * order))
-    seen = set()
-    classes = []
-    weighted = completions = 0
-    for s0, weight in _first_columns(order):
-        ids = _centralizer(s0, columns.perms)
-        for table, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
-            completions += 1
-            cols = np.array([bisect.bisect_left(columns.rows, c) for c in map(tuple, table.T.tolist())], np.uint16)
-            if cols.tobytes() not in seen:
-                classes.append(Q.Quandle(table, Q.Provenance("enumerated")))
-                seen.update(Q._relabeled_ids(cols, columns).view(key).ravel().tolist())
-            weighted += weight * len(ids) // fixed
-    return classes, weighted, len(seen), completions
-
-
 def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     """Census over all quandles of each order: no quandle with 4 or more
     elements is 3-transitive, and at order 3 the dihedral quandle R_3 is the
     unique 3-transitive one.
 
-    The classes come from relabeling orbits of tables searched from one
-    column S_0 per cycle type, with no pairwise isomorphism tests (see
-    ``_quandle_classes``).  The search completes only the lexicographically
-    least table of each orbit under the centralizer C of S_0, and since it
-    yields tables in lexicographic order, the class tables and their order
-    are those of the unpruned search.  ``labeled[n]`` counts the labeled
-    tables by orbit-stabilizer, |C|/|Stab_C(T)| for each completion T times
-    its cycle-type weight, with |Stab_C(T)| read off the search's leader
-    test at T, and ``relabeled[n]`` by the size of the union of the orbits,
-    built from the column ids of the relabelings themselves; the report
-    fails where the two differ.  ``completions[n]`` counts the tables the
-    column search completed, one per C-orbit.
+    The classes, both counts of the labeled tables and the search's
+    completions come from ``quandle._quandle_classes``, which owns the
+    column search and explains the counts.  ``labeled[n]`` counts the
+    labeled tables by orbit-stabilizer, ``relabeled[n]`` by the size of the
+    union of the relabeling orbits; the report fails where the two differ.
+    ``completions[n]`` counts the tables the column search completed, one
+    per orbit under the centralizer of S_0.
     """
     rep = TheoremReport("mccarron")
     if not 1 <= min_order <= max_order <= Q._COLUMN_SEARCH_BOUND:
         raise ValueError(f"census bound must sit inside 1..{Q._COLUMN_SEARCH_BOUND}")
     for order in range(min_order, max_order + 1):
-        classes, labeled, relabeled, completions = _quandle_classes(order)
+        classes, labeled, relabeled, completions = Q._quandle_classes(order)
         rep.annotations[f"classes[{order}]"] = len(classes)
         rep.annotations[f"labeled[{order}]"] = labeled
         rep.annotations[f"relabeled[{order}]"] = relabeled
@@ -590,7 +524,7 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
         rep.instances_tested += len(classes)
         if relabeled != labeled:
             rep.fail(f"order {order}: the relabeling orbits hold {relabeled} tables, "
-                     f"the cycle-type weights count {labeled}")
+                     f"orbit-stabilizer counts {labeled}")
         if order < 3:
             continue
         three_transitive = [x for x in classes if sym.inner_group(x).is_k_transitive(3)]

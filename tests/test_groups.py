@@ -896,9 +896,10 @@ def test_abelian_factors_always_give_groups(factors):
         assert G.is_fixed_point_free(G.negation_map(g)) == odd
 
 
-def test_first_equal_rows_gives_the_first_index_of_each_row():
+def test_row_lookup_gives_the_first_index_of_each_row():
     rows = np.array([[2, 0], [1, 1], [2, 0], [0, 5], [1, 1], [2, 0], [0, 4]], dtype=np.int8)
-    assert G._first_equal_rows(rows).tolist() == [0, 1, 0, 3, 1, 0, 6]
-    assert G._first_equal_rows(rows[::-1]).tolist() == [0, 1, 2, 3, 1, 2, 1]
-    assert G._first_equal_rows(np.array([[3, 1, 2]])).tolist() == [0]
-    assert G._first_equal_rows(np.empty((0, 3), dtype=np.int64)).tolist() == []
+    back, one, empty = rows[::-1], np.array([[3, 1, 2]]), np.empty((0, 3), dtype=np.int64)
+    assert G._row_lookup(rows)(rows).tolist() == [0, 1, 0, 3, 1, 0, 6]
+    assert G._row_lookup(back)(back).tolist() == [0, 1, 2, 3, 1, 2, 1]
+    assert G._row_lookup(one)(one).tolist() == [0]
+    assert G._row_lookup(empty)(empty).tolist() == []

@@ -7,6 +7,7 @@ finite abelian group.
 """
 
 import hashlib
+import itertools
 import random
 import tracemalloc
 from collections import defaultdict
@@ -107,6 +108,27 @@ def test_inverse_and_order():
     assert p.cycle_type() == (2, 3)
     assert p.order() == 6
     assert p.cycles() == [(0, 1, 2), (3, 4)]
+
+
+def _order_by_composition(p):
+    k, cur = 1, p
+    while not cur.is_identity():
+        cur, k = compose(cur, p), k + 1
+    return k
+
+
+def test_element_order_matches_repeated_composition():
+    for n in range(1, 7):
+        for images in itertools.permutations(range(n)):
+            p = Permutation(images)
+            assert p.order() == _order_by_composition(p), images
+    # one cycle of each prime length 2..17 on 58 points: order 510,510, which
+    # composing until the identity took about a second to reach
+    images, start = [], 0
+    for k in (2, 3, 5, 7, 11, 13, 17):
+        images += [start + (i + 1) % k for i in range(k)]
+        start += k
+    assert Permutation(images).order() == 2 * 3 * 5 * 7 * 11 * 13 * 17
 
 
 def test_call_and_validation():

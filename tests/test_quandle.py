@@ -35,7 +35,7 @@ ENUMERATION_DIGESTS = {
 }
 
 # the same digest over the 2,790 tables the census's order-6 search completes
-# from the columns S_0 of theorems._first_columns(6) without centralizer
+# from the columns S_0 of quandle._first_columns(6) without centralizer
 # pruning, in yield order
 CENSUS_SEARCH_DIGEST_6 = "0d678274b5662b31bc6ab05a37ff384417eefad4c069c241e0083f384205cdca"
 
@@ -298,9 +298,9 @@ def test_census_search_yields_pinned_tables_in_a_pinned_order():
     columns = Q._column_candidates(6)
     h = hashlib.sha256()
     count = 0
-    for s0, _ in T._first_columns(6):
-        for table, _ in Q._tables_from(s0, columns):
-            h.update(table.astype(np.int8).tobytes())
+    for s0 in Q._first_columns(6):
+        for cols, _ in Q._tables_from(s0, columns):
+            h.update(columns.perms[cols].T.tobytes())
             count += 1
     assert (count, h.hexdigest()) == (2790, CENSUS_SEARCH_DIGEST_6)
 
@@ -349,7 +349,7 @@ def test_column_search_refuses_order_8_before_it_allocates():
     tracemalloc.start()
     try:
         for build in (lambda: next(Q.enumerate_quandle_tables(8)), lambda: Q._column_candidates(8),
-                      lambda: T._quandle_classes(8), lambda: T.check_mccarron_bound(1, 8)):
+                      lambda: Q._quandle_classes(8), lambda: T.check_mccarron_bound(1, 8)):
             with pytest.raises(ValueError):
                 build()
         assert tracemalloc.get_traced_memory()[1] < 1 << 20

@@ -523,7 +523,7 @@ def test_census_checks_each_class_against_the_axioms(monkeypatch):
 
     def planted(s0, candidates, centralizer=()):
         if len(s0) == 4:
-            yield bad, 1
+            yield _column_ids(bad, candidates), 1
         yield from tables_from(s0, candidates, centralizer)
 
     monkeypatch.setattr(Q, "_tables_from", planted)
@@ -547,7 +547,7 @@ def _relabeled_tables(table, columns):
 def test_relabelings_move_every_entry_of_every_class_table_to_order_5():
     for n in range(1, 6):
         columns = Q._column_candidates(n)
-        for x in T._quandle_classes(n)[0]:
+        for x in Q._quandle_classes(n)[0]:
             t = x.table.tolist()
             moved = Q._relabeled_ids(_column_ids(x.table, columns), columns)
             assert moved.shape == (len(columns.rows), n) and moved.dtype == np.uint16
@@ -563,22 +563,22 @@ def test_relabelings_move_every_entry_of_every_class_table_to_order_5():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_classes_match_the_full_enumeration(n):
     full = [x.table.astype(np.int8).tobytes() for x in Q.enumerate_quandle_tables(n)]
-    classes, weighted, relabeled, completions = T._quandle_classes(n)
+    classes, labeled, relabeled, completions = Q._quandle_classes(n)
     assert completions == [1, 1, 4, 12, 46, 187][n - 1]
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     columns = Q._column_candidates(n)
     orbits = {t for x in classes for t in _relabeled_tables(x.table, columns)}
     assert orbits == set(full)
-    assert weighted == relabeled == len(full)
+    assert labeled == relabeled == len(full)
     assert all(sym.quandle_isomorphic(x, y) is None
                for i, x in enumerate(classes) for y in classes[:i])
-    firsts = T._first_columns(n)
-    types = [Permutation(s0).cycle_type() for s0, _ in firsts]
+    firsts = Q._first_columns(n)
+    types = [Permutation(s0).cycle_type() for s0 in firsts]
     assert len(types) == len(set(types)) == [1, 1, 2, 3, 5, 7][n - 1]
-    assert all(s0[0] == 0 for s0, _ in firsts)
-    assert sum(w for _, w in firsts) == math.factorial(n - 1)
-    # |C(s0)| in S_{n-1} times the size of s0's conjugacy class is (n-1)!
-    assert all(len(T._centralizer(s0, perms)) * w == math.factorial(n - 1) for s0, w in firsts)
+    assert all(s0[0] == 0 for s0 in firsts)
+    # the class equation of S_{n-1}: s0's conjugacy class has (n-1)!/|C(s0)| members
+    whole, cents = math.factorial(n - 1), [len(Q._centralizer(s0, perms)) for s0 in firsts]
+    assert all(whole % c == 0 for c in cents) and sum(whole // c for c in cents) == whole
 
 
 # sha256 of the order-7 census's class tables, int8, concatenated in order
@@ -586,7 +586,7 @@ CENSUS_CLASSES_DIGEST_7 = "a4b3308258e847d39915ce1d65b530c3d3911f5eeb97bec7f0eb9
 
 
 def test_census_at_order_7_is_pinned():
-    classes, labeled, relabeled, completions = T._quandle_classes(7)
+    classes, labeled, relabeled, completions = Q._quandle_classes(7)
     # 298 classes (OEIS A181771), 152,900 labeled tables counted both ways, 950 completions
     assert (len(classes), labeled, relabeled, completions) == (298, 152900, 152900, 950)
     h = hashlib.sha256()
@@ -605,10 +605,11 @@ def test_census_completes_one_table_per_centralizer_orbit(n):
     perms = list(itertools.permutations(range(n)))
     columns = Q._column_candidates(n)
     orbits, seen, firsts = 0, set(), []
-    for s0, _ in T._first_columns(n):
+    for s0 in Q._first_columns(n):
         centralizer = [p for p in perms if p[0] == 0 and all(p[s0[y]] == s0[p[y]] for y in range(n))]
         in_orbits = set()
-        for table, _ in Q._tables_from(s0, columns):
+        for cols, _ in Q._tables_from(s0, columns):
+            table = columns.perms[cols].T
             t = tuple(map(tuple, table.tolist()))
             if t not in in_orbits:
                 orbits += 1
@@ -616,7 +617,7 @@ def test_census_completes_one_table_per_centralizer_orbit(n):
             if t not in seen:
                 firsts.append(table.tobytes())
                 seen.update(relabel(t, p) for p in perms)
-    classes, _, _, completions = T._quandle_classes(n)
+    classes, _, _, completions = Q._quandle_classes(n)
     assert completions == orbits
     assert [x.table.astype(np.int8).tobytes() for x in classes] == firsts
 
@@ -624,9 +625,10 @@ def test_census_completes_one_table_per_centralizer_orbit(n):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_search_counts_each_completions_stabilizer_by_the_definition(n):
     columns = Q._column_candidates(n)
-    for s0, _ in T._first_columns(n):
-        ids = T._centralizer(s0, columns.perms)
-        for table, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
+    for s0 in Q._first_columns(n):
+        ids = Q._centralizer(s0, columns.perms)
+        for cols, fixed in Q._tables_from(s0, columns, ids[1:].tolist()):
+            table = columns.perms[cols].T
             # p keeps the table exactly when p(a*b) = p(a)*p(b) for every a and b: with
             # every point as a generator the mask checks just that, the definition of an
             # automorphism, so no closure argument (nor a checked Quandle) is needed
@@ -635,14 +637,21 @@ def test_census_search_counts_each_completions_stabilizer_by_the_definition(n):
 
 
 def test_census_fails_when_the_two_labeled_counts_differ(monkeypatch):
-    firsts = T._first_columns
-    monkeypatch.setattr(T, "_first_columns",
-                        lambda n: [(s0, w + (len(s0) == 4)) for s0, w in firsts(n)])
+    tables_from = Q._tables_from
+
+    def misreported(s0, candidates, centralizer=()):
+        found = tables_from(s0, candidates, centralizer)
+        if s0 == Q._first_columns(4)[0]:    # the first order-4 completion: |Stab_C(T)| one too large
+            cols, fixed = next(found)
+            yield cols, fixed + 1
+        yield from found
+
+    monkeypatch.setattr(Q, "_tables_from", misreported)
     rep = T.check_mccarron_bound(1, 4)
     labeled = rep.annotations["labeled[4]"]
-    assert labeled > 36 and rep.annotations["relabeled[4]"] == 36
+    assert labeled < 36 and rep.annotations["relabeled[4]"] == 36
     assert rep.failures == [f"order 4: the relabeling orbits hold 36 tables, "
-                            f"the cycle-type weights count {labeled}"]
+                            f"orbit-stabilizer counts {labeled}"]
 
 
 def test_conj_inn_embedding_check():
