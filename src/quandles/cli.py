@@ -7,6 +7,7 @@ failure, 2 usage or input error.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -40,7 +41,9 @@ def _add_phi(parser):
                         help="explicit image of every element, comma-separated")
 
 
+@functools.cache
 def build_parser():
+    """One parser per process: it has no dynamic choices."""
     parser = argparse.ArgumentParser(
         prog="quandles",
         description="construct finite quandles, compute their symmetry groups, "

@@ -37,10 +37,12 @@ _TABLE_ORDER_BOUND = 1024
 # Bytes the live temporaries of one chunk of a bulk kernel may take
 # (_row_chunks, _first_witness).  Gathers are built in the smallest dtype
 # (_smallest), and numpy casts a fancy index to intp in small buffers, not as
-# a whole copy, so a gathered entry costs its output dtype's bytes.  3 MiB
-# keeps the witness scan at 2^20 // n^2 rows per chunk for uint8 sides (two
-# sides and a mask, 3 bytes an entry).  Budgets of 2 to 5 MiB moved the peak
-# RSS of `quandles verify all` by about 1 MB and its time not measurably.
+# a whole copy, so a gathered entry costs its output dtype's bytes; an intp
+# index built whole for a flat take (_homomorphism_mask) costs 8 bytes an
+# entry.  3 MiB keeps the witness scan at 2^20 // n^2 rows per chunk for
+# uint8 sides (two sides and a mask, 3 bytes an entry).  Budgets of 2 to 5
+# MiB moved the peak RSS of `quandles verify all` by about 1 MB and its time
+# not measurably.
 _CHUNK_BYTES = 3 << 20
 
 
@@ -127,9 +129,13 @@ def _row_chunks(rows, row_bytes):
 
 
 def _homomorphism_mask(src, tgt, gens, maps):
-    """Mask over maps, (m, n) image rows f from the table src to the table
-    tgt, both group or both quandle tables: f(x*g) = f(x)*f(g) for every x
-    and every g in gens, a generating set of src, at m n k cost in chunks.
+    """Mask over maps, (m, |src|) image rows f from the table src to the
+    table tgt of order n, both group or both quandle tables: f(x*g) =
+    f(x)*f(g) for every x and every g in gens, a generating set of src, at
+    m |src| k cost in chunks.  Each chunk is transposed so that its rows run
+    along the contiguous axis: f(x*g) gathers whole rows of f, and
+    f(x)*f(g) = tgt.T[f(g), f(x)] is one flat take at the intp index
+    f(g) n + f(x), 8 bytes per (row, g, x), for which the chunks are sized.
 
     A passing row is a homomorphism, bijective or not: the c with
     f(x*c) = f(x)*f(c) for every x are closed under the product, so they
@@ -139,13 +145,15 @@ def _homomorphism_mask(src, tgt, gens, maps):
     passes).  In a quandle by axioms 2 and 3: with x = y*d,
     f(x*(c*d)) = f((y*c)*d) = (f(y)*f(c))*f(d) = (f(y)*f(d))*(f(c)*f(d)).
     """
-    gens = np.asarray(gens, dtype=np.int64)
-    tgt, maps = _smallest(tgt, len(tgt)), _smallest(maps, len(tgt))
-    ok = np.empty(len(maps), dtype=bool)
-    # per row: both sides, (n, k) each, and their mask
-    for s in _row_chunks(len(maps), src.shape[0] * max(len(gens), 1) * (maps.itemsize + tgt.itemsize + 1)):
-        f = maps[s]
-        ok[s] = (f[:, src[:, gens]] == tgt[f[:, :, None], f[:, None, gens]]).all(axis=(1, 2))
+    gens, n = np.asarray(gens, dtype=np.int64), len(tgt)
+    by_col = np.ascontiguousarray(_smallest(tgt, n).T).ravel()     # tgt[y, c] at c n + y
+    maps, ok = _smallest(maps, n), np.empty(len(maps), dtype=bool)
+    # per row: f and its intp copy at each x; the intp index, both sides and their mask at each (g, x)
+    for s in _row_chunks(len(maps), len(src) * (maps.itemsize + 8 + len(gens) * (8 + 2 * maps.itemsize + 1))):
+        f = np.ascontiguousarray(maps[s].T)                          # f[x]: f(x) along the chunk's rows
+        at = f.astype(np.intp)
+        at = (at[gens] * n)[:, None] + at                            # (k, |src|, rows): f(g) n + f(x)
+        ok[s] = (f[src[:, gens].T] == by_col.take(at)).all(axis=(0, 1))
     return ok
 
 

@@ -351,3 +351,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("3\n")
+
+
+def _calls_in_one_process(tmp_path, capsys, fresh):
+    """(exit code, stdout, stderr, files written) of a run of calls through
+    cli.main, with report timings dropped; with fresh, the parser is built
+    again before each call."""
+    calls = [
+        ["verify", "dihedral-corollary", "--n", "3,5", "--json", "--out", str(tmp_path / "report.json")],
+        ["verify", "dihedral-corollary", "--json"],
+        ["make", "dihedral", "5", "--out", str(tmp_path / "r5.qnd")],
+        ["make", "dihedral", "5"],
+        ["make", "alexander", "--factors", "3,3"],                     # no phi flag: refused
+        ["make", "alexander", "--factors", "3,3", "--scalar", "2"],
+    ]
+
+    def untimed(text):
+        if not text.startswith("{"):
+            return text
+        doc = json.loads(text)
+        for rep in doc["reports"]:
+            rep.pop("elapsed_seconds")
+        return doc
+
+    out = []
+    for argv in calls:
+        if fresh:
+            cli.build_parser.cache_clear()
+        for path in tmp_path.iterdir():
+            path.unlink()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        text, err = capsys.readouterr()
+        files = {path.name: untimed(path.read_text()) for path in tmp_path.iterdir()}
+        out.append((code, untimed(text), err, files))
+    return out
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # the parser is built once per process; no option of one call leaks into
+    # the next: --out into a verify or make without it, --n into a verify at
+    # the default orders, a refused call into the good one after it
+    reused = _calls_in_one_process(tmp_path, capsys, fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert reused == _calls_in_one_process(tmp_path, capsys, fresh=True)
+    assert [code for code, *_ in reused] == [0, 0, 0, 0, 2, 0]
+    assert [sorted(files) for *_, files in reused] == [["report.json"], [], ["r5.qnd"], [], [], []]
+    assert reused[0][3]["report.json"] == reused[0][1] != reused[1][1]
+    assert "one of the arguments" in reused[4][2]

@@ -351,10 +351,11 @@ def test_homomorphism_check_matches_all_pairs(name, pick, i, j):
         assert G.map_from_images(g, images).is_automorphism
 
 
-def _homomorphic_at_all_pairs(table, maps):
-    """Reference for the mask: f(a*b) = f(a)*f(b) at every pair (a, b)."""
-    t, n = table.tolist(), len(table)
-    return [all(f[t[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(n)) for f in maps.tolist()]
+def _homomorphic_at_all_pairs(src, tgt, maps):
+    """Reference for the mask: f(a*b) = f(a)*f(b) at every pair (a, b) of
+    src, the product on the right taken in tgt."""
+    s, t, n = src.tolist(), tgt.tolist(), len(src)
+    return [all(f[s[a][b]] == t[f[a]][f[b]] for a in range(n) for b in range(n)) for f in maps.tolist()]
 
 
 def _partial_homomorphisms(g, rng):
@@ -374,32 +375,102 @@ def _partial_homomorphisms(g, rng):
     return out
 
 
+def _every_map(m, n):
+    """All n^m image rows of a map from m points to n points."""
+    return np.array(list(itertools.product(range(n), repeat=m)))
+
+
+# (domain, codomain, number of homomorphisms): x -> kx between cyclic groups,
+# 1 -> the identity or a 3-cycle for Z3 -> S3, the trivial map and the sign
+# for S3 -> Z2
+GROUP_MAP_COUNTS = [("z6", "z3", 3), ("z3", "s3", 3), ("z4", "z2", 2), ("s3", "z2", 2), ("z2", "z4", 2)]
+
+
+def _group_map_cases():
+    """(src, tgt, generators of src, every image row) for GROUP_MAP_COUNTS."""
+    out = []
+    for a, b, _ in GROUP_MAP_COUNTS:
+        g, h = G.group_by_name(a), G.group_by_name(b)
+        out.append((g.table, h.table, g.generators(), _every_map(g.order, h.order)))
+    return out
+
+
 def _mask_cases():
-    """(table, generators, image rows): every labeled quandle of order <= 4
-    with every map of its points, and every catalog group of order <= 12
-    with its automorphisms, power maps, partial homomorphisms, constant
+    """(src, tgt, generators of src, image rows): every labeled quandle of
+    order <= 4 with every map of its points, every catalog group of order <=
+    12 with its automorphisms, power maps, partial homomorphisms, constant
     maps and random maps, so bijections and non-bijections both pass and
-    fail."""
+    fail; and maps between tables of different orders, as ``GroupMap``
+    checks them: every map between labeled quandles of two different orders
+    <= 4, and every map between the groups of GROUP_MAP_COUNTS."""
     cases = []
+    quandles = {n: list(Q.enumerate_quandle_tables(n)) for n in range(1, 5)}
     for n in range(1, 5):
-        every = np.array(list(itertools.product(range(n), repeat=n)))
-        cases += [(x.table, x.generators(), every) for x in Q.enumerate_quandle_tables(n)]
+        every = _every_map(n, n)
+        cases += [(x.table, x.table, x.generators(), every) for x in quandles[n]]
     rng = np.random.default_rng(18)
     for g in G.catalog_groups(12):
         n = g.order
         maps = [G.automorphism_array(g), [[g.power(x, k) for x in range(n)] for k in range(4)],
                 _partial_homomorphisms(g, rng), np.tile(np.arange(n)[:, None], n), rng.integers(n, size=(40, n))]
-        cases.append((g.table, g.generators(), np.vstack([np.reshape(m, (-1, n)) for m in maps if len(m)])))
-    return cases
+        cases.append((g.table, g.table, g.generators(), np.vstack([np.reshape(m, (-1, n)) for m in maps if len(m)])))
+    for m, n in itertools.permutations(range(1, 5), 2):
+        cases += [(x.table, y.table, x.generators(), _every_map(m, n)) for x in quandles[m] for y in quandles[n]]
+    return cases + _group_map_cases()
+
+
+def _check_mask_cases(cases):
+    """Each case's mask against the all-pairs reference; the outcomes."""
+    outcomes = []
+    for src, tgt, gens, maps in cases:
+        mask = G._homomorphism_mask(src, tgt, gens, maps)
+        assert mask.tolist() == _homomorphic_at_all_pairs(src, tgt, maps), (src.tolist(), tgt.tolist())
+        outcomes.append(mask)
+    return outcomes
 
 
 def test_homomorphism_mask_matches_all_pairs():
-    outcomes = []
-    for table, gens, maps in _mask_cases():
-        mask = G._homomorphism_mask(table, table, gens, maps)
-        assert mask.tolist() == _homomorphic_at_all_pairs(table, maps), table.tolist()
-        outcomes += mask.tolist()
-    assert outcomes.count(True) > 1000 and outcomes.count(False) > 5000
+    outcomes = np.concatenate(_check_mask_cases(_mask_cases()))
+    assert np.count_nonzero(outcomes) > 1000 and np.count_nonzero(~outcomes) > 5000
+
+
+def test_homomorphism_mask_between_groups_of_different_orders():
+    counts = [int(np.count_nonzero(mask)) for mask in _check_mask_cases(_group_map_cases())]
+    assert counts == [count for _, _, count in GROUP_MAP_COUNTS]
+
+
+def test_homomorphism_mask_matches_all_pairs_in_small_chunks(monkeypatch):
+    # a 600-byte budget cuts the same maps into 12,263 chunks of 1 to 30
+    # rows, 727 of them of one row: a row of uint8 images from a table of
+    # order 12 with k generators takes 12 (9 + 11 k) bytes
+    cases, sizes, chunks = _mask_cases(), [], G._row_chunks
+
+    def spy(rows, row_bytes):
+        for s in chunks(rows, row_bytes):
+            sizes.append(s.stop - s.start)
+            yield s
+
+    monkeypatch.setattr(G, "_CHUNK_BYTES", 600)
+    monkeypatch.setattr(G, "_row_chunks", spy)
+    _check_mask_cases(cases)
+    assert len(sizes) > 10000 and sizes.count(1) > 500 and max(sizes) > 1
+
+
+def test_homomorphism_mask_holds_one_chunk_of_temporaries():
+    # Aut((Z/2)^4)'s 20,160 twisted rows, 16 points and 4 generators: the
+    # chunks are sized for the 8-byte index at each (row, g, x), so the
+    # traced peak stays within 1.25 _CHUNK_BYTES (0.86 here); chunks that
+    # counted 3 bytes an entry, as for a fancy gather, reach 3.76x
+    g = G.make_abelian([2, 2, 2, 2])
+    tw = G._twisted_rows(g, G.automorphism_array(g))
+    tracemalloc.start()
+    try:
+        ok = G._homomorphism_mask(g.table, g.table, g.generators(), tw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tw) == 20160 and ok.all()
+    assert peak <= 1.25 * G._CHUNK_BYTES, peak
 
 
 def _ordered_factor_lists(bound):
