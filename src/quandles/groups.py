@@ -39,11 +39,14 @@ _TABLE_ORDER_BOUND = 1024
 # (_smallest), and numpy casts a fancy index to intp in small buffers, not as
 # a whole copy, so a gathered entry costs its output dtype's bytes; an intp
 # index built whole for a flat take (_homomorphism_mask) costs 8 bytes an
-# entry.  3 MiB keeps the witness scan at 2^20 // n^2 rows per chunk for
-# uint8 sides (two sides and a mask, 3 bytes an entry).  Budgets of 2 to 5
-# MiB moved the peak RSS of `quandles verify all` by about 1 MB and its time
-# not measurably.
-_CHUNK_BYTES = 3 << 20
+# entry.  A chunk's largest temporaries are fresh allocations, above glibc's
+# mmap threshold at 3 MiB, so each paid page faults on first touch; at 512
+# KiB the witness scan takes 2^19 // (3 n^2) rows per chunk for uint8 sides
+# (two sides and a mask, 3 bytes an entry), and the peak RSS of the
+# verify-sweep benchmark fell from 43.8 to 41.9 MB (medians of 10 runs, 2
+# vCPU Xeon) with its time unchanged; 1 MiB read 42.0 MB and 256 KiB 41.7-41.9
+# MB, so the gain levels off at 512 KiB.
+_CHUNK_BYTES = 512 << 10
 
 
 class FiniteGroup:
@@ -161,19 +164,30 @@ def _row_lookup(rows):
     """A function that maps an (..., n) array to the index in rows of each
     of its rows, -1 where absent (everywhere when rows is empty), the first
     index where rows repeats it: ``_row_lookup(rows)(rows)`` names each
-    row's first copy."""
+    row's first copy.
+
+    Each row is one void key, read in place.  The index holds only the
+    stable argsort of the keys, no sorted copy: a query's position among the
+    sorted keys is read through the argsort (searchsorted's sorter), and
+    equal keys keep their index order, so the leftmost match is the first
+    copy.  Queries run in _row_chunks slices, each query row holding its
+    position and index (two intp), the gathered key, the converted query key
+    and the match."""
     n = rows.shape[1]
     if not len(rows):
         return lambda query: np.full(np.shape(query)[:-1], -1)
     key = np.dtype((np.void, n * rows.dtype.itemsize))          # one image row as one key
     keys = np.ascontiguousarray(rows).view(key).ravel()
     order = np.argsort(keys, kind="stable")                     # equal keys keep their index order
-    ordered = keys[order]
 
     def find(query):
-        q = np.ascontiguousarray(query, dtype=rows.dtype).reshape(-1, n).view(key).ravel()
-        pos = np.minimum(np.searchsorted(ordered, q), len(keys) - 1)
-        return np.where(ordered[pos] == q, order[pos], -1).reshape(query.shape[:-1])
+        flat = query.reshape(-1, n)
+        out = np.empty(len(flat), dtype=np.intp)
+        for s in _row_chunks(len(flat), 2 * 8 + 2 * key.itemsize + 1):
+            q = np.ascontiguousarray(flat[s], dtype=rows.dtype).view(key).ravel()
+            at = order[np.minimum(np.searchsorted(keys, q, sorter=order), len(keys) - 1)]
+            out[s] = np.where(keys[at] == q, at, -1)
+        return out.reshape(query.shape[:-1])
     return find
 
 
@@ -498,7 +512,7 @@ def is_central_automorphism(phi):
     """a^-1 * phi(a) lands in the center for every a."""
     if not phi.is_automorphism:
         raise ValueError("centrality is defined for automorphisms")
-    return bool(_central(phi.domain, np.array([phi.images]))[0])
+    return bool(_central(phi.domain, _twisted_rows(phi.domain, np.array([phi.images])))[0])
 
 
 def _fixed_point_free(rows):
@@ -512,11 +526,12 @@ def _twisted_rows(group, rows):
     return _smallest(group.table, group.order)[group.inverse_array(), rows]
 
 
-def _central(group, rows):
-    """Mask over image rows: the twisted map lands in the center."""
+def _central(group, twisted):
+    """Mask over twisted rows (``_twisted_rows``): the twisted map lands in
+    the center, so its automorphism is central."""
     in_center = np.zeros(group.order, dtype=bool)
     in_center[center(group)] = True
-    return in_center[_twisted_rows(group, rows)].all(axis=1)
+    return in_center[twisted].all(axis=1)
 
 
 def _centralizer_rows(group, images):

@@ -370,8 +370,9 @@ def _central_one(group):
     """The central-automorphism clauses on a single group."""
     rep = TheoremReport("central-lemma")
     phis = G.automorphism_array(group)
-    central = phis[G._central(group, phis)]
-    tw = G._twisted_rows(group, central)
+    tw = G._twisted_rows(group, phis)
+    keep = G._central(group, tw)
+    central, tw = phis[keep], tw[keep]
     tag = group.name
     hom = G._homomorphism_mask(group.table, group.table, group.generators(), tw)
     for i in np.flatnonzero(~hom)[:3]:
@@ -396,7 +397,7 @@ def _connected_abelian_one(group):
         raise ValueError(f"{group.name} is abelian; the claim concerns non-abelian groups")
     phis, sizes, _ = G._aut_classes(group)
     involutory = (np.take_along_axis(phis, phis, axis=1) == np.arange(group.order)).all(axis=1)
-    chosen = G._central(group, phis) & involutory
+    chosen = G._central(group, G._twisted_rows(group, phis)) & involutory
     phis, sizes = phis[chosen], sizes[chosen]
     for i in np.flatnonzero(_alexander_mask(group, phis, sym._connected_tables))[:3]:
         rep.fail(f"{group.name}, {_phi_name(phis[i])}: connected despite central involutory phi")

@@ -166,7 +166,8 @@ def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
     # test fails only where the loop does, so rows 0..34 (loop element 0)
     # are associative, and the first failing row, 35, lies past the first
     # chunks of the scan, which start at one row and double up to the cap of
-    # 3 MiB // (3 * 175^2) = 34 rows: two uint8 sides and their mask
+    # _CHUNK_BYTES // (3 * 175^2) rows (5 at 512 KiB): two uint8 sides and
+    # their mask
     m = 35
     zm = G.make_cyclic(m).table
     t = (np.array(LOOP5)[:, None, :, None] * m + zm[None, :, None, :]).reshape(5 * m, 5 * m)
@@ -188,7 +189,11 @@ def test_associativity_witness_past_the_first_row_chunk(monkeypatch):
 
         return G._first_witness(small, sides), sizes
 
-    assert scan() == (witness, [1, 2, 4, 8, 16, 32])
+    cap, schedule = max(1, G._CHUNK_BYTES // (3 * small.size)), [1]
+    while sum(schedule) <= witness[0]:
+        schedule.append(min(2 * schedule[-1], cap))
+    assert len(schedule) > 3                             # the witness lies past the first three chunks
+    assert scan() == (witness, schedule)
     monkeypatch.setattr(G, "_CHUNK_BYTES", 4 * 3 * len(t) ** 2)
     assert scan() == (witness, [1, 2] + [4] * 9)
 
@@ -589,7 +594,7 @@ def test_aut_gathers_match_per_element_definitions():
         rows = G.automorphism_array(g)
         assert [phi.images for phi in auts] == [tuple(r) for r in rows.tolist()]
         twisted_rows = G._twisted_rows(g, rows)
-        central, fpf = G._central(g, rows), G._fixed_point_free(rows)
+        central, fpf = G._central(g, twisted_rows), G._fixed_point_free(rows)
         zc = set(G.center(g))
         for i, phi in enumerate(auts):
             twisted = tuple(g.mul(g.inv(a), phi(a)) for a in g.elements())
@@ -974,3 +979,50 @@ def test_row_lookup_gives_the_first_index_of_each_row():
     assert G._row_lookup(back)(back).tolist() == [0, 1, 2, 3, 1, 2, 1]
     assert G._row_lookup(one)(one).tolist() == [0]
     assert G._row_lookup(empty)(empty).tolist() == []
+
+
+def _first_indices(rows, query):
+    """The row index by a dict: the first index in rows of each row of
+    query, -1 where absent."""
+    first = {}
+    for i, row in enumerate(rows.tolist()):
+        first.setdefault(tuple(row), i)
+    flat = np.asarray(query).reshape(-1, rows.shape[1]).tolist()
+    return np.array([first.get(tuple(row), -1) for row in flat]).reshape(np.shape(query)[:-1])
+
+
+def test_row_lookup_matches_a_dict_in_small_chunks(monkeypatch):
+    # 40-byte chunks cut every query into slices of one or two rows
+    monkeypatch.setattr(G, "_CHUNK_BYTES", 40)
+    rng = np.random.default_rng(39)
+    for dtype, high in ((np.uint8, 256), (np.uint16, 65536)):
+        for n in (1, 3, 4):
+            pool = rng.integers(0, high, size=(12, n))
+            rows = pool[rng.integers(0, 12, size=300)].astype(dtype)           # many repeats
+            query = np.concatenate([rows, pool, rng.integers(0, high, size=(12, n))])[rng.permutation(324)]
+            find = G._row_lookup(rows)
+            for q in (rows, query, query.reshape(4, 81, n), query[:6].reshape(2, 3, 1, n), query[:0]):
+                got = find(q)
+                assert got.shape == q.shape[:-1] and np.array_equal(got, _first_indices(rows, q))
+            assert (find(query) >= 0).sum() > 100 and (find(query) < 0).sum() > 0
+            empty = G._row_lookup(rows[:0])
+            assert np.array_equal(empty(query.reshape(4, 81, n)), np.full((4, 81), -1))
+
+
+def test_row_lookup_holds_its_argsort_and_one_chunk():
+    # the self-lookup of the 16 * 20,160 embedding rows of (Z/2)^4 at
+    # phi = id, as _check_semidirect_embedding builds them: the argsort and
+    # the output take 8 bytes a row each, and the queries run in chunks
+    # (traced 5.4 MB against a bound of 5.8 MB); a sorted copy of the
+    # 16-byte keys alone would take 5.2 MB more
+    g = G.make_abelian([2, 2, 2, 2])
+    tbl, maps = G._smallest(g.table, 16), G._smallest(G.automorphism_array(g), 16)
+    emb = tbl.T[:, maps].reshape(-1, 16)
+    tracemalloc.start()
+    try:
+        earlier = G._row_lookup(emb)(emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(emb) == 322560 and np.array_equal(earlier, np.arange(len(emb)))
+    assert peak <= 2 * 8 * len(emb) + 1.25 * G._CHUNK_BYTES, peak
