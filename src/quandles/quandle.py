@@ -31,6 +31,7 @@ column search (``_tables_from``), and only this module reads its column ids.
 """
 
 import bisect
+import functools
 import io
 import itertools
 from dataclasses import dataclass
@@ -272,23 +273,14 @@ def enumerate_quandle_tables(n):
 class _Columns:
     """The permutations of 0..n-1 as column ids for the search, in
     lexicographic order, which is ``itertools.permutations`` order; a table
-    is relabeled on its column ids, through conj (``_relabeled_ids``)."""
+    is relabeled on its column ids, through conj (``_tables_from`` and
+    ``_quandle_classes``)."""
 
     perms: np.ndarray    # (n!, n) int8: row i is the permutation with id i
     inverse: np.ndarray  # (n!, n) int8: row i is the inverse of the permutation with id i
     rows: list           # the same rows as tuples, sorted, so bisect finds an id
     fixing: list         # fixing[x]: the ids of the permutations fixing x, ascending
     conj: memoryview     # flat uint16: conj[c * n! + b] = id(S_c S_b S_c^-1)
-
-
-def _relabeled_ids(cols, columns):
-    """The (n!, n) uint16 column ids of every relabeling of the table with
-    column ids cols: row p holds those of p.T, (p.T)[p(a), p(b)] = p(a*b),
-    whose column at y has id conj[p n! + cols[p^-1(y)]], the rule that
-    ``_tables_from``'s ``least`` applies one point at a time."""
-    k = len(columns.rows)
-    conj = np.asarray(columns.conj).reshape(k, k)
-    return conj[np.arange(k)[:, None], np.asarray(cols)[columns.inverse]]
 
 
 def _column_candidates(n):
@@ -356,20 +348,18 @@ def _tables_from(s0, columns, centralizer=()):
     point is assigned, so the leaders left are those with p.T = T, and
     with the identity they count Stab_C(T).
 
-    The census (``_quandle_classes``) runs this search from one S_0 per
-    cycle type (``_first_columns``), with C its centralizer.  Relabeling by
-    a permutation fixing 0 carries the tables with S_0 = s onto those with
-    S_0 conjugate to s, so every class has a member among them, and the
-    first member of a class in the unpruned stream is the least of its own
-    C-orbit: it is completed, and it starts its class at the same place as
-    without pruning.  A completion whose ids are in no relabeling orbit seen
-    so far starts a new class, and the ids of its relabelings by every
-    permutation (``_relabeled_ids``) join a set, whose size counts the
-    labeled tables by orbit closure.  Orbit-stabilizer counts them again:
-    s's conjugacy class has (n-1)!/|C| columns, and T stands for
-    |C|/|Stab_C(T)| tables with S_0 = s, so for (n-1)!/|Stab_C(T)| in all.
-    Only a class's first table becomes a Quandle, and so is checked against
-    the axioms.
+    A candidate for the least free point f is rejected before it is
+    copied and propagated when some leader p still tied at f fixes f and
+    conjugates it to a smaller id: p.cols at f is then conj[id(p) n! +
+    cand] < cand, the test the comparison above makes right after
+    propagation, which fills no point below f and leaves f alone.  Each
+    leader's test at each point it fixes is precomputed from conj as flags
+    over fixing[f], one byte a candidate, in one int, so a node ANDs the
+    ints of its tied leaders.
+
+    The recursion holds itself through its closure cell, a cycle that would
+    keep conj alive until a full collection; the cell is cleared when the
+    search returns or is closed.
     """
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
@@ -407,9 +397,11 @@ def _tables_from(s0, columns, centralizer=()):
     def least(cols, pending):
         """pending's leaders still tied on cols, resumed: flat pairs k, y (a
         tuple per leader and node cost about 1 MB of peak RSS) of an index
-        into leaders and the first point not compared yet; None when some p
+        into leaders and the first point not compared yet, and the AND of
+        the flags of those tied at the least free point; None when some p
         makes p.cols smaller than cols where both are assigned."""
         kept = []
+        allowed = -1
         for j in range(0, len(pending), 2):
             k, y = pending[j], pending[j + 1]
             base, inv = leaders[k]
@@ -422,25 +414,47 @@ def _tables_from(s0, columns, centralizer=()):
                 y += 1
             else:
                 kept += k, y
-        return kept
+                m = masks[k][y]
+                if m is not None:
+                    allowed &= m
+        return kept, allowed
 
     def dfs(cols, pending):
-        pending = least(cols, pending)
-        if pending is None:
+        found = least(cols, pending)
+        if found is None:
             return
+        pending, allowed = found
         if None not in cols:
             yield cols, len(pending) // 2 + 1
             return
         free = cols.index(None)
-        for cand in fixing[free]:
+        cands = fixing[free]
+        if allowed != -1:
+            cands = itertools.compress(cands, allowed.to_bytes(len(cands), "little"))
+        for cand in cands:
             trial = list(cols)
             trial[free] = cand
             if propagate(trial, free):
                 yield from dfs(trial, pending)
 
+    # masks[k][f]: the flags over fixing[f] of the candidates leader k does
+    # not make smaller at f, or None where it moves f (or f is 0 or n)
+    masks = [[None] * (n + 1) for _ in leaders]
+    if leaders:
+        square = np.asarray(conj).reshape(n_perms, n_perms)
+        cent = np.asarray(centralizer)
+        for f in range(1, n):
+            ids = np.asarray(fixing[f])
+            ks = np.flatnonzero(columns.perms[cent, f] == f)
+            flags = (square[cent[ks, None], ids] >= ids).view(np.uint8)
+            for k, row in zip(ks.tolist(), flags):
+                masks[k][f] = int.from_bytes(row.tobytes(), "little")
     cols = [bisect.bisect_left(rows, s0)] + [None] * (n - 1)
-    if propagate(cols, 0):
-        yield from dfs(cols, [x for k in range(len(leaders)) for x in (k, 1)])
+    try:
+        if propagate(cols, 0):
+            yield from dfs(cols, [x for k in range(len(leaders)) for x in (k, 1)])
+    finally:
+        del dfs    # break the cycle dfs -> its closure cell -> dfs
 
 
 def _first_columns(n):
@@ -464,25 +478,62 @@ def _centralizer(s0, perms):
 
 
 def _quandle_classes(order):
-    """(classes, labeled, relabeled, completions) of the census at order, as
-    set out in ``_tables_from``: the isomorphism classes in a deterministic
-    order, the labeled tables counted by orbit-stabilizer and by orbit
-    closure, and the tables the search completed."""
+    """(classes, labeled, relabeled, completions) of the census at order: the
+    isomorphism classes in a deterministic order, the labeled tables counted
+    two ways, and the tables the column search completed.
+
+    The search (``_tables_from``) runs from one S_0 per cycle type
+    (``_first_columns``), with C its centralizer.  Relabeling by a
+    permutation fixing 0 carries the tables with S_0 = s onto those with S_0
+    conjugate to s, so every class has a member among them, and the first
+    member of a class in the unpruned stream is the least of its own
+    C-orbit: it is completed, and it starts its class at the same place as
+    without pruning.
+
+    Relabeling conjugates every column, so the tables of a class have the
+    same cycle types of columns.  A completion with a column of the cycle
+    type of an earlier S_0 is in a class found from that S_0, and is passed
+    over with no lookup.  Any other completion from s is in no class found
+    from an earlier S_0, and is in one found from s exactly when its ids
+    are those of a relabeling of that class's first table T with S_0 = s.
+    Those relabelings p.T, whose column at 0 has id conj[id(p) n! +
+    cols[p^-1(0)]], join a set kept for s, and the p that leave T's ids
+    unchanged count Aut(T).  A completion not in the set starts a class.
+
+    ``relabeled`` counts the labeled tables as the size of the union of the
+    classes' relabeling orbits, the sum of n!/|Aut(T)|.  ``labeled`` counts
+    them by orbit-stabilizer: s's conjugacy class has (n-1)!/|C| columns,
+    and a completion T stands for |C|/|Stab_C(T)| tables with S_0 = s, so
+    for (n-1)!/|Stab_C(T)| in all.  Only a class's first table becomes a
+    Quandle, and so is checked against the axioms.
+    """
     columns = _column_candidates(order)
+    k = len(columns.rows)
+    conj = np.asarray(columns.conj).reshape(k, k)
+    everyone, at_0 = np.arange(k), columns.inverse[:, 0]
     key = np.dtype((np.void, 2 * order))
-    seen = set()
+    firsts = _first_columns(order)
+    rank = {Permutation(s0).cycle_type(): i for i, s0 in enumerate(firsts)}
+    type_rank = functools.cache(lambda c: rank[Permutation(columns.rows[c]).cycle_type()])
     classes = []
-    labeled = completions = 0
-    for s0 in _first_columns(order):
+    labeled = relabeled = completions = 0
+    for i, s0 in enumerate(firsts):
         ids = _centralizer(s0, columns.perms)
+        seen = set()
         for cols, fixed in _tables_from(s0, columns, ids[1:].tolist()):
             completions += 1
-            cols = np.array(cols, np.uint16)
-            if cols.tobytes() not in seen:
-                classes.append(Quandle(columns.perms[cols].T, Provenance("enumerated")))
-                seen.update(_relabeled_ids(cols, columns).view(key).ravel().tolist())
             labeled += len(columns.fixing[0]) // fixed      # (n-1)!/|Stab_C(T)|
-    return classes, labeled, len(seen), completions
+            if min(map(type_rank, cols)) < i:
+                continue
+            cols = np.array(cols, np.uint16)
+            if cols.tobytes() in seen:
+                continue
+            classes.append(Quandle(columns.perms[cols].T, Provenance("enumerated")))
+            keep = np.flatnonzero(conj[everyone, cols[at_0]] == cols[0])
+            moved = conj[keep[:, None], cols[columns.inverse[keep]]]
+            relabeled += k // int(np.count_nonzero((moved == cols).all(axis=1)))    # n!/|Aut(T)|
+            seen.update(moved.view(key).ravel().tolist())
+    return classes, labeled, relabeled, completions
 
 
 # -- file format ---------------------------------------------------------------

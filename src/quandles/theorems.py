@@ -496,7 +496,7 @@ def check_thm_fnt(p, n, u):
 
 
 # the census runs to order 6 unless asked for more, and takes at most the
-# column search's bound, 7 (about 0.8–1.1 s and 93 MB peak RSS)
+# column search's bound, 7 (about 0.5 s and 83 MB peak RSS)
 _CENSUS_DEFAULT_ORDER = 6
 
 
@@ -508,8 +508,10 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     The classes, both counts of the labeled tables and the search's
     completions come from ``quandle._quandle_classes``, which owns the
     column search and explains the counts.  ``labeled[n]`` counts the
-    labeled tables by orbit-stabilizer, ``relabeled[n]`` by the size of the
-    union of the relabeling orbits; the report fails where the two differ.
+    labeled tables by orbit-stabilizer over the completions,
+    ``relabeled[n]`` as the size of the union of the classes' relabeling
+    orbits, n!/|Aut(T)| summed over the classes; the report fails where the
+    two differ.
     ``completions[n]`` counts the tables the column search completed, one
     per orbit under the centralizer of S_0.
     """

@@ -7,6 +7,7 @@ class counts 1, 1, 3, 7 for quandle orders 1..4.
 """
 
 import ast
+import gc
 import hashlib
 import inspect
 import itertools
@@ -14,6 +15,7 @@ import json
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -538,9 +540,19 @@ def _column_ids(table, columns):
     return [columns.rows.index(tuple(col)) for col in table.T.tolist()]
 
 
+def _relabeled_ids(cols, columns):
+    """The (n!, n) uint16 column ids of every relabeling of the table with
+    column ids cols: row p holds those of p.T, (p.T)[p(a), p(b)] = p(a*b),
+    whose column at y has id conj[p n! + cols[p^-1(y)]], the rule that the
+    census's search and dedup apply to the relabelings they need."""
+    k = len(columns.rows)
+    conj = np.asarray(columns.conj).reshape(k, k)
+    return conj[np.arange(k)[:, None], np.asarray(cols)[columns.inverse]]
+
+
 def _relabeled_tables(table, columns):
     """Every relabeling of table, as bytes of its int8 rows, through the ids."""
-    ids = Q._relabeled_ids(_column_ids(table, columns), columns)
+    ids = _relabeled_ids(_column_ids(table, columns), columns)
     return [columns.perms[row].T.tobytes() for row in ids]
 
 
@@ -549,7 +561,7 @@ def test_relabelings_move_every_entry_of_every_class_table_to_order_5():
         columns = Q._column_candidates(n)
         for x in Q._quandle_classes(n)[0]:
             t = x.table.tolist()
-            moved = Q._relabeled_ids(_column_ids(x.table, columns), columns)
+            moved = _relabeled_ids(_column_ids(x.table, columns), columns)
             assert moved.shape == (len(columns.rows), n) and moved.dtype == np.uint16
             for p, row in zip(columns.rows, moved.tolist()):
                 want = [[0] * n for _ in range(n)]
@@ -579,6 +591,77 @@ def test_census_classes_match_the_full_enumeration(n):
     # the class equation of S_{n-1}: s0's conjugacy class has (n-1)!/|C(s0)| members
     whole, cents = math.factorial(n - 1), [len(Q._centralizer(s0, perms)) for s0 in firsts]
     assert all(whole % c == 0 for c in cents) and sum(whole // c for c in cents) == whole
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_relabeled_count_is_the_union_of_the_relabeling_orbits(n):
+    columns = Q._column_candidates(n)
+    classes, labeled, relabeled, _ = Q._quandle_classes(n)
+    key = np.dtype((np.void, 2 * n))
+    union = set()
+    for x in classes:
+        union.update(_relabeled_ids(_column_ids(x.table, columns), columns).view(key).ravel().tolist())
+    assert relabeled == len(union) == labeled
+
+
+# the completions of orders 1..6 that have a column of the cycle type of an earlier S_0
+SKIPPED = [0, 0, 1, 5, 21, 99]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_passes_over_only_completions_of_classes_found_from_an_earlier_first_column(n):
+    # a completion with a column of the cycle type of an earlier S_0 is never
+    # looked up; each is isomorphic to a class whose first table has that S_0
+    columns = Q._column_candidates(n)
+    classes = Q._quandle_classes(n)[0]
+    firsts = Q._first_columns(n)
+    rank = {Permutation(s0).cycle_type(): i for i, s0 in enumerate(firsts)}
+    found_from = [rank[Permutation(x.column(0)).cycle_type()] for x in classes]
+    assert found_from == sorted(found_from)
+    skipped = 0
+    for i, s0 in enumerate(firsts):
+        earlier = [x for x, r in zip(classes, found_from) if r < i]
+        ids = Q._centralizer(s0, columns.perms)
+        for cols, _ in Q._tables_from(s0, columns, ids[1:].tolist()):
+            if min(rank[Permutation(columns.rows[c]).cycle_type()] for c in cols) < i:
+                t = Q.Quandle(columns.perms[cols].T)
+                assert any(sym.quandle_isomorphic(t, x) is not None for x in earlier), cols
+                skipped += 1
+    assert skipped == SKIPPED[n - 1]
+
+
+def test_census_frees_each_search_table_on_return(monkeypatch):
+    # the column search recurses through its own closure cell; unless that
+    # cycle is broken, each search's conjugation table (51 MB at order 7)
+    # lives on until a full collection
+    tables = []
+    build = Q._column_candidates
+
+    def recorded(n):
+        columns = build(n)
+        tables.append(weakref.ref(columns.conj.obj))
+        return columns
+
+    monkeypatch.setattr(Q, "_column_candidates", recorded)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        assert len(Q._quandle_classes(6)[0]) == 73
+        assert len(tables) == 1 and tables[0]() is None
+        assert tracemalloc.get_traced_memory()[0] < 1 << 19     # the order-6 table is 1 MB
+        # a search closed after its first completion, or dropped unclosed, frees it too
+        s0 = Q._first_columns(6)[0]
+        for drop in (lambda found: found.close(), lambda found: None):
+            columns = build(6)
+            table = weakref.ref(columns.conj.obj)
+            found = Q._tables_from(s0, columns, Q._centralizer(s0, columns.perms)[1:].tolist())
+            next(found)
+            drop(found)
+            del found, columns
+            assert table() is None
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 # sha256 of the order-7 census's class tables, int8, concatenated in order
