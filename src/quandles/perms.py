@@ -27,7 +27,9 @@ on first use by the one sift or by a Schreier generator, and dropped with
 the level when Schreier-Sims recomputes that level's orbit.  Schreier-Sims
 skips the Schreier generator u_p s u_s(p)^-1 of each edge of the orbit tree,
 where u_p s = u_s(p) makes it the identity, and the sift returns as soon as
-its residue is the identity; neither changes a chain.
+its residue is the identity; neither changes a chain.  It runs as one loop
+over a stack of the levels still to verify, deepest on top, not as a
+recursion, so a chain it builds is freed by reference counting alone.
 
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of a FiniteGroup or a Quandle, so it decides
@@ -40,6 +42,7 @@ constructor found (``_assign``).  It hands back its own stabilizer chain,
 and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
+import itertools
 from math import lcm, prod
 from operator import itemgetter
 
@@ -232,56 +235,22 @@ class PermGroup:
         levels = [{i: ident} for i in range(n - 1)]
         inverses = [{} for _ in levels]
         sgens, firsts = [], []      # firsts: each strong generator's first moved point
+        # levels still to verify, deepest on top: (i, fresh) checks every Schreier
+        # generator at level i, assuming deeper levels complete, after
+        # recomputing its orbit when fresh
+        todo = []
 
         def gens_at(i):
             return [g for g, first in zip(sgens, firsts) if first >= i]
 
-        def orbit_at(i, gens_i):
-            levels[i], inverses[i] = _orbit(gens_i, i, ident), {}
-
-        def insert(residue, lev):
+        def insert(residue, lev, start):
             if lev == len(levels):
                 # fixing 0..n-2 forces the identity, which never reaches here
                 raise RuntimeError("non-identity residue escaped the full base")
             # a residue stopped at level lev fixes 0..lev-1 and moves lev
             sgens.append(residue)
             firsts.append(lev)
-
-        def complete_level(i):
-            # verify all Schreier generators at level i, assuming deeper levels complete
-            orbit_at(i, gens_at(i))
-            while True:
-                gens_i = gens_at(i)
-                tr, inv = levels[i], inverses[i]
-                clean = True
-                for p in sorted(tr):
-                    up = tr[p]
-                    for s in gens_i:
-                        q = s[p]
-                        uq = tr.get(q)
-                        if uq is None:
-                            # orbit grew behind our back (new strong generator)
-                            orbit_at(i, gens_i)
-                            clean = False
-                            break
-                        ups = _tcompose(up, s)
-                        if ups == uq:
-                            # the Schreier generator is the identity, as on every orbit-tree edge
-                            continue
-                        uq_inv = inv.get(q)
-                        if uq_inv is None:
-                            uq_inv = inv[q] = _tinverse(uq)
-                        residue, lev = _sift(levels, inverses, _tcompose(ups, uq_inv), i + 1)
-                        if residue is not None:
-                            insert(residue, lev)
-                            for j in range(lev, i, -1):
-                                complete_level(j)
-                            clean = False
-                            break
-                    if not clean:
-                        break
-                if clean:
-                    return
+            todo.extend((j, True) for j in range(start, lev + 1))
 
         seen = set()
         for g in self.generators:
@@ -290,11 +259,33 @@ class PermGroup:
                 continue
             seen.add(t)
             residue, lev = _sift(levels, inverses, t, 0)
-            if residue is None:
-                continue
-            insert(residue, lev)
-            for j in range(lev, -1, -1):
-                complete_level(j)
+            if residue is not None:
+                insert(residue, lev, 0)
+            while todo:
+                i, fresh = todo.pop()
+                gens_i = gens_at(i)
+                if fresh:
+                    levels[i], inverses[i] = _orbit(gens_i, i, ident), {}
+                tr, inv = levels[i], inverses[i]
+                for p, s in itertools.product(sorted(tr), gens_i):
+                    q = s[p]
+                    uq = tr.get(q)
+                    if uq is None:
+                        # orbit grew behind our back (new strong generator)
+                        todo.append((i, True))
+                        break
+                    ups = _tcompose(tr[p], s)
+                    if ups == uq:
+                        # the Schreier generator is the identity, as on every orbit-tree edge
+                        continue
+                    uq_inv = inv.get(q)
+                    if uq_inv is None:
+                        uq_inv = inv[q] = _tinverse(uq)
+                    residue, lev = _sift(levels, inverses, _tcompose(ups, uq_inv), i + 1)
+                    if residue is not None:
+                        todo.append((i, False))
+                        insert(residue, lev, i + 1)
+                        break
 
         self._chain, self._inverses = (levels, sgens), inverses
         return self._chain

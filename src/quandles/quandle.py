@@ -260,8 +260,8 @@ def enumerate_quandle_tables(n):
     Quandle constructor checks them again, with code the search does not
     share.  The search runs once per candidate S_0, in candidate order; the
     census (``_quandle_classes``) runs the same search from one S_0 per
-    cycle type instead.  Orders outside 1..7 raise ValueError before
-    anything is built.
+    cycle type but the identity's instead.  Orders outside 1..7 raise
+    ValueError before anything is built.
     """
     columns = _column_candidates(n)
     for i in columns.fixing[0]:
@@ -289,11 +289,12 @@ def _column_candidates(n):
 
     Conjugating by S_c S_t conjugates by S_t and then by S_c, so row c·t of
     the conjugation table is row c gathered at row t.  The rows of the n-1
-    adjacent transpositions t come from the definition, through a lookup
-    array from base-n keys to ids.  Every other permutation c has a first
-    descent j, and swapping its positions j and j+1 gives c·t_j, which is
-    lexicographically smaller, so of smaller id: row c is row c·t_j gathered
-    at row t_j, and the rows are filled in id order.
+    adjacent transpositions t come from the definition, each permutation
+    found by its base-n key among the keys of all, which rise with id.
+    Every other permutation c has a first descent j, and swapping its
+    positions j and j+1 gives c·t_j, which is lexicographically smaller, so
+    of smaller id: row c is row c·t_j gathered at row t_j, and the rows are
+    filled in id order.
     """
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -302,15 +303,14 @@ def _column_candidates(n):
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
     k = len(perms)
     weights = n ** np.arange(n - 1, -1, -1)
-    ids = np.zeros(n ** n, dtype=np.uint16)      # base-n key -> id, at most 7^7 entries
-    ids[perms @ weights] = np.arange(k)
+    keys = perms @ weights
     swaps = np.tile(np.arange(n), (n - 1, 1))              # row j: the transposition t_j of j and j+1
     i = np.arange(n - 1)
     swaps[i, i], swaps[i, i + 1] = i + 1, i
-    rows_t = [ids[t[perms][:, t] @ weights].astype(np.intp) for t in swaps]
+    rows_t = [np.searchsorted(keys, t[perms][:, t] @ weights) for t in swaps]
     # for each c but the identity: its first descent j, the count of its leading ascents, and id(c·t_j)
     first = np.cumprod(perms[1:, :-1] < perms[1:, 1:], axis=1).sum(axis=1)
-    pred = ids[np.take_along_axis(perms[1:], swaps[first], axis=1) @ weights]
+    pred = np.searchsorted(keys, np.take_along_axis(perms[1:], swaps[first], axis=1) @ weights)
     conj = np.empty((k, k), dtype=np.uint16)
     conj[0] = np.arange(k)
     for c, (p, j) in enumerate(zip(pred.tolist(), first.tolist()), start=1):
@@ -357,9 +357,9 @@ def _tables_from(s0, columns, centralizer=()):
     over fixing[f], one byte a candidate, in one int, so a node ANDs the
     ints of its tied leaders.
 
-    The recursion holds itself through its closure cell, a cycle that would
-    keep conj alive until a full collection; the cell is cleared when the
-    search returns or is closed.
+    The search is a loop over an explicit stack of nodes, each pushing its
+    propagated children in reverse candidate order, so they are popped in
+    candidate order.
     """
     n = len(s0)
     rows, conj, fixing = columns.rows, columns.conj, columns.fixing
@@ -395,15 +395,13 @@ def _tables_from(s0, columns, centralizer=()):
         return True
 
     def least(cols, pending):
-        """pending's leaders still tied on cols, resumed: flat pairs k, y (a
-        tuple per leader and node cost about 1 MB of peak RSS) of an index
-        into leaders and the first point not compared yet, and the AND of
-        the flags of those tied at the least free point; None when some p
+        """pending's leaders still tied on cols, resumed: pairs (k, y) of an
+        index into leaders and the first point not compared yet, and the AND
+        of the flags of those tied at the least free point; None when some p
         makes p.cols smaller than cols where both are assigned."""
         kept = []
         allowed = -1
-        for j in range(0, len(pending), 2):
-            k, y = pending[j], pending[j + 1]
+        for k, y in pending:
             base, inv = leaders[k]
             while y < n and cols[y] is not None and cols[inv[y]] is not None:
                 a, b = cols[y], conj[base + cols[inv[y]]]
@@ -413,29 +411,11 @@ def _tables_from(s0, columns, centralizer=()):
                     break
                 y += 1
             else:
-                kept += k, y
+                kept.append((k, y))
                 m = masks[k][y]
                 if m is not None:
                     allowed &= m
         return kept, allowed
-
-    def dfs(cols, pending):
-        found = least(cols, pending)
-        if found is None:
-            return
-        pending, allowed = found
-        if None not in cols:
-            yield cols, len(pending) // 2 + 1
-            return
-        free = cols.index(None)
-        cands = fixing[free]
-        if allowed != -1:
-            cands = itertools.compress(cands, allowed.to_bytes(len(cands), "little"))
-        for cand in cands:
-            trial = list(cols)
-            trial[free] = cand
-            if propagate(trial, free):
-                yield from dfs(trial, pending)
 
     # masks[k][f]: the flags over fixing[f] of the candidates leader k does
     # not make smaller at f, or None where it moves f (or f is 0 or n)
@@ -450,16 +430,32 @@ def _tables_from(s0, columns, centralizer=()):
             for k, row in zip(ks.tolist(), flags):
                 masks[k][f] = int.from_bytes(row.tobytes(), "little")
     cols = [bisect.bisect_left(rows, s0)] + [None] * (n - 1)
-    try:
-        if propagate(cols, 0):
-            yield from dfs(cols, [x for k in range(len(leaders)) for x in (k, 1)])
-    finally:
-        del dfs    # break the cycle dfs -> its closure cell -> dfs
+    stack = [(cols, [(k, 1) for k in range(len(leaders))])] if propagate(cols, 0) else []
+    while stack:
+        cols, pending = stack.pop()
+        found = least(cols, pending)
+        if found is None:
+            continue
+        pending, allowed = found
+        if None not in cols:
+            yield cols, len(pending) + 1
+            continue
+        free = cols.index(None)
+        cands = fixing[free]
+        if allowed != -1:
+            cands = itertools.compress(cands, allowed.to_bytes(len(cands), "little"))
+        children = []
+        for cand in cands:
+            trial = list(cols)
+            trial[free] = cand
+            if propagate(trial, free):
+                children.append((trial, pending))
+        stack += reversed(children)
 
 
 def _first_columns(n):
     """One column S_0 per cycle type on the points 1..n-1, cycles laid out
-    consecutively."""
+    consecutively, the identity last."""
     out = []
     for parts in _partitions(n - 1):
         col = [0]
@@ -480,15 +476,16 @@ def _centralizer(s0, perms):
 def _quandle_classes(order):
     """(classes, labeled, relabeled, completions) of the census at order: the
     isomorphism classes in a deterministic order, the labeled tables counted
-    two ways, and the tables the column search completed.
+    two ways, and the tables the column search completes from every S_0 of
+    ``_first_columns``, one per orbit of S_0's centralizer.
 
     The search (``_tables_from``) runs from one S_0 per cycle type
-    (``_first_columns``), with C its centralizer.  Relabeling by a
-    permutation fixing 0 carries the tables with S_0 = s onto those with S_0
-    conjugate to s, so every class has a member among them, and the first
-    member of a class in the unpruned stream is the least of its own
-    C-orbit: it is completed, and it starts its class at the same place as
-    without pruning.
+    (``_first_columns``) but the identity, with C its centralizer.
+    Relabeling by a permutation fixing 0 carries the tables with S_0 = s
+    onto those with S_0 conjugate to s, so every class has a member among
+    them, and the first member of a class in the unpruned stream is the
+    least of its own C-orbit: it is completed, and it starts its class at
+    the same place as without pruning.
 
     Relabeling conjugates every column, so the tables of a class have the
     same cycle types of columns.  A completion with a column of the cycle
@@ -506,6 +503,18 @@ def _quandle_classes(order):
     and a completion T stands for |C|/|Stab_C(T)| tables with S_0 = s, so
     for (n-1)!/|Stab_C(T)| in all.  Only a class's first table becomes a
     Quandle, and so is checked against the axioms.
+
+    The identity S_0, the last, is counted instead of searched: its
+    centralizer is every permutation fixing 0, and of its completions only
+    the trivial quandle, appended last, has no column of an earlier cycle
+    type.  Relabeling keeps the number j of identity columns and carries 0
+    to every point equally often, so j/n of the labeled tables with j < n
+    identity columns have S_0 the identity: ``labeled`` is 1 + the sum of
+    S_j n/(n-j), with S_j the (n-1)!/|Stab_C(T)| summed over the completions
+    T with j identity columns.  The identity's completions are the tables
+    of each class T relabeled to move an identity column to 0, one per
+    orbit of Aut(T) on T's identity columns, so each class adds that number
+    to ``completions``.
     """
     columns = _column_candidates(order)
     k = len(columns.rows)
@@ -516,13 +525,14 @@ def _quandle_classes(order):
     rank = {Permutation(s0).cycle_type(): i for i, s0 in enumerate(firsts)}
     type_rank = functools.cache(lambda c: rank[Permutation(columns.rows[c]).cycle_type()])
     classes = []
-    labeled = relabeled = completions = 0
-    for i, s0 in enumerate(firsts):
+    relabeled = completions = 0
+    by_identities = [0] * order     # [j]: the tables with S_0 not the identity and j identity columns
+    for i, s0 in enumerate(firsts[:-1]):
         ids = _centralizer(s0, columns.perms)
         seen = set()
         for cols, fixed in _tables_from(s0, columns, ids[1:].tolist()):
             completions += 1
-            labeled += len(columns.fixing[0]) // fixed      # (n-1)!/|Stab_C(T)|
+            by_identities[cols.count(0)] += len(columns.fixing[0]) // fixed      # (n-1)!/|Stab_C(T)|
             if min(map(type_rank, cols)) < i:
                 continue
             cols = np.array(cols, np.uint16)
@@ -531,9 +541,16 @@ def _quandle_classes(order):
             classes.append(Quandle(columns.perms[cols].T, Provenance("enumerated")))
             keep = np.flatnonzero(conj[everyone, cols[at_0]] == cols[0])
             moved = conj[keep[:, None], cols[columns.inverse[keep]]]
-            relabeled += k // int(np.count_nonzero((moved == cols).all(axis=1)))    # n!/|Aut(T)|
+            aut = keep[(moved == cols).all(axis=1)]
+            relabeled += k // len(aut)      # n!/|Aut(T)|
+            identities = np.flatnonzero(cols == 0)
+            # one per Aut(T)-orbit on them: the points least in their orbit
+            completions += int(np.count_nonzero(columns.perms[aut][:, identities].min(axis=0) == identities))
             seen.update(moved.view(key).ravel().tolist())
-    return classes, labeled, relabeled, completions
+    # the trivial quandle, the identity S_0's one class: one labeled table, one completion
+    classes.append(Quandle(columns.perms[[0] * order].T, Provenance("enumerated")))
+    labeled = 1 + sum(s * order // (order - j) for j, s in enumerate(by_identities))
+    return classes, labeled, relabeled + 1, completions + 1
 
 
 # -- file format ---------------------------------------------------------------

@@ -496,7 +496,7 @@ def check_thm_fnt(p, n, u):
 
 
 # the census runs to order 6 unless asked for more, and takes at most the
-# column search's bound, 7 (about 0.5 s and 83 MB peak RSS)
+# column search's bound, 7 (about 0.3 s and 81.5 MB peak RSS)
 _CENSUS_DEFAULT_ORDER = 6
 
 
@@ -512,8 +512,9 @@ def check_mccarron_bound(min_order=1, max_order=_CENSUS_DEFAULT_ORDER):
     ``relabeled[n]`` as the size of the union of the classes' relabeling
     orbits, n!/|Aut(T)| summed over the classes; the report fails where the
     two differ.
-    ``completions[n]`` counts the tables the column search completed, one
-    per orbit under the centralizer of S_0.
+    ``completions[n]`` counts the tables the column search completes from
+    every first column S_0, one per orbit under the centralizer of S_0; the
+    identity S_0's share is counted from the classes, not searched.
     """
     rep = TheoremReport("mccarron")
     if not 1 <= min_order <= max_order <= Q._COLUMN_SEARCH_BOUND:

@@ -631,9 +631,8 @@ def test_census_passes_over_only_completions_of_classes_found_from_an_earlier_fi
 
 
 def test_census_frees_each_search_table_on_return(monkeypatch):
-    # the column search recurses through its own closure cell; unless that
-    # cycle is broken, each search's conjugation table (51 MB at order 7)
-    # lives on until a full collection
+    # each search's conjugation table (51 MB at order 7) goes when the search
+    # returns or is dropped, not at the next full collection
     tables = []
     build = Q._column_candidates
 
@@ -661,6 +660,44 @@ def test_census_frees_each_search_table_on_return(monkeypatch):
             assert table() is None
     finally:
         tracemalloc.stop()
+        gc.enable()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_census_never_searches_from_the_identity(n, monkeypatch):
+    # the identity S_0's tables are counted from the classes; its search, with
+    # all (n-1)! permutations fixing 0 as its centralizer, is never started
+    starts = []
+    tables_from = Q._tables_from
+
+    def spied(s0, columns, centralizer=()):
+        starts.append(s0)
+        return tables_from(s0, columns, centralizer)
+
+    monkeypatch.setattr(Q, "_tables_from", spied)
+    Q._quandle_classes(n)
+    assert tuple(range(n)) not in starts and starts == Q._first_columns(n)[:-1]
+
+
+def test_no_computation_leaves_cyclic_garbage():
+    # Schreier-Sims chains, the table search and the column search are freed
+    # by reference counting alone, so with the collector off nothing is left
+    # for it: a nested function calling itself would hold its frame's tables
+    # in a cycle until a full collection
+    gc.collect()
+    gc.disable()
+    try:
+        assert sym.inner_group(Q.dihedral(343)).order() == 2 * 343
+        sym.analyze_quandle(Q.dihedral(27))
+        sym.analyze_quandle(Q.conj_quandle(G.make_symmetric(4)))
+        assert T.check_mccarron_bound(1, 5).passed
+        columns = Q._column_candidates(5)
+        s0 = Q._first_columns(5)[0]
+        found = Q._tables_from(s0, columns, Q._centralizer(s0, columns.perms)[1:].tolist())
+        next(found)
+        found.close()
+        assert gc.collect() == 0
+    finally:
         gc.enable()
 
 
