@@ -148,13 +148,6 @@ def cmd_make(args):
     return 0
 
 
-def _cycle_text(perm):
-    cycles = [c for c in perm.cycles() if len(c) > 1]
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
-
-
 def _yesno(value):
     if value is None:
         return "n/a"
@@ -187,10 +180,10 @@ def cmd_analyze(args):
     if args.generators:
         print("inner generators:")
         for p in translations:
-            print(f"  {_cycle_text(p)}")
+            print(f"  {p}")
         print("automorphism generators:")
         for p in sym.automorphism_group_backtrack(x).generators:
-            print(f"  {_cycle_text(p)}")
+            print(f"  {p}")
     return 0
 
 

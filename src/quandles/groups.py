@@ -7,13 +7,15 @@ from cyclic factors carry their factor list and per-element coordinate
 tuples, which is what scalar and matrix automorphisms act on.
 
 A group automorphism is exactly a bijection preserving the Cayley table, so
-Aut(G) comes from the table search for quandle automorphism groups
-(``quandles.perms.table_automorphism_group``), run once per group
-(``_aut_search``) and bounded by its budget of forced checks, not by the
-order of G.  Up to the element cap of ``PermGroup.element_array`` it is
-listed as one cached array of image rows (``automorphism_array``), which
-gives the conjugacy classes and their centralizers (``_aut_classes``).  A
-brute-force search over at most _BIJECTION_CAP bijections is an oracle.
+Aut(G) comes from the table search for quandle automorphism groups, run
+once per group and cached with it as with a quandle
+(``quandles.perms.automorphism_group_backtrack``), and bounded by its
+budget of forced checks, not by the order of G.  Up to the element cap of
+``PermGroup.element_array`` it is listed as one cached array of image rows
+(``automorphism_array``), which gives the conjugacy classes and their
+centralizers (``_aut_classes``).  A brute-force search over at most
+_BIJECTION_CAP bijections is an oracle.  Everything derived from a group's
+table and kept is an entry of its one ``_cache`` dict.
 
 Tables are read and written in one plain-text format shared with quandles:
 first line the order, then one row per line.
@@ -26,7 +28,7 @@ from math import factorial, gcd, prod
 
 import numpy as np
 
-from .perms import _generators, _smallest, _tinverse, table_automorphism_group
+from .perms import _generators, _smallest, _tinverse, automorphism_group_backtrack
 
 # Most bijections _brute_force_bijections filters: a group of order 9 or a quandle of order 8.
 _BIJECTION_CAP = factorial(8)
@@ -75,9 +77,6 @@ class FiniteGroup:
         inv = (arr == 0).argmax(axis=1)
         inv.setflags(write=False)
         self._inv = inv
-        self._is_abelian = None
-        self._center = None
-        self._orders = None
         self._cache = {}
 
     def mul(self, a, b):
@@ -97,9 +96,9 @@ class FiniteGroup:
         return self._inv
 
     def is_abelian(self):
-        if self._is_abelian is None:
-            self._is_abelian = bool(np.array_equal(self.table, self.table.T))
-        return self._is_abelian
+        if "abelian" not in self._cache:
+            self._cache["abelian"] = bool(np.array_equal(self.table, self.table.T))
+        return self._cache["abelian"]
 
     def power(self, a, k):
         """a**k for integer k (negative allowed)."""
@@ -260,17 +259,17 @@ def element_order(group, a):
 
 
 def _element_orders(group):
-    if group._orders is None:
-        group._orders = [element_order(group, a) for a in group.elements()]
-    return group._orders
+    if "orders" not in group._cache:
+        group._cache["orders"] = [element_order(group, a) for a in group.elements()]
+    return group._cache["orders"]
 
 
 def center(group):
     """Sorted list of elements commuting with everything."""
-    if group._center is None:
+    if "center" not in group._cache:
         eq = (group.table == group.table.T).all(axis=1)
-        group._center = [int(a) for a in np.nonzero(eq)[0]]
-    return group._center
+        group._cache["center"] = [int(a) for a in np.nonzero(eq)[0]]
+    return group._cache["center"]
 
 
 def is_elementary_abelian(group):
@@ -418,20 +417,14 @@ def matrix_map(group, rows):
 # -- automorphism groups ----------------------------------------------------
 
 
-def _aut_search(group):
-    """Aut(G) from the table search, run once and cached; ValueError past its budget."""
-    if "aut_search" not in group._cache:
-        group._cache["aut_search"] = table_automorphism_group(group)
-    return group._cache["aut_search"]
-
-
 def automorphism_array(group):
     """Aut(G) as one cached, read-only (m, n) array of image rows in the
-    smallest dtype (``_smallest``), lexsorted, listed from the cached table
-    search (``_aut_search``).  ValueError past the search's budget or, before
-    any row is built, past the element cap of ``PermGroup.element_array``."""
+    smallest dtype (``_smallest``), lexsorted, listed from the table search
+    cached with the group (``automorphism_group_backtrack``).  ValueError
+    past the search's budget or, before any row is built, past the element
+    cap of ``PermGroup.element_array``."""
     if "aut_array" not in group._cache:
-        arr = _aut_search(group).element_array()
+        arr = automorphism_group_backtrack(group).element_array()
         arr = arr[np.lexsort(arr.T[::-1])]          # first column is the primary key
         arr.setflags(write=False)
         group._cache["aut_array"] = arr

@@ -33,13 +33,16 @@ recursion, so a chain it builds is freed by reference counting alone.
 
 ``table_automorphism_group`` is the one backtracking search of the package:
 it finds the automorphism group of a FiniteGroup or a Quandle, so it decides
-Aut(G) from a Cayley table and Aut(X) from a quandle table, and its
-depth-first step also decides quandle isomorphism.  Its work follows the
-table's structure: a point may map only to points of its colour, a hash of
-label-free invariants of its row and column (``_colours``), and an
-assignment propagates only through the columns of the generators its
-constructor found (``_assign``).  It hands back its own stabilizer chain,
-and its cost is bounded by ``_SEARCH_BUDGET`` checks.
+Aut(G) from a Cayley table and Aut(X) from a quandle table.  Callers reach
+it through ``automorphism_group_backtrack``, which runs it once per object
+and caches the result under one key, ``"aut"``, for groups and quandles
+alike; its depth-first step decides isomorphism of two groups or two
+quandles (``quandle_isomorphic``).  No other module names the search's
+parts.  Its work follows the table's structure: a point may map only to
+points of its colour, a hash of label-free invariants of its row and column
+(``_colours``), and an assignment propagates only through the columns of
+the generators its constructor found (``_assign``).  It hands back its own
+stabilizer chain, and its cost is bounded by ``_SEARCH_BUDGET`` checks.
 """
 
 import itertools
@@ -136,12 +139,12 @@ class Permutation:
     def __hash__(self):
         return hash(self.images)
 
+    def __str__(self):
+        """Cycle notation without fixed points, "()" for the identity."""
+        return "".join("(" + " ".join(map(str, c)) + ")" for c in self.cycles()) or "()"
+
     def __repr__(self):
-        cycs = self.cycles()
-        if not cycs:
-            return f"Permutation(id, degree={self.degree})"
-        text = "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
-        return f"Permutation({text}, degree={self.degree})"
+        return f"Permutation({'id' if self.is_identity() else self}, degree={self.degree})"
 
 
 def compose(p, q):
@@ -614,6 +617,33 @@ def table_automorphism_group(t):
     group = PermGroup(gens, degree=n)
     group._chain = (levels, gens)
     return group
+
+
+def automorphism_group_backtrack(t):
+    """Aut of the FiniteGroup or Quandle t as a PermGroup with exact order:
+    ``table_automorphism_group``, run once per object and cached under
+    ``t._cache["aut"]``.  ValueError past the search's budget."""
+    cache = t._cache
+    if "aut" not in cache:
+        cache["aut"] = table_automorphism_group(t)
+    return cache["aut"]
+
+
+def quandle_isomorphic(x, y):
+    """An isomorphism x -> y as a Permutation, or None, for two groups or two quandles.
+
+    The depth-first step of the automorphism search, with source and target
+    tables distinct.  Each table is coloured on its own (``_colours``), and
+    equal seeds hash alike: unequal colour histograms refuse at once, and
+    otherwise each point of x may go only to the points of y of its colour.
+    """
+    if x.order != y.order:
+        return None
+    cx, cy = _colours(x.table), _colours(y.table)
+    if not np.array_equal(np.sort(cx), np.sort(cy)):
+        return None
+    res = _dfs_first(_Search(x, y, cx, cy))
+    return Permutation(res) if res is not None else None
 
 
 def brute_force_closure(generators, degree):

@@ -1,13 +1,12 @@
 """Symmetry groups of finite quandles.
 
 The inner group Inn(X) is built from the right translations S_g of the
-generators g of X alone, which generate every S_x; the full automorphism
-group Aut(X) comes from the backtracking table search in
-``quandles.perms``, the same search that computes Aut(G) from a Cayley
-table, and isomorphism tests run its depth-first step between two tables.
-Aut(X) carries the search's own stabilizer chain and Inn(X) a Schreier-Sims
-chain; k-transitivity of either is read off its chain by
-``PermGroup.is_k_transitive``.
+generators g of X alone, which generate every S_x, and carries a
+Schreier-Sims chain.  Aut(X) and isomorphism tests come from
+``quandles.perms``, the one table search of the package, which computes
+Aut(G) from a Cayley table too: ``automorphism_group_backtrack`` and
+``quandle_isomorphic`` are re-exported here.  k-transitivity of Inn(X) or
+Aut(X) is read off its chain by ``PermGroup.is_k_transitive``.
 ``is_connected`` does not build Inn(X): it is ``_connected_tables``, the
 package's one connectivity test, a breadth-first search over k tables at once.
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import _brute_force_bijections, _first_witness, _row_lookup, _smallest
-from .perms import Permutation, PermGroup, _colours, _dfs_first, _Search, table_automorphism_group
+from .perms import Permutation, PermGroup, automorphism_group_backtrack, quandle_isomorphic
 
 
 def inner_group(quandle):
@@ -33,14 +32,6 @@ def inner_group(quandle):
         gens = [Permutation(quandle.column(x)) for x in quandle.generators().tolist()]
         cache["inn"] = PermGroup(gens, degree=quandle.order)
     return cache["inn"]
-
-
-def automorphism_group_backtrack(quandle):
-    """Aut(X) as a PermGroup with exact order, by the shared table search."""
-    cache = quandle._cache
-    if "aut" not in cache:
-        cache["aut"] = table_automorphism_group(quandle)
-    return cache["aut"]
 
 
 def brute_force_aut(quandle):
@@ -81,26 +72,6 @@ def aut_is_doubly_transitive(quandle):
     """Aut(X) doubly transitive, read off the chain of the table search;
     ValueError below 2 points."""
     return automorphism_group_backtrack(quandle).is_k_transitive(2)
-
-
-# -- isomorphism ----------------------------------------------------------------
-
-
-def quandle_isomorphic(x, y):
-    """An isomorphism x -> y as a Permutation, or None.
-
-    The depth-first step of the automorphism search, with source and target
-    tables distinct.  Each table is coloured on its own (``perms._colours``),
-    and equal seeds hash alike: unequal colour histograms refuse at once, and
-    otherwise each point of x may go only to the points of y of its colour.
-    """
-    if x.order != y.order:
-        return None
-    cx, cy = _colours(x.table), _colours(y.table)
-    if not np.array_equal(np.sort(cx), np.sort(cy)):
-        return None
-    res = _dfs_first(_Search(x, y, cx, cy))
-    return Permutation(res) if res is not None else None
 
 
 # -- embedding into the conjugation quandle of Inn -------------------------------
@@ -190,7 +161,7 @@ def analyze_quandle(quandle):
         order=n,
         inn_order=inn.order(),
         aut_order=aut.order(),
-        connected=is_connected(quandle),
+        connected=inn.is_k_transitive(1),           # level 0 of Inn's chain is full
         two_point_homogeneous=is_two_point_homogeneous(quandle) if n >= 2 else None,
         aut_doubly_transitive=aut_is_doubly_transitive(quandle) if n >= 2 else None,
         commutative=is_commutative(quandle),

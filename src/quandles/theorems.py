@@ -52,7 +52,8 @@ import numpy as np
 from . import groups as G
 from . import quandle as Q
 from . import symmetry as sym
-from .perms import PermGroup, Permutation, _generators, _orbit, brute_force_k_transitive
+from .perms import PermGroup, Permutation, _generators, _orbit, automorphism_group_backtrack
+from .perms import brute_force_k_transitive
 
 
 @dataclass
@@ -451,7 +452,7 @@ def _aut_transitive_one(group):
     rep = TheoremReport("aut-transitive")
     if group.order == 1:
         raise ValueError("transitivity on non-identity elements needs a nontrivial group")
-    gens = [g.images for g in G._aut_search(group).generators]
+    gens = [g.images for g in automorphism_group_backtrack(group).generators]
     transitive = len(_orbit(gens, 1, tuple(range(group.order)))) == group.order - 1
     elem = G.is_elementary_abelian(group)
     if transitive != elem:

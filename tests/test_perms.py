@@ -6,12 +6,14 @@ automorphism search against Hillar and Rhea's closed form for |Aut| of a
 finite abelian group.
 """
 
+import ast
 import hashlib
 import itertools
 import random
 import tracemalloc
 from collections import defaultdict
 from math import factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,9 @@ from hypothesis import strategies as st
 
 import quandles.perms as perms
 from quandles.groups import (
+    FiniteGroup,
+    automorphism_array,
+    automorphism_group,
     catalog_groups,
     direct_product,
     make_abelian,
@@ -36,9 +41,11 @@ from quandles.perms import (
     Permutation,
     _dfs_first,
     _Search,
+    automorphism_group_backtrack,
     brute_force_closure,
     brute_force_k_transitive,
     compose,
+    quandle_isomorphic,
     table_automorphism_group,
 )
 from quandles.quandle import (
@@ -50,7 +57,7 @@ from quandles.quandle import (
     takasaki,
     trivial_quandle,
 )
-from quandles.symmetry import brute_force_aut, inner_group, quandle_isomorphic
+from quandles.symmetry import analyze_quandle, aut_is_doubly_transitive, brute_force_aut, inner_group
 
 
 def hillar_rhea_aut_order(factors):
@@ -108,6 +115,13 @@ def test_inverse_and_order():
     assert p.cycle_type() == (2, 3)
     assert p.order() == 6
     assert p.cycles() == [(0, 1, 2), (3, 4)]
+
+
+def test_str_is_cycle_notation_and_repr_wraps_it():
+    assert str(Permutation.identity(4)) == "()"
+    assert str(Permutation([1, 0, 3, 2])) == "(0 1)(2 3)"
+    assert repr(Permutation.identity(4)) == "Permutation(id, degree=4)"
+    assert repr(Permutation([1, 0, 3, 2, 4])) == "Permutation((0 1)(2 3), degree=5)"
 
 
 def _order_by_composition(p):
@@ -472,6 +486,83 @@ def test_isomorphism_agrees_with_the_plain_search_on_relabeled_pairs():
             f = np.array(iso.images)
             assert np.array_equal(f[x.table], y.table[f[:, None], f[None, :]])
     assert found > 100 and refused > 1000
+
+
+def _relabeled_group(group, rng):
+    """group under a random relabeling that keeps the identity 0."""
+    sigma = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])
+    return FiniteGroup(_relabeled(group.table, sigma))
+
+
+def _brute_force_isomorphic(g, h):
+    """Oracle: some bijection fixing 0 carries g's table onto h's, by
+    filtering all (n - 1)! of them, 40,320 at a time."""
+    n = g.order
+    rest = itertools.permutations(range(1, n))
+    while chunk := list(itertools.islice(rest, factorial(8))):
+        f = np.hstack([np.zeros((len(chunk), 1), dtype=np.uint8), np.array(chunk, dtype=np.uint8)])
+        if (f[:, g.table] == h.table[f[:, :, None], f[:, None, :]]).all(axis=(1, 2)).any():
+            return True
+    return False
+
+
+def test_isomorphism_search_takes_groups():
+    # a relabeled catalog group is found isomorphic by a map keeping all n^2
+    # products; two catalog groups of one order are not, which brute force
+    # over the bijections fixing 0 confirms to order 10 (9! of them, under a
+    # second)
+    rng = np.random.default_rng(42)
+    catalog = catalog_groups(16)
+    for g in catalog:
+        h = _relabeled_group(g, rng)
+        iso = quandle_isomorphic(g, h)
+        assert iso is not None, g.name
+        f = np.array(iso.images)
+        assert np.array_equal(f[g.table], h.table[f[:, None], f[None, :]]), g.name
+    refused = brute = 0
+    for g, h in itertools.combinations(catalog, 2):
+        if g.order != h.order:
+            continue
+        assert quandle_isomorphic(g, h) is None, (g.name, h.name)
+        assert quandle_isomorphic(g, _relabeled_group(h, rng)) is None, (g.name, h.name)
+        refused += 1
+        if g.order <= 10:
+            assert not _brute_force_isomorphic(g, h), (g.name, h.name)
+            assert _brute_force_isomorphic(g, _relabeled_group(g, rng)), g.name
+            brute += 1
+    # pairs of one order among the catalog's groups of order 4, 6, 8, 9, 10, 12, 14 and 16
+    assert (refused, brute) == (1 + 1 + 10 + 1 + 1 + 3 + 1 + 36, 1 + 1 + 10 + 1 + 1)
+
+
+def test_each_group_and_quandle_is_searched_once(monkeypatch):
+    # every route to Aut reads the one cache entry its first search left
+    search, searched = perms.table_automorphism_group, []
+    monkeypatch.setattr(perms, "table_automorphism_group", lambda t: searched.append(t) or search(t))
+    g, x = make_dihedral_group(6), dihedral(6)
+    aut = automorphism_group_backtrack(g)
+    assert g._cache["aut"] is aut and aut.order() == 12
+    assert len(automorphism_array(g)) == len(automorphism_group(g)) == 12
+    assert automorphism_group_backtrack(g) is aut
+    assert analyze_quandle(x).aut_order == 12 and not aut_is_doubly_transitive(x)
+    assert automorphism_group_backtrack(x) is x._cache["aut"]
+    assert [id(t) for t in searched] == [id(g), id(x)]
+
+
+_SEARCH_PARTS = {"_Search", "_dfs_first", "_colours", "table_automorphism_group"}
+
+
+def test_only_perms_names_the_table_search_parts():
+    # every other module reaches the search through automorphism_group_backtrack
+    # and quandle_isomorphic: no import, attribute or call of its parts
+    others = [p for p in Path(perms.__file__).parent.glob("*.py") if p.name != "perms.py"]
+    named = {}
+    for path in others:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in _SEARCH_PARTS:
+                named.setdefault(path.name, set()).add(name)
+    assert {"groups.py", "symmetry.py", "theorems.py"} <= {p.name for p in others}
+    assert named == {}
 
 
 def _row_walk_lengths(table):

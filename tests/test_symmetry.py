@@ -365,6 +365,16 @@ def test_analysis_order_one():
     assert info.connected
 
 
+def test_analysis_reads_connectivity_off_the_inner_chain():
+    # level 0 of Inn's chain is full exactly when the breadth-first test finds one orbit
+    pool = [x for n in range(1, 6) for x in Q.enumerate_quandle_tables(n)]
+    pool += [Q.dihedral(n) for n in (6, 7, 8, 9)] + [Q.conj_quandle(G.make_symmetric(4))]
+    pool += [Q.trivial_quandle(n) for n in (1, 2, 5)]
+    verdicts = [sym.analyze_quandle(x).connected for x in pool]
+    assert verdicts == [sym.is_connected(x) for x in pool]
+    assert 0 < sum(verdicts) < len(pool)
+
+
 def test_colours_are_isomorphism_invariant():
     # the colour of a is the colour of its image
     rng = np.random.default_rng(6)

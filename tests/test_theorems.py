@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import quandles.groups as G
+import quandles.perms as perms
 import quandles.quandle as Q
 import quandles.symmetry as sym
 from quandles import theorems as T
@@ -798,8 +799,8 @@ def test_run_suite_finds_each_catalog_aut_once(monkeypatch):
     # four suites sweep the catalog to order 16; Aut(G) is searched once per group
     G._catalog_abelian.cache_clear()
     G._catalog_nonabelian.cache_clear()
-    search, searched = G.table_automorphism_group, []
-    monkeypatch.setattr(G, "table_automorphism_group", lambda g: searched.append(g) or search(g))
+    search, searched = perms.table_automorphism_group, []
+    monkeypatch.setattr(perms, "table_automorphism_group", lambda g: searched.append(g) or search(g))
     reports = T.run_suite(["commutativity", "central-lemma", "bae-choe", "aut-transitive"])
     assert all(rep.passed for rep in reports)
     catalog = G.catalog_groups(16)
@@ -813,7 +814,7 @@ def test_aut_transitive_reads_the_orbit_of_1_without_listing_aut():
     rep = T.suite_aut_transitive(32)
     assert (rep.passed, rep.instances_tested) == (True, 65)
     z2_5 = next(g for g in G.catalog_groups(32) if g.name == "Z2xZ2xZ2xZ2xZ2")
-    assert "aut_array" not in z2_5._cache and G._aut_search(z2_5).order() == 9_999_360
+    assert "aut_array" not in z2_5._cache and z2_5._cache["aut"].order() == 9_999_360
     with pytest.raises(ValueError, match="exceed the element cap"):
         G.automorphism_array(z2_5)
     # the ceiling: every catalog group to order 63 passes, and at 64 the
